@@ -8,7 +8,7 @@ perturbation-gap baselines, four explainer families, and an adversarial
 fairwashing testbed ship alongside it.
 """
 
-from .axe import AxeConfig, NeighborModel, axe_quality, axe_quality_single, knn_predict
+from .axe import AxeConfig, axe_quality
 from .core import (Dataset, Explanation, Predictor, QualityReport,
                    aggregate_quality, bottom_n_features, rank_vector,
                    top_n_features)
@@ -36,7 +36,7 @@ from .models import (LinearModelSpec, MlpSpec, RuleModelSpec, ScaffoldSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxeConfig", "NeighborModel", "axe_quality", "axe_quality_single", "knn_predict",
+    "AxeConfig", "axe_quality",
     "Dataset", "Explanation", "Predictor", "QualityReport",
     "aggregate_quality", "bottom_n_features", "rank_vector", "top_n_features",
     "BENCHMARK_PROXIES", "DatasetSchema", "SyntheticSpec", "benchmark_proxy",

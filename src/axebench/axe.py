@@ -1,10 +1,19 @@
 """Ground-truth-agnostic explanation quality: per-datapoint k-NN recovery of
 model predictions from the explanation's top-n features.
 
-Each datapoint gets its own neighbor model built on the feature subset its
+Each datapoint is scored by a k-NN restricted to the feature subset its own
 explanation marks as most important; a shared global surrogate would defeat
 the purpose. Neighbor targets are the model's predictions on the dataset, not
 the data labels, and evaluation never leaves the dataset rows.
+
+Rows whose explanations pick the same subset share one neighbor search: the
+rows are grouped by their top-n subset in rank order (not as a sorted set,
+because column order changes the float sum of squared differences once n >= 3
+and would move ties). One kernel, :func:`_nearest_rows`, serves every search.
+It takes the query rows in blocks of a fixed element budget, sorts each
+block's squared Euclidean distances to all rows with a stable argsort, so
+distance ties break by ascending row index, and in leave-one-out mode drops
+the query row itself. The k nearest rows vote; an even split votes 0.
 """
 from __future__ import annotations
 
@@ -14,7 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Explanation, QualityReport, top_n_features
+from .core import Dataset, Explanation, QualityReport, check_explanations, top_n_rows
+
+# Query rows per block are sized so one block's (rows, nu, |subset|) difference
+# tensor holds about this many floats.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -37,48 +50,34 @@ class AxeConfig:
             raise ValueError("k out of range: need k >= 1")
 
 
-@dataclass
-class NeighborModel:
-    """k-NN training state restricted to one feature subset."""
-
-    feature_subset: tuple[int, ...]
-    train_features: np.ndarray  # (nu, len(feature_subset))
-    targets: np.ndarray
-
-    def __post_init__(self):
-        subset = tuple(int(i) for i in self.feature_subset)
-        if len(set(subset)) != len(subset):
-            raise ValueError("feature subset indices must be distinct")
-        self.feature_subset = subset
-        self.train_features = np.asarray(self.train_features, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=int)
-        if self.train_features.shape != (self.targets.size, len(subset)):
-            raise ValueError("neighbor model shapes are inconsistent")
-
-
-def make_neighbor_model(d: Dataset, y_preds, e, n: int) -> NeighborModel:
-    subset = tuple(top_n_features(e, n))
-    return NeighborModel(feature_subset=subset,
-                         train_features=d.features[:, list(subset)],
-                         targets=y_preds)
+def _nearest_rows(d: Dataset, subset, rows: np.ndarray, max_k: int,
+                  include_self: bool) -> np.ndarray:
+    """(len(rows), max_k) indices of each query row's nearest dataset rows on
+    ``subset``, in stable (distance, row index) order."""
+    cand = d.features[:, list(subset)]
+    width = max_k if include_self else max_k + 1
+    out = np.empty((rows.size, max_k), dtype=int)
+    step = max(1, _BLOCK_ELEMENTS // cand.size)
+    for start in range(0, rows.size, step):
+        block = rows[start:start + step]
+        d2 = ((cand[None] - cand[block][:, None]) ** 2).sum(axis=2)
+        head = np.argsort(d2, axis=1, kind="stable")[:, :width]
+        if not include_self:
+            keep = head != block[:, None]
+            keep[keep.all(axis=1), -1] = False
+            head = head[keep].reshape(block.size, max_k)
+        out[start:start + block.size] = head
+    return out
 
 
-def knn_predict(nm: NeighborModel, x, k: int, include_self: bool = False,
-                self_index: int | None = None) -> int:
-    """Majority vote of the k nearest rows under Euclidean distance on the subset.
+def _recovered(y: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """Majority vote of the first k neighbors per row; an even split votes 0."""
+    return (y[table[:, :k]].sum(axis=1) * 2 > k).astype(int)
 
-    Distance ties break by ascending row index; an even split votes 0. With
-    include_self=False and a self_index, that row is removed from the pool.
-    """
-    q = np.asarray(x, dtype=float)[list(nm.feature_subset)]
-    d2 = ((nm.train_features - q) ** 2).sum(axis=1)
-    order = np.argsort(d2, kind="stable")
-    if not include_self and self_index is not None:
-        order = order[order != self_index]
-    if k > order.size:
-        raise ValueError("k exceeds candidate count")
-    votes = int(nm.targets[order[:k]].sum())
-    return int(votes * 2 > k)
+
+def _check_candidates(nu: int, k: int, include_self: bool) -> None:
+    if k > (nu if include_self else nu - 1):
+        raise ValueError("k out of range: exceeds candidate count")
 
 
 def _validate_inputs(d: Dataset, y_preds, cfg: AxeConfig) -> np.ndarray:
@@ -89,38 +88,23 @@ def _validate_inputs(d: Dataset, y_preds, cfg: AxeConfig) -> np.ndarray:
         raise ValueError("predictions must be 0/1")
     if cfg.n > d.n_features:
         raise ValueError("n out of range: exceeds feature count")
-    candidates = d.nu if cfg.include_self else d.nu - 1
-    if cfg.k > candidates:
-        raise ValueError("k out of range: exceeds candidate count")
+    _check_candidates(d.nu, cfg.k, cfg.include_self)
     return y
-
-
-def axe_quality_single(d: Dataset, y_preds, e: Explanation, i: int, cfg: AxeConfig) -> int:
-    """Per-row quality bit: does the row's own neighbor model recover its prediction."""
-    y = _validate_inputs(d, y_preds, cfg)
-    if not 0 <= i < d.nu:
-        raise ValueError("row index out of range")
-    nm = make_neighbor_model(d, y, e, cfg.n)
-    predicted = knn_predict(nm, d.features[i], cfg.k,
-                            include_self=cfg.include_self, self_index=i)
-    return int(predicted == y[i])
 
 
 def axe_quality(d: Dataset, y_preds, explanations: list[Explanation], cfg: AxeConfig,
                 model_descriptor: str = "model", trace_path=None) -> QualityReport:
     """Score one explanation set: accuracy of per-row top-n k-NN prediction recovery."""
     y = _validate_inputs(d, y_preds, cfg)
-    if len(explanations) != d.nu:
-        raise ValueError("length mismatch: one explanation per dataset row required")
-    per_point = np.empty(d.nu)
+    check_explanations(d, explanations)
+    subsets = top_n_rows([e.importances for e in explanations], cfg.n)
+    distinct, group = np.unique(subsets, axis=0, return_inverse=True)
     recovered = np.empty(d.nu, dtype=int)
-    subsets = []
-    for i, e in enumerate(explanations):
-        nm = make_neighbor_model(d, y, e, cfg.n)
-        subsets.append(nm.feature_subset)
-        recovered[i] = knn_predict(nm, d.features[i], cfg.k,
-                                   include_self=cfg.include_self, self_index=i)
-        per_point[i] = float(recovered[i] == y[i])
+    for g, subset in enumerate(distinct):
+        rows = np.flatnonzero(group.ravel() == g)
+        table = _nearest_rows(d, subset, rows, cfg.k, cfg.include_self)
+        recovered[rows] = _recovered(y, table, cfg.k)
+    per_point = (recovered == y).astype(float)
 
     if trace_path is not None:
         _write_trace(trace_path, subsets, recovered, y, per_point)
@@ -147,30 +131,17 @@ def one_hot_axe_aggregates(d: Dataset, feature: int, y_preds, ks, include_self: 
     y = np.asarray(y_preds, dtype=int)
     ks = sorted(set(int(k) for k in ks))
     max_k = ks[-1]
-    candidates = d.nu if include_self else d.nu - 1
-    if max_k > candidates or min(ks) < 1:
-        raise ValueError("k out of range: exceeds candidate count")
+    if min(ks) < 1:
+        raise ValueError("k out of range: need k >= 1")
+    _check_candidates(d.nu, max_k, include_self)
 
     key = (feature, include_self, max_k)
     table = _table_cache.get(key) if _table_cache is not None else None
     if table is None:
-        col = d.features[:, feature]
-        table = np.empty((d.nu, max_k), dtype=int)
-        for i in range(d.nu):
-            order = np.argsort((col - col[i]) ** 2, kind="stable")
-            if include_self:
-                table[i] = order[:max_k]
-            else:
-                head = order[:max_k + 1]
-                table[i] = head[head != i][:max_k]
+        table = _nearest_rows(d, (feature,), np.arange(d.nu), max_k, include_self)
         if _table_cache is not None:
             _table_cache[key] = table
-    out = {}
-    for k in ks:
-        votes = y[table[:, :k]].sum(axis=1)
-        recovered = (votes * 2 > k).astype(int)
-        out[k] = float((recovered == y).mean())
-    return out
+    return {k: float((_recovered(y, table, k) == y).mean()) for k in ks}
 
 
 def _write_trace(path, subsets, recovered, y, per_point) -> None:

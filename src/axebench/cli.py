@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .axe import AxeConfig, axe_quality
-from .core import QualityReport, write_json
+from .core import QualityReport, check_explanations, write_json
 from .data import (BENCHMARK_PROXIES, DatasetSchema, GENERATOR_KINDS,
                    SyntheticSpec, benchmark_proxy, generate_synthetic, load_csv)
 from .experiments import (PRINCIPLES, RegionGridSpec, build_attack_bundle,
@@ -127,14 +128,12 @@ def _resolve_explanations(params: dict, d, model):
             path = params["explanations"]
             loaded = (load_explanations_json(path) if str(path).endswith(".json")
                       else load_explanations_csv(path))
-            if len(loaded) != d.nu:
-                raise CliError("explainers",
-                               f"length mismatch: {len(loaded)} explanations for {d.nu} rows")
-            for e in loaded:
-                if len(e) != d.n_features:
-                    raise CliError("explainers",
-                                   "length mismatch: explanation width differs from feature count")
-            return loaded
+            check_explanations(d, loaded)
+            order = np.argsort([e.datapoint_index for e in loaded], kind="stable")
+            if not np.array_equal([loaded[i].datapoint_index for i in order], np.arange(d.nu)):
+                raise CliError("explainers", "datapoint_index must list every row "
+                                             f"0..{d.nu - 1} exactly once")
+            return [loaded[i] for i in order]
         if params.get("manual_index") is not None:
             return make_manual_explanations(d, params["manual_index"])
         if params.get("explainer"):
@@ -425,7 +424,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - unexpected failure path
+    except Exception as exc:
+        print(traceback.format_exc(), end="", file=sys.stderr)
         print(f"error [internal]: {exc}", file=sys.stderr)
         return 1
 

@@ -178,28 +178,44 @@ def aggregate_quality(per_point_q) -> float:
     return float(q.mean())
 
 
-def top_n_features(e, n: int) -> list[int]:
-    """Indices of the n largest-|importance| features, ties broken by lower index."""
-    imp = np.abs(importances_of(e))
+def _magnitude_order(imp: np.ndarray, n, largest: bool) -> np.ndarray:
+    """First n feature indices along the last axis by |importance|, ties to the lower index."""
     n = int(n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > imp.size:
+    if n > imp.shape[-1]:
         raise ValueError("n exceeds feature count")
-    order = np.lexsort((np.arange(imp.size), -imp))
-    return [int(i) for i in order[:n]]
+    mag = np.abs(imp)
+    cols = np.arange(mag.shape[-1])
+    if mag.ndim > 1:  # lexsort keys must share one shape
+        cols = np.broadcast_to(cols, mag.shape)
+    return np.lexsort((cols, -mag if largest else mag), axis=-1)[..., :n]
+
+
+def top_n_features(e, n: int) -> list[int]:
+    """Indices of the n largest-|importance| features, ties broken by lower index."""
+    return _magnitude_order(importances_of(e), n, largest=True).tolist()
+
+
+def top_n_rows(importances, n: int) -> np.ndarray:
+    """:func:`top_n_features` of every row of a (rows, features) matrix at once."""
+    return _magnitude_order(np.asarray(importances, dtype=float), n, largest=True)
 
 
 def bottom_n_features(e, n: int) -> list[int]:
     """Indices of the n smallest-|importance| features, ties broken by lower index."""
-    imp = np.abs(importances_of(e))
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > imp.size:
-        raise ValueError("n exceeds feature count")
-    order = np.lexsort((np.arange(imp.size), imp))
-    return [int(i) for i in order[:n]]
+    return _magnitude_order(importances_of(e), n, largest=False).tolist()
+
+
+def check_explanations(d: Dataset, explanations) -> None:
+    """One explanation per dataset row, each exactly as wide as the feature count."""
+    if len(explanations) != d.nu:
+        raise ValueError(f"length mismatch: {len(explanations)} explanations for {d.nu} rows; "
+                         "one per dataset row required")
+    widths = sorted({len(e) for e in explanations})
+    if widths != [d.n_features]:
+        raise ValueError(f"length mismatch: explanation widths {widths} differ from "
+                         f"the feature count {d.n_features}")
 
 
 def rank_vector(e) -> np.ndarray:

@@ -285,7 +285,9 @@ def run_fairwash_detection(bundle: AttackBundle,
             qbar = {key: axe_quality(d, y_preds, manual[key], cfg,
                                      model_descriptor=model.descriptor).aggregate_q
                     for key in sets}
-            per_other = one_hot_axe_aggregates_many(d, others, y_preds, cfg, table_cache)
+            per_other = [one_hot_axe_aggregates(d, f, y_preds, [cfg.k], cfg.include_self,
+                                                _table_cache=table_cache)[cfg.k]
+                         for f in others]
             verdicts.append(_verdict(d, model_name, "axe",
                                      {"n": cfg.n, "k": cfg.k, "include_self": cfg.include_self},
                                      qbar, float(np.mean(per_other))))
@@ -309,13 +311,6 @@ def run_fairwash_detection(bundle: AttackBundle,
                                       "negate_pgu": perturb_cfg.negate_pgu},
                                      qbar, float(np.mean(per_other))))
     return verdicts
-
-
-def one_hot_axe_aggregates_many(d: Dataset, features, y_preds, cfg: AxeConfig,
-                                table_cache: dict) -> list[float]:
-    return [one_hot_axe_aggregates(d, f, y_preds, [cfg.k], cfg.include_self,
-                                   _table_cache=table_cache)[cfg.k]
-            for f in features]
 
 
 def _verdict(d: Dataset, model_name: str, metric: str, hyperparams: dict,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, Explanation, Predictor, QualityReport,
-                   bottom_n_features, row_seed, top_n_features)
+                   bottom_n_features, check_explanations, row_seed,
+                   top_n_features)
 
 
 @dataclass
@@ -81,8 +82,7 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
     The per-row perturbations are generated exactly as the single-point
     functions would, but evaluated through one batched model call.
     """
-    if len(explanations) != d.nu:
-        raise ValueError("length mismatch: one explanation per dataset row required")
+    check_explanations(d, explanations)
     if metric_name not in SENSITIVITY_METRICS:
         raise ValueError(f"unknown sensitivity metric {metric_name!r}")
     pick = top_n_features if metric_name == "pgi" else bottom_n_features

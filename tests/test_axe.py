@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from axebench.axe import (AxeConfig, NeighborModel, axe_quality,
-                          axe_quality_single, knn_predict,
-                          one_hot_axe_aggregates)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from axebench import axe
+from axebench.axe import AxeConfig, axe_quality, one_hot_axe_aggregates
 from axebench.core import Dataset, Explanation
 from axebench.explainers import make_manual_explanations
 
@@ -14,14 +17,24 @@ def noise_explanations(d, feature):
     return make_manual_explanations(d, feature)
 
 
+def tiny_report(features, y, importances, k, include_self, n=1):
+    """axe_quality on a tiny dataset where every row carries the same explanation."""
+    features = np.asarray(features, dtype=float)
+    d = Dataset(features=features,
+                feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
+    expls = [Explanation(importances, i) for i in range(d.nu)]
+    return axe_quality(d, y, expls, AxeConfig(n=n, k=k, include_self=include_self))
+
+
 class TestKnnPredict:
+    """The per-row k-NN vote inside axe_quality, on tiny datasets."""
+
     def test_self_match_with_inclusion(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 2))
         targets = rng.integers(0, 2, 30)
-        nm = NeighborModel(feature_subset=(0, 1), train_features=X, targets=targets)
-        for i in (0, 13, 29):
-            assert knn_predict(nm, X[i], k=1, include_self=True) == targets[i]
+        report = tiny_report(X, targets, [1.0, 1.0], k=1, include_self=True, n=2)
+        assert report.per_point_q.tolist() == [1.0] * 30
 
     def test_loo_separated_clusters(self):
         # two well-separated 1-D clusters: leave-one-out 3-NN recovers the label
@@ -31,40 +44,45 @@ class TestKnnPredict:
         col = np.concatenate([left, right])
         targets = np.array([0] * 20 + [1] * 20)
         X = np.column_stack([col, rng.normal(size=40)])
-        nm = NeighborModel(feature_subset=(0,), train_features=X[:, :1], targets=targets)
+        report = tiny_report(X, targets, [1.0, 0.0], k=3, include_self=False)
+        assert report.per_point_q.tolist() == [1.0] * 40
         for i in range(40):
-            got = knn_predict(nm, X[i], k=3, include_self=False, self_index=i)
-            want = knn_oracle(X, targets, [0], X[i], 3, False, i)
-            assert got == want == targets[i]
+            assert knn_oracle(X, targets, [0], X[i], 3, False, i) == targets[i]
 
     def test_noise_feature_near_chance(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(400, 2))
         targets = (X[:, 0] > 0).astype(int)
-        nm = NeighborModel(feature_subset=(1,), train_features=X[:, 1:], targets=targets)
-        hits = [knn_predict(nm, X[i], k=5, include_self=False, self_index=i) == targets[i]
-                for i in range(400)]
-        assert abs(np.mean(hits) - 0.5) <= 0.08
+        report = tiny_report(X, targets, [0.0, 1.0], k=5, include_self=False)
+        assert abs(report.aggregate_q - 0.5) <= 0.08
 
     def test_distance_ties_break_by_row_index(self):
-        X = np.array([[1.0], [1.0], [1.0], [2.0]])
+        # rows 0, 1, 2 tie at distance 0 from each other and at 1 from row 3:
+        # the lowest tied row index is the single neighbor every time
+        X = [[1.0], [1.0], [1.0], [2.0]]
         targets = np.array([1, 0, 0, 1])
-        nm = NeighborModel(feature_subset=(0,), train_features=X, targets=targets)
-        # query at 1.0: rows 0,1,2 all tie at distance 0; k=1 picks row 0
-        assert knn_predict(nm, [1.0], k=1, include_self=True) == 1
+        loo = tiny_report(X, targets, [1.0], k=1, include_self=False)
+        assert loo.per_point_q.tolist() == [0.0, 0.0, 0.0, 1.0]
+        # with self-inclusion row 0 still wins the tie, even for rows 1 and 2
+        literal = tiny_report(X, targets, [1.0], k=1, include_self=True)
+        assert literal.per_point_q.tolist() == [1.0, 0.0, 0.0, 1.0]
 
     def test_even_split_votes_zero(self):
-        X = np.array([[0.0], [0.1], [0.2], [0.3]])
+        # every 2- and 4-neighbor vote over alternating targets is an even
+        # split, so every row recovers 0
+        X = [[0.0], [1.0], [2.0], [3.0]]
         targets = np.array([1, 0, 1, 0])
-        nm = NeighborModel(feature_subset=(0,), train_features=X, targets=targets)
-        assert knn_predict(nm, [0.05], k=2, include_self=True) == 0
-        assert knn_predict(nm, [0.05], k=4, include_self=True) == 0
+        for k in (2, 4):
+            report = tiny_report(X, targets, [1.0], k=k, include_self=True)
+            assert report.per_point_q.tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_k_exceeds_candidates(self):
-        nm = NeighborModel(feature_subset=(0,), train_features=np.zeros((3, 1)),
-                           targets=np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="candidate count"):
-            knn_predict(nm, [0.0], k=3, include_self=False, self_index=1)
+            tiny_report(np.zeros((3, 1)), np.zeros(3, dtype=int), [1.0], k=3,
+                        include_self=False)
+        with pytest.raises(ValueError, match="candidate count"):
+            tiny_report(np.zeros((3, 1)), np.zeros(3, dtype=int), [1.0], k=4,
+                        include_self=True)
 
 
 class TestAxeQuality:
@@ -86,7 +104,8 @@ class TestAxeQuality:
         cfg = AxeConfig(n=1, k=3)
         report = axe_quality(d, d.labels, expls, cfg)
         for i in (0, 17, 79):
-            assert axe_quality_single(d, d.labels, expls[i], i, cfg) == report.per_point_q[i]
+            recovered = knn_oracle(d.features, d.labels, [0], d.features[i], 3, False, i)
+            assert report.per_point_q[i] == float(recovered == d.labels[i])
         assert report.aggregate_q == pytest.approx(report.per_point_q.mean())
 
     def test_scale_invariance(self, small_threshold_data):
@@ -136,6 +155,27 @@ class TestAxeQuality:
             axe_quality(d, d.labels, expls, AxeConfig(n=1, k=d.nu))
         with pytest.raises(ValueError):
             AxeConfig(n=0, k=3)
+
+    def test_explanation_width_must_match_feature_count(self, small_threshold_data):
+        d = small_threshold_data  # 4 columns
+        for width in (2, 6):
+            expls = [Explanation(np.arange(1.0, width + 1), i) for i in range(d.nu)]
+            # width 6 puts the top feature at index 5, past the last column
+            with pytest.raises(ValueError, match="length mismatch"):
+                axe_quality(d, d.labels, expls, AxeConfig(n=1, k=3))
+
+    def test_distances_sum_in_rank_order(self):
+        # rows 1 and 2 hold the same squares in opposite column order, so only
+        # the summation order decides which one is nearer to row 0
+        a, b, c = 0.1 ** 2, 0.2 ** 2, 0.5 ** 2
+        assert (c + b) + a > (a + b) + c
+        features = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.5], [0.5, 0.2, 0.1]])
+        y = np.array([0, 1, 0])
+        importances = [1.0, 2.0, 3.0]  # rank order 2, 1, 0
+        report = tiny_report(features, y, importances, k=1, include_self=False, n=3)
+        oracle_pp, _ = axe_oracle(features, y, [importances] * 3, 3, 1, False)
+        assert report.per_point_q.tolist() == oracle_pp
+        assert report.per_point_q[0] == 1.0  # row 2 is nearer in rank order
 
     def test_trace_file(self, small_threshold_data, tmp_path):
         d = small_threshold_data
@@ -191,6 +231,19 @@ class TestFastPathAndOracle:
                                        AxeConfig(n=1, k=k, include_self=include_self))
                     assert agg == slow.aggregate_q
 
+    def test_row_blocks_do_not_change_scores(self, small_threshold_data, monkeypatch):
+        d = small_threshold_data
+        rng = np.random.default_rng(5)
+        expls = [Explanation(np.round(rng.normal(size=d.n_features), 1), i)
+                 for i in range(d.nu)]
+        cfg = AxeConfig(n=2, k=4)
+        whole = axe_quality(d, d.labels, expls, cfg)
+        whole_onehot = one_hot_axe_aggregates(d, 1, d.labels, [1, 4])
+        monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 7 * d.nu)  # 3 rows per block at n=2
+        assert np.array_equal(axe_quality(d, d.labels, expls, cfg).per_point_q,
+                              whole.per_point_q)
+        assert one_hot_axe_aggregates(d, 1, d.labels, [1, 4]) == whole_onehot
+
     def test_matches_exhaustive_oracle_small_instances(self):
         rng = np.random.default_rng(4)
         for trial in range(40):
@@ -209,3 +262,32 @@ class TestFastPathAndOracle:
             oracle_pp, oracle_agg = axe_oracle(features, y, importance_rows, n, k, include_self)
             assert report.per_point_q.tolist() == oracle_pp
             assert report.aggregate_q == oracle_agg
+
+
+@st.composite
+def tied_instances(draw):
+    """Small instances with rounded features, duplicate rows and tied importances."""
+    nu = draw(st.integers(3, 14))
+    nf = draw(st.integers(1, 5))
+    features = draw(arrays(float, (nu, nf), elements=st.integers(-12, 12).map(lambda v: v / 10)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, nu - 1), st.integers(0, nu - 1)),
+                                  max_size=nu)):
+        features[dst] = features[src]
+    importances = draw(arrays(float, (nu, nf), elements=st.integers(-2, 2).map(float)))
+    y = draw(arrays(int, nu, elements=st.integers(0, 1)))
+    include_self = draw(st.booleans())
+    n = draw(st.integers(1, nf))
+    k = draw(st.integers(1, nu if include_self else nu - 1))
+    return features, y, importances, n, k, include_self
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_instances())
+def test_matches_oracle_property(instance):
+    features, y, importances, n, k, include_self = instance
+    d = Dataset(features=features, feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
+    expls = [Explanation(importances[i], i) for i in range(d.nu)]
+    report = axe_quality(d, y, expls, AxeConfig(n=n, k=k, include_self=include_self))
+    oracle_pp, oracle_agg = axe_oracle(features, y, importances, n, k, include_self)
+    assert report.per_point_q.tolist() == oracle_pp
+    assert report.aggregate_q == oracle_agg

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from axebench import cli
 from axebench.cli import main
 from axebench.core import QualityReport
 
@@ -92,6 +93,36 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "length mismatch" in err
         assert "explainers" in err
+
+    def test_explanation_rows_follow_datapoint_index(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = [f"{i}," + ",".join(repr(float(v)) for v in rng.normal(size=4))
+                for i in range(90)]
+        shuffled = [rows[i] for i in rng.permutation(90)]
+        reports = []
+        for name, body in (("ordered", rows), ("shuffled", shuffled)):
+            expl_path = tmp_path / f"{name}.csv"
+            expl_path.write_text("\n".join(["datapoint_index,f0,f1,f2,f3", *body]) + "\n")
+            out = tmp_path / name
+            assert main(["evaluate", "--synthetic", "threshold-rule", "--rows", "90",
+                         "--cols", "4", "--train", "logistic",
+                         "--explanations", str(expl_path), "--metric", "axe",
+                         "--n", "2", "--k", "3", "--seed", "0", "--out", str(out)]) == 0
+            reports.append((out / "report_axe.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_duplicate_datapoint_index_exits_2(self, tmp_path, capsys):
+        expl_path = tmp_path / "dup.csv"
+        lines = ["datapoint_index,f0,f1,f2"] + [f"{max(i, 1)},1.0,0.5,0.0" for i in range(50)]
+        expl_path.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50",
+                     "--cols", "3", "--train", "logistic",
+                     "--explanations", str(expl_path), "--metric", "axe",
+                     "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [explainers]" in err
+        assert "datapoint_index" in err
 
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",
@@ -252,3 +283,16 @@ class TestReport:
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 2
+
+
+class TestInternalError:
+    def test_unexpected_failure_keeps_traceback(self, monkeypatch, capsys):
+        def boom(params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "principles", (boom, cli._PRINCIPLES_DEFAULTS))
+        assert main(["principles"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: boom" in err
+        assert err.rstrip().endswith("error [internal]: boom")

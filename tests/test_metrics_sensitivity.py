@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axebench.core import row_seed
+from axebench.core import Explanation, row_seed
 from axebench.data import SyntheticSpec, generate_synthetic
 from axebench.explainers import make_manual_explanations
 from axebench.metrics_sensitivity import (PerturbConfig, pgi, pgu,
@@ -92,6 +92,14 @@ class TestReport:
         d, m = setup
         with pytest.raises(ValueError, match="length mismatch"):
             sensitivity_quality_report("pgi", m, d, [], PerturbConfig(n=1))
+
+    def test_explanation_width_must_match_feature_count(self, setup):
+        d, m = setup
+        for width in (d.n_features - 1, d.n_features + 2):
+            # the wider vector ranks its last, nonexistent feature first
+            expls = [Explanation(np.arange(1.0, width + 1), i) for i in range(d.nu)]
+            with pytest.raises(ValueError, match="length mismatch"):
+                sensitivity_quality_report("pgi", m, d, expls, PerturbConfig(n=1))
 
     def test_schedule_independent_row_seeds(self, setup):
         d, m = setup
