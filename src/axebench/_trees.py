@@ -2,6 +2,17 @@
 
 Axis-aligned gini splits, deterministic per seed, JSON-serializable. Built for
 desk-scale tabular data, not as a general-purpose forest.
+
+Inference walks every tree at once (the tree-traversal strategy of
+Hummingbird, Nakandala et al., OSDI 2020). ``fit`` and ``from_dict`` merge the
+trees' flat node arrays into one node table, shifting child indices by each
+tree's offset, and turn every leaf into a self-loop: it splits on feature 0
+and both of its children are the leaf itself. A (point, tree) path that has
+reached its leaf then stays there, so all paths advance together, one depth
+level per step, for as many steps as the deepest tree has levels, with no
+test for which paths are still moving. Leaf values are summed tree by tree in
+tree order, the float order of a per-tree loop, so probabilities are exact to
+the last bit.
 """
 from __future__ import annotations
 
@@ -78,20 +89,6 @@ class _Tree:
         build(np.arange(X.shape[0]), 0)
         return cls(feature, threshold, left, right, value)
 
-    def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        cur = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        while True:
-            feat = self.feature[cur]
-            active = feat >= 0
-            if not active.any():
-                break
-            r = rows[active]
-            go_left = X[r, feat[active]] <= self.threshold[cur[active]]
-            cur[r] = np.where(go_left, self.left[cur[active]], self.right[cur[active]])
-        return self.value[cur]
-
     def to_dict(self) -> dict:
         return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
                 "left": self.left.tolist(), "right": self.right.tolist(),
@@ -100,6 +97,47 @@ class _Tree:
     @classmethod
     def from_dict(cls, d: dict) -> "_Tree":
         return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+
+
+def _levels(tree: _Tree) -> int:
+    """Edges on the tree's longest root-to-leaf path."""
+    levels, frontier = 0, np.zeros(1, dtype=np.int64)
+    while True:
+        inner = frontier[tree.feature[frontier] >= 0]
+        if not inner.size:
+            return levels
+        frontier = np.concatenate([tree.left[inner], tree.right[inner]])
+        levels += 1
+
+
+class _NodeTable:
+    """Every tree's nodes in one table; leaves are self-loops on feature 0.
+
+    ``step[2 * node + went_left]`` is the node a path moves to, so a leaf's
+    two entries both hold the leaf itself.
+    """
+
+    def __init__(self, trees: list[_Tree]):
+        sizes = [t.feature.size for t in trees]
+        offsets = np.cumsum([0, *sizes[:-1]]).astype(np.int64)
+        feature = np.concatenate([t.feature for t in trees])
+        leaf = feature < 0
+        node = np.arange(feature.size, dtype=np.int64)
+        step = np.column_stack([np.concatenate([t.right + o for t, o in zip(trees, offsets)]),
+                                np.concatenate([t.left + o for t, o in zip(trees, offsets)])])
+        step[leaf] = node[leaf, None]
+        feature[leaf] = 0
+        self.roots = offsets
+        self.feature = feature
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.step = step.ravel()
+        self.value = np.concatenate([t.value for t in trees])
+        self.levels = max(_levels(t) for t in trees)
+
+
+# (point, tree) paths per block of the stacked traversal; blocks this size kept
+# the index arrays small and ran fastest on batches of 6k and 80k points
+_BLOCK_PATHS = 1 << 15
 
 
 class BaggedTrees:
@@ -113,6 +151,7 @@ class BaggedTrees:
         self.feature_fraction = feature_fraction
         self.seed = seed
         self.trees: list[_Tree] = []
+        self._table: _NodeTable | None = None
 
     def fit(self, X, y) -> "BaggedTrees":
         X = np.asarray(X, dtype=float)
@@ -125,15 +164,34 @@ class BaggedTrees:
             boot = tree_rng.integers(0, X.shape[0], X.shape[0])
             self.trees.append(_Tree.grow(X[boot], y[boot], tree_rng,
                                          self.max_depth, self.min_leaf, max_features))
+        self._merge()
         return self
 
+    def _merge(self) -> None:
+        self._table = _NodeTable(self.trees) if self.trees else None
+
     def predict_proba(self, X) -> np.ndarray:
-        if not self.trees:
+        table = self._table
+        if table is None:
             raise RuntimeError("classifier is not fitted")
-        votes = np.zeros(np.asarray(X).shape[0])
-        for tree in self.trees:
-            votes += tree.predict_proba(X)
-        return votes / len(self.trees)
+        X = np.asarray(X, dtype=float)
+        n_points, width = X.shape
+        flat = X.ravel()
+        n_trees = table.roots.size
+        votes = np.zeros(n_points)
+        rows = max(1, _BLOCK_PATHS // n_trees)
+        for start in range(0, n_points, rows):
+            stop = min(start + rows, n_points)
+            offsets = np.arange(start * width, stop * width, width)[:, None]
+            cur = np.repeat(table.roots[None, :], stop - start, axis=0)
+            for _ in range(table.levels):
+                went_left = flat[offsets + table.feature[cur]] <= table.threshold[cur]
+                cur = table.step[2 * cur + went_left]
+            leaf = table.value[cur]
+            block = votes[start:stop]
+            for t in range(n_trees):  # per-tree order keeps the sum bit-exact
+                block += leaf[:, t]
+        return votes / n_trees
 
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
@@ -148,4 +206,5 @@ class BaggedTrees:
         model = cls(n_trees=d["n_trees"], max_depth=d["max_depth"], min_leaf=d["min_leaf"],
                     feature_fraction=d["feature_fraction"], seed=d["seed"])
         model.trees = [_Tree.from_dict(t) for t in d["trees"]]
+        model._merge()
         return model

@@ -304,7 +304,8 @@ def cmd_report(params: dict) -> int:
                       f"{v.dataset_id}/{v.model_name}/{v.metric_name}", file=sys.stderr)
                 ok = False
     for report_file in sorted(run_dir.glob("report_*.json")):
-        report = QualityReport.from_json(report_file)
+        with _stage("core"):
+            report = QualityReport.from_json(report_file)
         agg = "undefined" if report.aggregate_q != report.aggregate_q else f"{report.aggregate_q:.6f}"
         print(f"{report.metric_name}: aggregate={agg} rows={report.per_point_q.size} "
               f"dataset={report.dataset_id}")

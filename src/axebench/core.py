@@ -297,6 +297,10 @@ class QualityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QualityReport":
+        version = d.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"report schema_version {version!r} is not supported; "
+                             f"this version reads schema_version {SCHEMA_VERSION}")
         per_point = [float("nan") if v is None else float(v) for v in d["per_point_q"]]
         agg = float("nan") if d["aggregate_q"] is None else float(d["aggregate_q"])
         return cls(metric_name=d["metric_name"], hyperparams=dict(d["hyperparams"]),

@@ -13,14 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .axe import AxeConfig, axe_quality, one_hot_axe_aggregates
+from .axe import AxeConfig, axe_quality
 from .core import (Dataset, Explanation, component_seed, ordered_parallel_map,
                    write_json)
 from .data import SyntheticSpec, benchmark_proxy, generate_synthetic
 from .explainers import make_manual_explanations
 from .metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
                                 reference_quality_report)
-from .metrics_sensitivity import (PerturbConfig, sensitivity_quality_report)
+from .metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
+                                  sensitivity_quality_report)
 from .models import (OffManifoldFlipPredictor, RuleModelSpec, RulePredictor,
                      ScaffoldSpec, build_scaffold, make_rule_predictor)
 
@@ -263,12 +264,17 @@ def run_fairwash_detection(bundle: AttackBundle,
 
     Missing second foils yield an explicit None, never 0. The `other` column
     averages the one-hot explanation of every feature that is neither protected
-    nor a foil of the model at hand.
+    nor a foil of the model at hand, scored exactly as the other columns are.
+
+    A perturbation report depends on the explanations only through the index
+    sets they perturb, so each model is scored once per distinct (metric,
+    per-row index sets); with n=1 every PGU one-hot set is {0}, or {1} for the
+    set that marks feature 0.
     """
     perturb_cfg = perturb_cfg or PerturbConfig(n=1)
     d = bundle.dataset
     verdicts: list[DetectionVerdict] = []
-    table_cache: dict = {}
+    manual = {f: make_manual_explanations(d, f) for f in range(d.n_features)}
 
     for model_name, model in bundle.models.items():
         foils = bundle.model_foils[model_name]
@@ -279,49 +285,53 @@ def run_fairwash_detection(bundle: AttackBundle,
         if len(foils) > 1:
             sets["foil2"] = foils[1]
         others = bundle.other_indices(model_name)
-        manual = {key: make_manual_explanations(d, idx) for key, idx in sets.items()}
+        scored = [*sets.values(), *others]
 
         for cfg in axe_cfgs:
-            qbar = {key: axe_quality(d, y_preds, manual[key], cfg,
-                                     model_descriptor=model.descriptor).aggregate_q
-                    for key in sets}
-            per_other = [one_hot_axe_aggregates(d, f, y_preds, [cfg.k], cfg.include_self,
-                                                _table_cache=table_cache)[cfg.k]
-                         for f in others]
+            q = {f: axe_quality(d, y_preds, manual[f], cfg,
+                                model_descriptor=model.descriptor).aggregate_q
+                 for f in scored}
             verdicts.append(_verdict(d, model_name, "axe",
                                      {"n": cfg.n, "k": cfg.k, "include_self": cfg.include_self},
-                                     qbar, float(np.mean(per_other))))
+                                     q, sets, others))
 
+        # first feature of each distinct (metric, per-row index sets)
+        key_of, representative = {}, {}
         for metric in ("pgi", "pgu"):
-            qbar = {key: sensitivity_quality_report(metric, model, d, manual[key],
-                                                    perturb_cfg).aggregate_q
-                    for key in sets}
+            for f in scored:
+                key = (metric, perturbed_index_sets(metric, manual[f], perturb_cfg.n).tobytes())
+                key_of[metric, f] = key
+                representative.setdefault(key, (metric, f))
 
-            def other_score(idx: int, _metric=metric) -> float:
-                return sensitivity_quality_report(_metric, model, d,
-                                                  make_manual_explanations(d, idx),
-                                                  perturb_cfg).aggregate_q
+        def score(job: tuple[str, int]) -> float:
+            metric, f = job
+            return sensitivity_quality_report(metric, model, d, manual[f],
+                                              perturb_cfg).aggregate_q
 
-            per_other = ordered_parallel_map(other_score, others, jobs=jobs)
+        memo = dict(zip(representative,
+                        ordered_parallel_map(score, representative.values(), jobs=jobs)))
+        for metric in ("pgi", "pgu"):
+            q = {f: memo[key_of[metric, f]] for f in scored}
             verdicts.append(_verdict(d, model_name, metric,
                                      {"n": perturb_cfg.n,
                                       "num_perturbations": perturb_cfg.num_perturbations,
                                       "sigma": perturb_cfg.sigma,
                                       "seed": perturb_cfg.seed,
                                       "negate_pgu": perturb_cfg.negate_pgu},
-                                     qbar, float(np.mean(per_other))))
+                                     q, sets, others))
     return verdicts
 
 
 def _verdict(d: Dataset, model_name: str, metric: str, hyperparams: dict,
-             qbar: dict, q_other: float) -> DetectionVerdict:
+             q: dict[int, float], sets: dict[str, int], others: list[int]) -> DetectionVerdict:
+    """Verdict row from the aggregate of every scored feature's one-hot set."""
+    qbar = {key: float(q[f]) for key, f in sets.items()}
     q_foil2 = qbar.get("foil2")
     return DetectionVerdict(
         dataset_id=d.dataset_id, model_name=model_name, metric_name=metric,
         hyperparams=hyperparams,
-        q_protected=float(qbar["protected"]), q_foil1=float(qbar["foil1"]),
-        q_foil2=None if q_foil2 is None else float(q_foil2),
-        q_other=q_other,
+        q_protected=qbar["protected"], q_foil1=qbar["foil1"], q_foil2=q_foil2,
+        q_other=float(np.mean([q[f] for f in others])),
         passed=DetectionVerdict.compute_pass(qbar["protected"], qbar["foil1"], q_foil2))
 
 

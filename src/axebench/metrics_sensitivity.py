@@ -9,12 +9,13 @@ because the metric's verdicts depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import (Dataset, Explanation, Predictor, QualityReport,
-                   bottom_n_features, check_explanations, row_seed,
-                   top_n_features)
+from .core import (Dataset, Explanation, Predictor, QualityReport, _magnitude_order,
+                   bottom_n_features, check_explanations, importances_of,
+                   row_seed, top_n_features)
 
 
 @dataclass
@@ -38,10 +39,27 @@ class PerturbConfig:
                              sigma=self.sigma, seed=seed, negate_pgu=self.negate_pgu)
 
 
+def _draws(seed: int, num_perturbations: int, sigma: float, size: int) -> np.ndarray:
+    """The one noise source: (num_perturbations, size) Gaussian draws of one seed."""
+    return np.random.default_rng(seed).normal(0.0, sigma, (num_perturbations, size))
+
+
+@lru_cache(maxsize=4)
+def _row_draws(seed: int, rows: int, num_perturbations: int, sigma: float,
+               size: int) -> np.ndarray:
+    """Read-only (rows, num_perturbations, size) draws of row seeds 0..rows-1 of ``seed``.
+
+    Reports on one dataset under one config share them, whatever their index sets.
+    """
+    draws = np.stack([_draws(row_seed(seed, i), num_perturbations, sigma, size)
+                      for i in range(rows)])
+    draws.flags.writeable = False
+    return draws
+
+
 def _perturbed_copies(x: np.ndarray, index_set: list[int], cfg: PerturbConfig) -> np.ndarray:
     """Noise draws depend only on (seed, set size), so identical index sets share draws."""
-    rng = np.random.default_rng(cfg.seed)
-    draws = rng.normal(0.0, cfg.sigma, (cfg.num_perturbations, len(index_set)))
+    draws = _draws(cfg.seed, cfg.num_perturbations, cfg.sigma, len(index_set))
     points = np.repeat(x[None, :], cfg.num_perturbations, axis=0)
     points[:, index_set] += draws
     return points
@@ -75,38 +93,33 @@ def pgu(m: Predictor, x, e, cfg: PerturbConfig) -> float:
 SENSITIVITY_METRICS = {"pgi": pgi, "pgu": pgu}
 
 
+def perturbed_index_sets(metric_name: str, explanations, n: int) -> np.ndarray:
+    """(rows, n) ascending feature indices each row's explanation perturbs under the metric."""
+    if metric_name not in SENSITIVITY_METRICS:
+        raise ValueError(f"unknown sensitivity metric {metric_name!r}")
+    importances = np.array([importances_of(e) for e in explanations], dtype=float)
+    return np.sort(_magnitude_order(importances, n, largest=metric_name == "pgi"), axis=1)
+
+
 def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
                                explanations: list[Explanation], cfg: PerturbConfig) -> QualityReport:
     """Dataset-level report; per-row seeds are cfg.seed XOR row index.
 
-    The per-row perturbations are generated exactly as the single-point
-    functions would, but evaluated through one batched model call.
+    Every row is perturbed exactly as the single-point functions would do it,
+    and all rows' perturbed copies go through one batched model call.
     """
     check_explanations(d, explanations)
-    if metric_name not in SENSITIVITY_METRICS:
-        raise ValueError(f"unknown sensitivity metric {metric_name!r}")
-    pick = top_n_features if metric_name == "pgi" else bottom_n_features
-
-    blocks = []
-    sets = []
-    for i, e in enumerate(explanations):
-        index_set = sorted(pick(e, cfg.n))
-        sets.append(index_set)
-        local = cfg.with_seed(row_seed(cfg.seed, i))
-        blocks.append(_perturbed_copies(d.features[i], index_set, local)
-                      if index_set else d.features[i][None, :])
-    base = m.predict_proba_batch(d.features)
-    stacked = m.predict_proba_batch(np.vstack(blocks))
-
-    per_point = np.empty(d.nu)
-    offset = 0
-    for i in range(d.nu):
-        count = blocks[i].shape[0]
-        if sets[i]:
-            per_point[i] = np.abs(stacked[offset:offset + count] - base[i]).mean()
-        else:
-            per_point[i] = 0.0
-        offset += count
+    sets = perturbed_index_sets(metric_name, explanations, cfg.n)
+    per_point = np.zeros(d.nu)
+    if cfg.n:
+        count = cfg.num_perturbations
+        draws = _row_draws(cfg.seed, d.nu, count, cfg.sigma, cfg.n)
+        points = np.repeat(d.features[:, None, :], count, axis=1)
+        points[np.arange(d.nu)[:, None, None], np.arange(count)[None, :, None],
+               sets[:, None, :]] += draws
+        base = m.predict_proba_batch(d.features)
+        stacked = m.predict_proba_batch(points.reshape(-1, d.n_features))
+        per_point = np.abs(stacked.reshape(d.nu, count) - base[:, None]).mean(axis=1)
     if metric_name == "pgu" and cfg.negate_pgu:
         per_point = -per_point
 

@@ -139,6 +139,19 @@ def pgu_oracle(proba_fn, x, e, n, num_perturbations, sigma, seed, negate=True):
     return -value if negate else value
 
 
+def tree_oracle(tree, x):
+    """Walk one serialized tree (``_Tree.to_dict`` layout) from its root to a
+    leaf, one node at a time: go left when x[feature] <= threshold."""
+    node = 0
+    while tree["feature"][node] >= 0:
+        f = tree["feature"][node]
+        if x[f] <= tree["threshold"][node]:
+            node = tree["left"][node]
+        else:
+            node = tree["right"][node]
+    return tree["value"][node]
+
+
 def shapley_exhaustive(value_fn, n):
     """Permutation-weighted subset sum; value_fn maps a frozenset of features
     to the coalition value."""

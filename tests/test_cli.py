@@ -281,6 +281,15 @@ class TestReport:
         assert main(["report", "--run", str(out)]) == 1
         assert "MISMATCH" in capsys.readouterr().err
 
+    def test_report_of_another_schema_version_is_rejected(self, tmp_path, capsys):
+        report = QualityReport.build("fa", {"n": 2}, [1.0, 0.0]).to_dict()
+        report["schema_version"] = 2
+        (tmp_path / "report_fa.json").write_text(json.dumps(report))
+        assert main(["report", "--run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error [core]: report schema_version 2 is not supported; "
+            "this version reads schema_version 1")
+
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 2
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from axebench.core import (Dataset, Explanation, QualityReport, aggregate_quality,
-                           bottom_n_features, rank_vector, row_seed, top_n_features)
+from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, QualityReport,
+                           aggregate_quality, bottom_n_features, rank_vector,
+                           row_seed, top_n_features)
 
 from oracles import bottom_n_oracle, rank_oracle, top_n_oracle
 
@@ -138,6 +139,18 @@ class TestQualityReport:
         assert back.metric_name == "fa"
         assert np.isnan(back.per_point_q[2])
         assert back.aggregate_q == 0.5
+
+    def test_from_dict_rejects_other_schema_versions(self):
+        payload = QualityReport.build("fa", {"n": 2}, [1.0, 0.0]).to_dict()
+        assert QualityReport.from_dict(payload).aggregate_q == 0.5
+        for version in (SCHEMA_VERSION + 1, 0, None):
+            payload["schema_version"] = version
+            with pytest.raises(ValueError, match=rf"schema_version {version!r} .*"
+                                                 rf"schema_version {SCHEMA_VERSION}\b"):
+                QualityReport.from_dict(payload)
+        del payload["schema_version"]
+        with pytest.raises(ValueError, match="schema_version None"):
+            QualityReport.from_dict(payload)
 
     def test_all_undefined_aggregate_is_nan(self):
         r = QualityReport.build("rc", {}, [float("nan")] * 3)

@@ -3,14 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from axebench.axe import AxeConfig
+import axebench.experiments as experiments
+from axebench.axe import AxeConfig, axe_quality
 from axebench.core import Dataset
 from axebench.experiments import (DetectionVerdict, RegionGridSpec,
                                   build_attack_bundle, load_verdicts,
                                   run_fairwash_detection, run_principle_suite,
                                   run_region_grid, standard_model_set,
                                   write_region_grid, write_verdicts)
-from axebench.metrics_sensitivity import PerturbConfig
+from axebench.explainers import make_manual_explanations
+from axebench.metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
+                                          sensitivity_quality_report)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,64 @@ class TestDetection:
         pgi_old = {v.model_name: v.q_foil1 for v in small_verdicts
                    if v.metric_name == "pgi"}
         assert any(pgi_new[m] != pgi_old[m] for m in pgi_new)
+
+
+def unmemoised_values(bundle, score):
+    """(q_protected, q_foil1, q_foil2, q_other) per model, every one-hot set scored afresh."""
+    d = bundle.dataset
+    out = {}
+    for model_name, model in bundle.models.items():
+        foils = bundle.model_foils[model_name]
+        q = {f: score(model, make_manual_explanations(d, f)) for f in range(d.n_features)}
+        out[model_name] = (q[bundle.protected_index], q[foils[0]],
+                           q[foils[1]] if len(foils) > 1 else None,
+                           float(np.mean([q[f] for f in bundle.other_indices(model_name)])))
+    return out
+
+
+def verdict_values(verdicts, metric):
+    return {v.model_name: (v.q_protected, v.q_foil1, v.q_foil2, v.q_other)
+            for v in verdicts if v.metric_name == metric}
+
+
+class TestDetectionScoring:
+    CFG = PerturbConfig(n=1, num_perturbations=25, seed=0)
+
+    def test_threads_give_the_serial_verdicts(self, small_bundle, small_verdicts):
+        threaded = run_fairwash_detection(small_bundle, axe_cfgs=(AxeConfig(n=1, k=5),),
+                                          perturb_cfg=self.CFG, jobs=2)
+        assert [v.to_dict() for v in threaded] == [v.to_dict() for v in small_verdicts]
+
+    @pytest.mark.parametrize("metric", ["pgi", "pgu"])
+    def test_memo_matches_one_report_per_set(self, small_bundle, small_verdicts, metric):
+        d = small_bundle.dataset
+        reference = unmemoised_values(small_bundle, lambda model, expls: (
+            sensitivity_quality_report(metric, model, d, expls, self.CFG).aggregate_q))
+        assert verdict_values(small_verdicts, metric) == reference
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_distinct_index_set_is_scored_once(self, small_bundle, monkeypatch, jobs):
+        calls = []
+
+        def counting(metric_name, m, d, explanations, cfg):
+            sets = perturbed_index_sets(metric_name, explanations, cfg.n)
+            calls.append((id(m), metric_name, sets.tobytes()))
+            return sensitivity_quality_report(metric_name, m, d, explanations, cfg)
+
+        monkeypatch.setattr(experiments, "sensitivity_quality_report", counting)
+        run_fairwash_detection(small_bundle, perturb_cfg=self.CFG, jobs=jobs)
+        # per model: six one-hot PGI sets, and PGU's bottom feature is 0, or 1 for the set on 0
+        assert len(calls) == len(set(calls)) == 4 * (6 + 2)
+
+    def test_axe_other_column_uses_top_n_subsets(self, small_bundle):
+        """At n=2 a one-hot explanation's top-2 adds the lowest-index zero feature;
+        the other column must score that subset, as the protected and foil columns do."""
+        d = small_bundle.dataset
+        cfg = AxeConfig(n=2, k=5)
+        verdicts = run_fairwash_detection(small_bundle, axe_cfgs=(cfg,), perturb_cfg=self.CFG)
+        reference = unmemoised_values(small_bundle, lambda model, expls: axe_quality(
+            d, model.predict_batch(d.features), expls, cfg).aggregate_q)
+        assert verdict_values(verdicts, "axe") == reference
 
 
 # ---------------------------------------------------------------------------

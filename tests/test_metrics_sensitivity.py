@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from axebench.metrics_sensitivity import (PerturbConfig, pgi, pgu,
 from axebench.models import (LinearModelSpec, RuleModelSpec,
                              make_linear_predictor, make_rule_predictor)
 
-from conftest import ConstantPredictor
+from conftest import AdditiveProbaPredictor, ConstantPredictor
 from oracles import pgi_oracle, pgu_oracle
 
 
@@ -108,6 +111,65 @@ class TestReport:
         a = sensitivity_quality_report("pgu", m, d, expls, cfg)
         b = sensitivity_quality_report("pgu", m, d, expls, cfg)
         assert np.array_equal(a.per_point_q, b.per_point_q)
+
+
+    @pytest.mark.parametrize("metric", ["pgi", "pgu"])
+    def test_vectorised_rows_match_single_point_calls(self, metric):
+        rng = np.random.default_rng(12)
+        d = generate_synthetic(SyntheticSpec(nu=30, n_features=4, seed=13))
+        # element-wise arithmetic only, so batch and single-point calls agree bit for bit
+        m = AdditiveProbaPredictor([lambda v: 0.09 * v, lambda v: -0.06 * v,
+                                    lambda v: 0.03 * v * v, lambda v: 0.015 * v])
+        # rounding makes many rows tie on |importance|; the first rows tie on every feature
+        importances = np.round(rng.normal(size=(d.nu, d.n_features)), 1)
+        importances[:3] = [[0.5, -0.5, 0.5, -0.5], [0.0] * 4, [0.2, 0.2, -0.7, 0.2]]
+        expls = [Explanation(importances[i], i) for i in range(d.nu)]
+        single = pgi if metric == "pgi" else pgu
+
+        def check(cfg):
+            report = sensitivity_quality_report(metric, m, d, expls, cfg)
+            direct = [single(m, d.features[i], expls[i], cfg.with_seed(row_seed(cfg.seed, i)))
+                      for i in range(d.nu)]
+            assert report.per_point_q.tolist() == direct
+            return report.per_point_q
+
+        for n in (0, 1, 2, d.n_features):
+            base = PerturbConfig(n=n, num_perturbations=17, sigma=0.5, seed=14)
+            first = check(base)
+            # same everything but sigma, then but the draw count: fresh noise each time
+            wider = check(PerturbConfig(n=n, num_perturbations=17, sigma=1.5, seed=14))
+            more = check(PerturbConfig(n=n, num_perturbations=23, sigma=0.5, seed=14))
+            if n:
+                assert not np.array_equal(first, wider)
+                assert not np.array_equal(first, more)
+        check(PerturbConfig(n=2, num_perturbations=17, sigma=0.5, seed=14, negate_pgu=False))
+
+    def test_report_is_independent_of_earlier_calls(self, setup):
+        d, m = setup
+        expls = make_manual_explanations(d, 0)
+        cfg = PerturbConfig(n=1, num_perturbations=25, seed=15)
+        before = sensitivity_quality_report("pgi", m, d, expls, cfg).per_point_q
+        for sigma in (0.25, 0.75, 1.0, 2.0, 3.0):  # more keys than the draw cache holds
+            sensitivity_quality_report("pgi", m, d, expls, PerturbConfig(
+                n=1, num_perturbations=25, seed=15, sigma=sigma))
+        assert np.array_equal(sensitivity_quality_report("pgi", m, d, expls, cfg).per_point_q,
+                              before)
+    def test_threads_sharing_the_draw_cache(self, setup):
+        d, m = setup
+        expls = make_manual_explanations(d, 0)
+        cfgs = [PerturbConfig(n=1, num_perturbations=20 + i % 3, sigma=0.25 + i % 5, seed=16)
+                for i in range(40)]  # 15 keys churn a cache of four
+        serial = [sensitivity_quality_report("pgi", m, d, expls, c).per_point_q for c in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(sensitivity_quality_report, "pgi", m, d, expls, c)
+                           for c in cfgs]
+                threaded = [f.result(timeout=60).per_point_q for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 class TestAgainstOracle:
