@@ -266,7 +266,7 @@ def cmd_region_grid(params: dict) -> int:
     with _stage("experiments"):
         e_star = tuple(float(v) for v in str(params["e_star"]).split(","))
         spec = RegionGridSpec(e_star=e_star, resolution=params["resolution"], n=params["n"])
-        result = run_region_grid(spec, jobs=params.get("jobs") or 1)
+        result = run_region_grid(spec)
         write_region_grid(result, out)
     _write_run_config(out, "region-grid", params, _REGION_DEFAULTS)
     for metric, values in result.value_sets.items():

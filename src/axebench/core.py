@@ -219,19 +219,21 @@ def check_explanations(d: Dataset, explanations) -> None:
 
 
 def rank_vector(e) -> np.ndarray:
-    """Fractional ranks by |importance|: rank 1 is the largest, ties share the mean position."""
+    """Fractional ranks by |importance| along the last axis: rank 1 is the largest,
+    ties share the mean position."""
     imp = np.abs(importances_of(e))
-    order = np.lexsort((np.arange(imp.size), -imp))
-    magnitudes = imp[order]
-    positions = np.arange(1, imp.size + 1, dtype=float)
-    ranks = np.empty(imp.size, dtype=float)
-    i = 0
-    while i < imp.size:
-        j = i
-        while j + 1 < imp.size and magnitudes[j + 1] == magnitudes[i]:
-            j += 1
-        ranks[order[i:j + 1]] = positions[i:j + 1].mean()
-        i = j + 1
+    width = imp.shape[-1]
+    order = _magnitude_order(imp, width, largest=True)
+    magnitudes = np.take_along_axis(imp, order, axis=-1)
+    # first and last sorted position of the tie group holding each sorted position
+    new_group = np.ones(imp.shape, dtype=bool)
+    new_group[..., 1:] = magnitudes[..., 1:] != magnitudes[..., :-1]
+    pos = np.arange(width)
+    first = np.maximum.accumulate(np.where(new_group, pos, 0), axis=-1)
+    last = np.where(np.roll(new_group, -1, axis=-1), pos, width - 1)
+    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(imp.shape)
+    np.put_along_axis(ranks, order, (first + last + 2) / 2, axis=-1)
     return ranks
 
 

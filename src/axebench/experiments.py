@@ -61,22 +61,13 @@ class RegionGridResult:
     value_sets: dict[str, list[float]]
 
 
-def run_region_grid(spec: RegionGridSpec, jobs: int = 1) -> RegionGridResult:
+def run_region_grid(spec: RegionGridSpec) -> RegionGridResult:
     """Evaluate each metric at every (i1, i2) cell against the fixed reference."""
     axis = np.linspace(spec.grid_min, spec.grid_max, spec.resolution)
-    e_star = np.asarray(spec.e_star, dtype=float)
-
-    def one_row(i: int) -> dict[str, np.ndarray]:
-        row = {m: np.empty(spec.resolution) for m in spec.metrics}
-        for j in range(spec.resolution):
-            pair = GroundTruthPair(e=np.array([axis[i], axis[j]]), e_star=e_star, n=spec.n)
-            for m in spec.metrics:
-                q = REFERENCE_METRICS[m](pair)
-                row[m][j] = float("nan") if q is None else q
-        return row
-
-    rows = ordered_parallel_map(one_row, range(spec.resolution), jobs=jobs)
-    grids = {m: np.vstack([r[m] for r in rows]) for m in spec.metrics}
+    i1, i2 = np.meshgrid(axis, axis, indexing="ij")
+    cells = GroundTruthPair(e=np.column_stack([i1.ravel(), i2.ravel()]),
+                            e_star=np.asarray(spec.e_star, dtype=float), n=spec.n)
+    grids = {m: REFERENCE_METRICS[m](cells).reshape(spec.resolution, -1) for m in spec.metrics}
     value_sets = {m: sorted(float(v) for v in np.unique(g[np.isfinite(g)]))
                   for m, g in grids.items()}
     return RegionGridResult(spec=spec, axis=axis, grids=grids, value_sets=value_sets)

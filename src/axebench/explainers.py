@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from pathlib import Path
 
@@ -43,10 +43,7 @@ class ExplainerConfig:
             raise ValueError("ig_steps must be >= 1")
 
     def with_seed(self, seed: int) -> "ExplainerConfig":
-        return ExplainerConfig(kind=self.kind, samples=self.samples,
-                               sigma_perturb=self.sigma_perturb, kernel_width=self.kernel_width,
-                               baseline=self.baseline, ig_steps=self.ig_steps, seed=seed,
-                               background_size=self.background_size, ridge=self.ridge)
+        return replace(self, seed=seed)
 
 
 def explain_gradient(m: Predictor, x, datapoint_index: int = 0) -> Explanation:

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Explanation, QualityReport, importances_of, rank_vector,
-                   top_n_features)
-
-REFERENCE_METRIC_NAMES = ("fa", "ra", "sa", "sra", "rc", "pra")
+from .core import (Explanation, QualityReport, _magnitude_order, importances_of,
+                   rank_vector)
 
 
 @dataclass
 class GroundTruthPair:
-    """An explanation, the reference it is judged against, and the top-n cutoff."""
+    """One explanation vector, or a (rows, N) matrix of them, the reference each
+    row is judged against, and the top-n cutoff. A matrix scores as a (rows,)
+    array, with NaN where a single pair would give None."""
 
     e: np.ndarray
     e_star: np.ndarray
@@ -29,79 +29,86 @@ class GroundTruthPair:
     def __post_init__(self):
         self.e = importances_of(self.e)
         self.e_star = importances_of(self.e_star)
-        if self.e.shape != self.e_star.shape:
+        if (self.e.ndim not in (1, 2) or self.e_star.ndim != 1
+                or self.e.shape[-1] != self.e_star.size):
             raise ValueError("length mismatch between explanation and reference")
         if not (np.all(np.isfinite(self.e)) and np.all(np.isfinite(self.e_star))):
             raise ValueError("importances must be finite")
         self.n = int(self.n)
-        if not 0 <= self.n <= self.e.size:
+        if not 0 <= self.n <= self.e_star.size:
             raise ValueError("n exceeds feature count")
 
 
-def _common_top(p: GroundTruthPair) -> list[int]:
-    top_e = set(top_n_features(p.e, p.n))
-    top_s = set(top_n_features(p.e_star, p.n))
-    return sorted(top_e & top_s)
+def _scores(p: GroundTruthPair, q):
+    """The (rows,) scores of a matrix pair, or one float (None if NaN) for a vector."""
+    if p.e.ndim == 2:
+        return q
+    return None if np.isnan(q) else float(q)
 
 
-def feature_agreement(p: GroundTruthPair) -> float:
+def _top_mask(imp: np.ndarray, n: int) -> np.ndarray:
+    """True on the n largest-|importance| entries along the last axis, ties to the lower index."""
+    mask = np.zeros(imp.shape, dtype=bool)
+    np.put_along_axis(mask, _magnitude_order(imp, n, largest=True), True, axis=-1)
+    return mask
+
+
+def _top_n_share(p: GroundTruthPair, agree=True) -> float | np.ndarray:
+    """Count of features in both top-n sets for which ``agree`` holds, over n; 0 when n = 0."""
+    shared = _top_mask(p.e, p.n) & _top_mask(p.e_star, p.n) & agree
+    return _scores(p, np.count_nonzero(shared, axis=-1) / max(p.n, 1))
+
+
+def feature_agreement(p: GroundTruthPair) -> float | np.ndarray:
     """Fraction of the top-n features shared by both sides; 0 when n = 0."""
-    if p.n == 0:
-        return 0.0
-    return len(_common_top(p)) / p.n
+    return _top_n_share(p)
 
 
-def rank_agreement(p: GroundTruthPair) -> float:
+def rank_agreement(p: GroundTruthPair) -> float | np.ndarray:
     """Fraction of top-n features shared and sitting at the same rank position."""
-    if p.n == 0:
-        return 0.0
-    r_e, r_s = rank_vector(p.e), rank_vector(p.e_star)
-    return sum(1 for f in _common_top(p) if r_e[f] == r_s[f]) / p.n
+    return _top_n_share(p, rank_vector(p.e) == rank_vector(p.e_star))
 
 
-def sign_agreement(p: GroundTruthPair) -> float:
+def sign_agreement(p: GroundTruthPair) -> float | np.ndarray:
     """Fraction of top-n features shared with matching importance signs."""
-    if p.n == 0:
-        return 0.0
-    return sum(1 for f in _common_top(p)
-               if np.sign(p.e[f]) == np.sign(p.e_star[f])) / p.n
+    return _top_n_share(p, np.sign(p.e) == np.sign(p.e_star))
 
 
-def signed_rank_agreement(p: GroundTruthPair) -> float:
+def signed_rank_agreement(p: GroundTruthPair) -> float | np.ndarray:
     """Fraction of top-n features shared with matching rank and matching sign."""
-    if p.n == 0:
-        return 0.0
-    r_e, r_s = rank_vector(p.e), rank_vector(p.e_star)
-    return sum(1 for f in _common_top(p)
-               if r_e[f] == r_s[f] and np.sign(p.e[f]) == np.sign(p.e_star[f])) / p.n
+    return _top_n_share(p, (rank_vector(p.e) == rank_vector(p.e_star))
+                        & (np.sign(p.e) == np.sign(p.e_star)))
 
 
-def rank_correlation(p: GroundTruthPair) -> float | None:
+def rank_correlation(p: GroundTruthPair) -> float | None | np.ndarray:
     """Spearman correlation of the fractional rank vectors over all features.
 
-    Returns None (the undefined marker) when either rank vector is constant.
+    Undefined (None, or NaN in a matrix result) when either rank vector is constant.
     """
     r_e, r_s = rank_vector(p.e), rank_vector(p.e_star)
-    if np.ptp(r_e) == 0.0 or np.ptp(r_s) == 0.0:
-        return None
-    ce = r_e - r_e.mean()
+    ce = r_e - r_e.mean(axis=-1, keepdims=True)
     cs = r_s - r_s.mean()
-    return float((ce @ cs) / np.sqrt((ce @ ce) * (cs @ cs)))
+    # fractional ranks are half-integers, so these sums are exact in any order
+    num = (ce * cs).sum(axis=-1)
+    den = np.sqrt((ce * ce).sum(axis=-1) * (cs * cs).sum())
+    defined = (np.ptp(r_e, axis=-1) != 0.0) & (np.ptp(r_s) != 0.0)
+    return _scores(p, np.divide(num, den, out=np.full(np.shape(num), np.nan), where=defined))
 
 
-def pairwise_rank_agreement(p: GroundTruthPair) -> float:
+def pairwise_rank_agreement(p: GroundTruthPair) -> float | np.ndarray:
     """Fraction of feature pairs ordered identically by |e| and |e*|.
 
     A tie counts as agreeing only with a tie.
     """
-    n = p.e.size
+    n = p.e_star.size
     if n < 2:
         raise ValueError("pairwise rank agreement needs at least two features")
     a, b = np.abs(p.e), np.abs(p.e_star)
-    iu = np.triu_indices(n, k=1)
-    signs_a = np.sign(a[:, None] - a[None, :])[iu]
-    signs_b = np.sign(b[:, None] - b[None, :])[iu]
-    return float((signs_a == signs_b).mean())
+    agree = np.zeros(p.e.shape[:-1], dtype=int)
+    for i in range(n - 1):  # pairs (i, j > i), one leading feature at a time
+        agree += np.count_nonzero(np.sign(a[..., i:i + 1] - a[..., i + 1:])
+                                  == np.sign(b[i] - b[i + 1:]), axis=-1)
+    return _scores(p, agree / (n * (n - 1) // 2))
 
 
 REFERENCE_METRICS = {
@@ -124,12 +131,13 @@ def reference_quality_report(metric_name: str, explanations: list[Explanation],
     """
     if metric_name not in REFERENCE_METRICS:
         raise ValueError(f"unknown reference metric {metric_name!r}")
-    fn = REFERENCE_METRICS[metric_name]
-    e_star = importances_of(e_star)
-    per_point = []
-    for e in explanations:
-        q = fn(GroundTruthPair(e=e, e_star=e_star, n=n))
-        per_point.append(float("nan") if q is None else float(q))
+    if not explanations:
+        raise ValueError("no explanations to score")
+    widths = sorted({len(e) for e in explanations})
+    if len(widths) > 1:
+        raise ValueError(f"length mismatch: explanation widths {widths} differ")
+    rows = np.array([importances_of(e) for e in explanations])
+    per_point = REFERENCE_METRICS[metric_name](GroundTruthPair(e=rows, e_star=e_star, n=n))
     tags = {e.explainer_tag for e in explanations}
     report = QualityReport.build(
         metric_name=metric_name,

@@ -8,7 +8,7 @@ because the metric's verdicts depend on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +35,7 @@ class PerturbConfig:
             raise ValueError("n must be non-negative")
 
     def with_seed(self, seed: int) -> "PerturbConfig":
-        return PerturbConfig(n=self.n, num_perturbations=self.num_perturbations,
-                             sigma=self.sigma, seed=seed, negate_pgu=self.negate_pgu)
+        return replace(self, seed=seed)
 
 
 def _draws(seed: int, num_perturbations: int, sigma: float, size: int) -> np.ndarray:
@@ -83,11 +82,11 @@ def pgu(m: Predictor, x, e, cfg: PerturbConfig) -> float:
     """Mean |proba change| when perturbing the n least important features.
 
     With negate_pgu the sign is flipped so that higher is better, aligning
-    the direction with PGI and other quality scores.
+    the direction with PGI and other quality scores; a zero gap stays +0.0.
     """
     x = np.asarray(x, dtype=float)
     value = _gap(m, x, sorted(bottom_n_features(e, cfg.n)), cfg)
-    return -value if cfg.negate_pgu else value
+    return 0.0 - value if cfg.negate_pgu else value
 
 
 SENSITIVITY_METRICS = {"pgi": pgi, "pgu": pgu}
@@ -121,7 +120,7 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
         stacked = m.predict_proba_batch(points.reshape(-1, d.n_features))
         per_point = np.abs(stacked.reshape(d.nu, count) - base[:, None]).mean(axis=1)
     if metric_name == "pgu" and cfg.negate_pgu:
-        per_point = -per_point
+        per_point = 0.0 - per_point  # not -per_point: a zero gap stays +0.0
 
     tags = {e.explainer_tag for e in explanations}
     return QualityReport.build(

@@ -280,9 +280,6 @@ class OodDetector:
         """True where a point looks perturbed (off-manifold)."""
         return self.model.predict(X).astype(bool)
 
-    def flags(self, x) -> bool:
-        return bool(self.flags_batch(np.asarray(x, dtype=float)[None, :])[0])
-
     def to_dict(self) -> dict:
         return {"model": self.model.to_dict(), "sigma_ood": self.sigma_ood,
                 "seed": self.seed, "heldout_accuracy": self.heldout_accuracy}
@@ -397,10 +394,7 @@ class ScaffoldPredictor(Predictor):
         return digest & 1
 
     def predict_proba(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if not self.detector.flags(x):
-            return self.biased.predict_proba(x)
-        return self.foils[self._route(x)].predict_proba(x)
+        return float(self.predict_proba_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

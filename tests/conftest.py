@@ -4,6 +4,8 @@ import pytest
 from axebench.core import Predictor
 from axebench.data import SyntheticSpec, generate_synthetic
 
+from oracles import fa_oracle, pra_oracle, ra_oracle, rc_oracle, sa_oracle, sra_oracle
+
 
 class AffineProbaPredictor(Predictor):
     """Test model whose probability is exactly affine inside [0, 1].
@@ -71,3 +73,20 @@ def threshold_data():
 def small_threshold_data():
     return generate_synthetic(SyntheticSpec(nu=80, n_features=4, seed=3,
                                             generator_kind="threshold-rule"))
+
+
+REFERENCE_ORACLES = {
+    "fa": fa_oracle, "ra": ra_oracle, "sa": sa_oracle, "sra": sra_oracle,
+    "rc": lambda e, s, n: rc_oracle(e, s), "pra": lambda e, s, n: pra_oracle(e, s),
+}
+
+
+def assert_matches_oracle(metric, q, e, e_star, n):
+    """Exact agreement with the oracle; rank correlation to 1e-12, NaN for its None."""
+    ref = REFERENCE_ORACLES[metric](e, e_star, n)
+    if ref is None:
+        assert np.isnan(q)
+    elif metric == "rc":
+        assert q == pytest.approx(ref, abs=1e-12)
+    else:
+        assert q == ref

@@ -66,6 +66,15 @@ class TestEvaluate:
             assert (out / f"report_{metric}.json").exists()
         assert (out / "axe_trace.csv").exists()
 
+    def test_pgu_at_n_zero_writes_positive_zeros(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
+                     "--train", "logistic", "--manual-index", "0",
+                     "--metric", "pgu", "--n", "0", "--out", str(out)]) == 0
+        text = (out / "report_pgu.json").read_text()
+        assert "-0.0" not in text
+        assert read_json(out / "report_pgu.json")["per_point_q"] == [0.0] * 60
+
     def test_rc_on_tied_explanations_marked_undefined(self, tmp_path, capsys):
         expl_path = tmp_path / "tied.csv"
         lines = ["datapoint_index,f0,f1,f2"]

@@ -96,6 +96,17 @@ class TestRankVector:
             e = np.round(rng.normal(size=6), 1)
             assert rank_vector(e).tolist() == rank_oracle(e).tolist()
 
+    def test_matrix_rows_match_oracle(self):
+        rng = np.random.default_rng(6)
+        for width in range(1, 8):
+            e = np.round(rng.normal(size=(200, width)), 1)
+            e[::3, -1] = -e[::3, 0]  # more ties, across signs
+            e[::5] = 0.0  # all tied
+            ranks = rank_vector(e)
+            assert ranks.shape == e.shape
+            for row, r in zip(e, ranks):
+                assert r.tolist() == rank_oracle(row).tolist()
+
 
 class TestDataset:
     def test_invariants_enforced(self):

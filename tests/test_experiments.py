@@ -12,8 +12,11 @@ from axebench.experiments import (DetectionVerdict, RegionGridSpec,
                                   run_region_grid, standard_model_set,
                                   write_region_grid, write_verdicts)
 from axebench.explainers import make_manual_explanations
+from axebench.metrics_reference import REFERENCE_METRICS
 from axebench.metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
                                           sensitivity_quality_report)
+
+from conftest import assert_matches_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +56,16 @@ class TestRegionGrid:
         for metric in a.grids:
             assert np.array_equal(a.grids[metric], b.grids[metric].T)
 
-    def test_jobs_do_not_change_output(self):
-        spec = RegionGridSpec(resolution=15)
-        serial = run_region_grid(spec, jobs=1)
-        threaded = run_region_grid(spec, jobs=4)
-        for metric in serial.grids:
-            assert np.array_equal(serial.grids[metric], threaded.grids[metric])
+    @pytest.mark.parametrize("e_star", [(0.3, -0.3), (0.5, 0.5), (0.0, 0.4)])
+    def test_matches_per_cell_oracles(self, e_star):
+        spec = RegionGridSpec(e_star=e_star, resolution=15, metrics=tuple(REFERENCE_METRICS))
+        result = run_region_grid(spec)
+        for metric in REFERENCE_METRICS:
+            grid = result.grids[metric]
+            assert grid.shape == (15, 15)
+            for i, a in enumerate(result.axis):
+                for j, b in enumerate(result.axis):
+                    assert_matches_oracle(metric, grid[i, j], [a, b], list(e_star), spec.n)
 
     def test_written_files(self, result, tmp_path):
         files = write_region_grid(result, tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,14 @@ class TestDatasetExplanationsAndIO:
         back = load_explanations_json(path)
         assert back[0].explainer_tag == expls[0].explainer_tag
         assert np.array_equal(back[-1].importances, expls[-1].importances)
+
+
+def test_with_seed_keeps_every_other_field():
+    cfg = ExplainerConfig(kind="kernel-shapley", samples=7, sigma_perturb=0.2,
+                          kernel_width=1.5, baseline=np.ones(3), ig_steps=5, seed=1,
+                          background_size=9, ridge=0.3)
+    local = cfg.with_seed(42)
+    assert local.seed == 42
+    for f in dataclasses.fields(ExplainerConfig):
+        if f.name != "seed":
+            assert getattr(local, f.name) is getattr(cfg, f.name)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from axebench.core import Explanation
-from axebench.metrics_reference import (GroundTruthPair, feature_agreement,
+from axebench.metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
+                                        feature_agreement,
                                         pairwise_rank_agreement, rank_agreement,
                                         rank_correlation,
                                         reference_quality_report, sign_agreement,
                                         signed_rank_agreement)
 
+from conftest import assert_matches_oracle
 from oracles import (fa_oracle, pra_oracle, ra_oracle, rc_oracle, sa_oracle,
                      sra_oracle)
 
@@ -204,3 +209,69 @@ class TestAgainstOracle:
                 assert mine is None
             else:
                 assert mine == pytest.approx(ref, abs=1e-12)
+
+
+def bits(q) -> bytes:
+    return np.float64(np.nan if q is None else q).tobytes()
+
+
+def _force_ties(draw, m: np.ndarray) -> None:
+    """Copy entries onto others along the last axis, sometimes sign-flipped."""
+    rows = m.reshape(-1, m.shape[-1])
+    width = rows.shape[1]
+    for r, src, dst, flip in draw(st.lists(
+            st.tuples(st.integers(0, len(rows) - 1), st.integers(0, width - 1),
+                      st.integers(0, width - 1), st.booleans()), max_size=2 * len(rows))):
+        rows[r, dst] = -rows[r, src] if flip else rows[r, src]
+
+
+@st.composite
+def tied_matrices(draw):
+    """(rows, N <= 6) explanations and a reference, in tenths, with forced ties."""
+    width = draw(st.integers(2, 6))
+    tenths = st.integers(-10, 10).map(lambda v: v / 10)
+    e = draw(arrays(float, (draw(st.integers(1, 8)), width), elements=tenths))
+    e_star = draw(arrays(float, width, elements=tenths))
+    _force_ties(draw, e)
+    _force_ties(draw, e_star)
+    return e, e_star, draw(st.integers(0, width))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_matrices())
+def test_matrix_rows_equal_single_pairs_and_oracles(instance):
+    e, e_star, n = instance
+    for metric, fn in REFERENCE_METRICS.items():
+        q = fn(GroundTruthPair(e=e, e_star=e_star, n=n))
+        assert isinstance(q, np.ndarray) and q.shape == (len(e),)
+        for row, q_row in zip(e, q):
+            single = fn(GroundTruthPair(e=row, e_star=e_star, n=n))
+            assert single is None or type(single) is float
+            assert bits(single) == bits(q_row)
+            assert_matches_oracle(metric, q_row, row, e_star, n)
+
+
+class TestReport:
+    def test_rows_equal_single_pairs(self):
+        rng = np.random.default_rng(9)
+        e_star = np.round(rng.normal(size=4), 1)
+        expls = [Explanation(np.round(rng.normal(size=4), 1), i) for i in range(30)]
+        expls.append(Explanation([0.3, -0.3, 0.3, 0.3], 30))  # undefined rank correlation
+        for metric, fn in REFERENCE_METRICS.items():
+            report = reference_quality_report(metric, expls, e_star, n=2)
+            singles = [fn(pair(x.importances, e_star, 2)) for x in expls]
+            assert [bits(q) for q in report.per_point_q] == [bits(q) for q in singles]
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError):
+            reference_quality_report("fa", [], [0.7, 0.3], n=1)
+
+    def test_unequal_widths_rejected(self):
+        expls = [Explanation([0.9, 0.1], 0), Explanation([0.9, 0.1, 0.2], 1)]
+        with pytest.raises(ValueError, match="length mismatch"):
+            reference_quality_report("fa", expls, [0.7, 0.3], n=1)
+
+    def test_width_other_than_reference_rejected(self):
+        expls = [Explanation([0.9, 0.1, 0.2], 0), Explanation([0.9, 0.1, 0.2], 1)]
+        with pytest.raises(ValueError, match="length mismatch"):
+            reference_quality_report("fa", expls, [0.7, 0.3], n=1)

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -64,6 +65,12 @@ class TestPgu:
         assert raw > 0
         assert neg == -raw
 
+    def test_zero_gap_negates_to_positive_zero(self):
+        # the bottom feature is unused by the rule, so the gap is exactly zero
+        m = make_rule_predictor(RuleModelSpec(0, 0.0, True))
+        q = pgu(m, np.array([0.4, 0.0, 0.0]), [1.0, 0.5, 0.0], PerturbConfig(n=1, seed=5))
+        assert q == 0.0 and math.copysign(1.0, q) == 1.0
+
     def test_full_width_equals_pgi_exactly(self):
         m = make_linear_predictor(LinearModelSpec((0.8, -0.3, 0.1)))
         x = np.array([0.1, 0.2, -0.5])
@@ -90,6 +97,20 @@ class TestReport:
             direct = pgi(m, d.features[i], expls[i], cfg.with_seed(row_seed(cfg.seed, i)))
             assert report.per_point_q[i] == direct
         assert report.aggregate_q == pytest.approx(report.per_point_q.mean())
+
+    def test_zero_gaps_stay_positive_zero(self, setup):
+        d, m = setup
+        cfg = PerturbConfig(n=1, num_perturbations=10, seed=11)
+        # every row's bottom feature is one the rule on feature 0 never reads
+        report = sensitivity_quality_report("pgu", m, d, make_manual_explanations(d, 0), cfg)
+        assert np.all(report.per_point_q == 0.0)
+        assert not np.signbit(report.per_point_q).any()
+        assert not np.signbit(report.aggregate_q)
+
+    def test_with_seed_changes_only_the_seed(self):
+        cfg = PerturbConfig(n=2, num_perturbations=7, sigma=0.3, seed=1, negate_pgu=False)
+        assert cfg.with_seed(9) == PerturbConfig(n=2, num_perturbations=7, sigma=0.3,
+                                                 seed=9, negate_pgu=False)
 
     def test_length_mismatch(self, setup):
         d, m = setup

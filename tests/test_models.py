@@ -226,19 +226,26 @@ class TestScaffold:
 
     def test_two_foil_routing_is_deterministic_function_of_x(self):
         d = grid_dataset(seed=8)
-        spec = ScaffoldSpec(biased=RuleModelSpec(0),
-                            foils=(RuleModelSpec(3), RuleModelSpec(5)),
-                            sigma_ood=1.0, seed=9)
-        scaffold = build_scaffold(d, spec)
         rng = np.random.default_rng(10)
-        points = d.features + rng.normal(0, 1.0, d.features.shape)
-        first = scaffold.predict_proba_batch(points)
-        second = np.array([scaffold.predict_proba(p) for p in points])
-        assert np.array_equal(first, second)
-        # both foils actually serve traffic
-        flagged = scaffold.detector.flags_batch(points)
-        routes = {scaffold._route(points[i]) for i in np.flatnonzero(flagged)}
-        assert routes == {0, 1}
+        perturbed = d.features + rng.normal(0, 1.0, d.features.shape)
+        for foil_specs in ((RuleModelSpec(3), RuleModelSpec(5)), (RuleModelSpec(3),)):
+            spec = ScaffoldSpec(biased=RuleModelSpec(0), foils=foil_specs,
+                                sigma_ood=1.0, seed=9)
+            scaffold = build_scaffold(d, spec)
+            for points in (perturbed, d.features):
+                first = scaffold.predict_proba_batch(points)
+                second = np.array([scaffold.predict_proba(p) for p in points])
+                assert np.array_equal(first, second)
+                # unflagged points follow the biased rule, flagged ones their routed foil
+                flagged = scaffold.detector.flags_batch(points)
+                expected = [scaffold.foils[scaffold._route(p)].predict_proba(p) if f
+                            else scaffold.biased.predict_proba(p)
+                            for p, f in zip(points, flagged)]
+                assert second.tolist() == expected
+            # both foils actually serve traffic
+            flagged = scaffold.detector.flags_batch(perturbed)
+            routes = {scaffold._route(perturbed[i]) for i in np.flatnonzero(flagged)}
+            assert routes == set(range(len(foil_specs)))
 
     def test_low_detector_recorded_in_descriptor(self):
         d = generate_synthetic(SyntheticSpec(nu=200, n_features=4, seed=11))
