@@ -9,7 +9,7 @@ fairwashing testbed ship alongside it.
 """
 
 from .axe import AxeConfig, axe_quality
-from .core import (Dataset, Explanation, Predictor, QualityReport,
+from .core import (Dataset, Explanation, ExplanationSet, Predictor, QualityReport,
                    aggregate_quality, bottom_n_features, rank_vector,
                    top_n_features)
 from .data import (BENCHMARK_PROXIES, DatasetSchema, SyntheticSpec,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxeConfig", "axe_quality",
-    "Dataset", "Explanation", "Predictor", "QualityReport",
+    "Dataset", "Explanation", "ExplanationSet", "Predictor", "QualityReport",
     "aggregate_quality", "bottom_n_features", "rank_vector", "top_n_features",
     "BENCHMARK_PROXIES", "DatasetSchema", "SyntheticSpec", "benchmark_proxy",
     "generate_synthetic", "load_csv", "save_csv", "train_test_split",

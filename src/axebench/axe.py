@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Explanation, QualityReport, check_explanations, top_n_rows
+from .core import Dataset, ExplanationSet, QualityReport, _magnitude_order, check_explanations
 
 # Query rows per block are sized so one block's (rows, nu, |subset|) difference
 # tensor holds about this many floats.
@@ -92,12 +92,12 @@ def _validate_inputs(d: Dataset, y_preds, cfg: AxeConfig) -> np.ndarray:
     return y
 
 
-def axe_quality(d: Dataset, y_preds, explanations: list[Explanation], cfg: AxeConfig,
+def axe_quality(d: Dataset, y_preds, explanations: ExplanationSet, cfg: AxeConfig,
                 model_descriptor: str = "model", trace_path=None) -> QualityReport:
     """Score one explanation set: accuracy of per-row top-n k-NN prediction recovery."""
     y = _validate_inputs(d, y_preds, cfg)
     check_explanations(d, explanations)
-    subsets = top_n_rows([e.importances for e in explanations], cfg.n)
+    subsets = _magnitude_order(explanations.importances, cfg.n, largest=True)
     distinct, group = np.unique(subsets, axis=0, return_inverse=True)
     recovered = np.empty(d.nu, dtype=int)
     for g, subset in enumerate(distinct):
@@ -109,14 +109,13 @@ def axe_quality(d: Dataset, y_preds, explanations: list[Explanation], cfg: AxeCo
     if trace_path is not None:
         _write_trace(trace_path, subsets, recovered, y, per_point)
 
-    tags = {e.explainer_tag for e in explanations}
     return QualityReport.build(
         metric_name="axe",
         hyperparams={"n": cfg.n, "k": cfg.k, "include_self": cfg.include_self},
         per_point_q=per_point,
         dataset_id=d.dataset_id,
         model_descriptor=model_descriptor,
-        explainer_tag=tags.pop() if len(tags) == 1 else "mixed")
+        explainer_tag=explanations.explainer_tag)
 
 
 def one_hot_axe_aggregates(d: Dataset, feature: int, y_preds, ks, include_self: bool = False,

@@ -129,11 +129,7 @@ def _resolve_explanations(params: dict, d, model):
             loaded = (load_explanations_json(path) if str(path).endswith(".json")
                       else load_explanations_csv(path))
             check_explanations(d, loaded)
-            order = np.argsort([e.datapoint_index for e in loaded], kind="stable")
-            if not np.array_equal([loaded[i].datapoint_index for i in order], np.arange(d.nu)):
-                raise CliError("explainers", "datapoint_index must list every row "
-                                             f"0..{d.nu - 1} exactly once")
-            return [loaded[i] for i in order]
+            return loaded
         if params.get("manual_index") is not None:
             return make_manual_explanations(d, params["manual_index"])
         if params.get("explainer"):

@@ -1,9 +1,9 @@
 """Core domain types and ranking primitives shared by every other module.
 
-Four small objects carry all state: an immutable tabular :class:`Dataset`,
-a signed :class:`Explanation` vector attached to one datapoint, a behavioral
-:class:`Predictor` interface for deterministic binary classifiers, and a
-:class:`QualityReport` bundling per-datapoint quality scores with their mean.
+Five small objects carry all state: an immutable tabular :class:`Dataset`,
+signed importances for one datapoint (:class:`Explanation`) or for every row
+(:class:`ExplanationSet`), a behavioral :class:`Predictor` interface for
+deterministic binary classifiers, and a per-datapoint :class:`QualityReport`.
 Everything here is immutable after construction and safe to share across
 concurrent workers.
 """
@@ -26,6 +26,15 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     a = np.array(values, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def _importances(values, ndim: int) -> np.ndarray:
+    imp = _frozen_array(values)
+    if imp.ndim != ndim or imp.size == 0:
+        raise ValueError(f"importances must be a non-empty {ndim}-D array")
+    if not np.all(np.isfinite(imp)):
+        raise ValueError("importances contain non-finite entries")
+    return imp
 
 
 @dataclass(frozen=True)
@@ -118,20 +127,31 @@ class Explanation:
     """Signed feature-importance vector for one datapoint."""
 
     importances: np.ndarray
-    datapoint_index: int = 0
     explainer_tag: str = "manual"
 
     def __post_init__(self):
-        imp = _frozen_array(self.importances)
-        if imp.ndim != 1 or imp.size == 0:
-            raise ValueError("importances must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(imp)):
-            raise ValueError("importances contain non-finite entries")
-        object.__setattr__(self, "importances", imp)
-        object.__setattr__(self, "datapoint_index", int(self.datapoint_index))
+        object.__setattr__(self, "importances", _importances(self.importances, ndim=1))
 
     def __len__(self) -> int:
         return self.importances.size
+
+
+@dataclass(frozen=True)
+class ExplanationSet:
+    """Signed feature-importance matrix of a whole dataset: row i explains
+    dataset row i, and one tag names the explainer of every row."""
+
+    importances: np.ndarray
+    explainer_tag: str = "manual"
+
+    def __post_init__(self):
+        object.__setattr__(self, "importances", _importances(self.importances, ndim=2))
+
+    def __len__(self) -> int:
+        return self.importances.shape[0]
+
+    def __iter__(self):
+        return iter(self.importances)
 
 
 class Predictor:
@@ -197,24 +217,19 @@ def top_n_features(e, n: int) -> list[int]:
     return _magnitude_order(importances_of(e), n, largest=True).tolist()
 
 
-def top_n_rows(importances, n: int) -> np.ndarray:
-    """:func:`top_n_features` of every row of a (rows, features) matrix at once."""
-    return _magnitude_order(np.asarray(importances, dtype=float), n, largest=True)
-
-
 def bottom_n_features(e, n: int) -> list[int]:
     """Indices of the n smallest-|importance| features, ties broken by lower index."""
     return _magnitude_order(importances_of(e), n, largest=False).tolist()
 
 
-def check_explanations(d: Dataset, explanations) -> None:
+def check_explanations(d: Dataset, explanations: ExplanationSet) -> None:
     """One explanation per dataset row, each exactly as wide as the feature count."""
-    if len(explanations) != d.nu:
-        raise ValueError(f"length mismatch: {len(explanations)} explanations for {d.nu} rows; "
+    rows, width = explanations.importances.shape
+    if rows != d.nu:
+        raise ValueError(f"length mismatch: {rows} explanations for {d.nu} rows; "
                          "one per dataset row required")
-    widths = sorted({len(e) for e in explanations})
-    if widths != [d.n_features]:
-        raise ValueError(f"length mismatch: explanation widths {widths} differ from "
+    if width != d.n_features:
+        raise ValueError(f"length mismatch: explanation width {width} differs from "
                          f"the feature count {d.n_features}")
 
 

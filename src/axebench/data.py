@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, write_json
 
 GENERATOR_KINDS = ("gaussian-blobs", "threshold-rule", "correlated-foil")
 
@@ -52,7 +52,7 @@ class DatasetSchema:
         )
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "name": self.name,
             "column_names": self.column_names,
             "target_column": self.target_column,
@@ -61,11 +61,7 @@ class DatasetSchema:
             "categorical_columns": self.categorical_columns,
             "drop_columns": self.drop_columns,
             "notes": self.notes,
-        }
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
 
 
 def _parse_cell(cell: str, col: str, row_num: int, encoding: dict | None) -> float:

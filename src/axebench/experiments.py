@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .axe import AxeConfig, axe_quality
-from .core import (Dataset, Explanation, component_seed, ordered_parallel_map,
+from .core import (Dataset, ExplanationSet, component_seed, ordered_parallel_map,
                    write_json)
 from .data import SyntheticSpec, benchmark_proxy, generate_synthetic
 from .explainers import make_manual_explanations
@@ -78,13 +78,14 @@ def write_region_grid(result: RegionGridResult, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    axis = result.axis.tolist()  # Python floats: repr gives plain numbers
     for metric, grid in result.grids.items():
         path = out_dir / f"region_{metric}.tsv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("i1\ti2\tmetric\tq\n")
-            for i, a in enumerate(result.axis):
-                for j, b in enumerate(result.axis):
-                    fh.write(f"{a!r}\t{b!r}\t{metric}\t{grid[i, j]!r}\n")
+            for a, row in zip(axis, grid.tolist()):
+                for b, q in zip(axis, row):
+                    fh.write(f"{a!r}\t{b!r}\t{metric}\t{q!r}\n")
         written.append(path)
     summary = {
         "spec": result.spec.to_dict(),
@@ -374,15 +375,10 @@ def _fixtures(seed: int) -> _PrincipleFixtures:
         e_star_alt=np.array([0.6, 0.45, -0.35, 0.02]))
 
 
-def _broadcast(e: np.ndarray, d: Dataset, tag: str) -> list[Explanation]:
-    return [Explanation(importances=e, datapoint_index=i, explainer_tag=tag)
-            for i in range(d.nu)]
-
-
 def _per_point(metric: str, fx: _PrincipleFixtures, e: np.ndarray, model, y_preds,
                e_star: np.ndarray, perturb_seed: int = 0) -> np.ndarray:
     family = METRIC_FAMILY[metric]
-    expls = _broadcast(e, fx.d, "fixture")
+    expls = ExplanationSet(importances=np.tile(e, (fx.d.nu, 1)), explainer_tag="fixture")
     if family == "axe":
         return axe_quality(fx.d, y_preds, expls, AxeConfig(n=1, k=3)).per_point_q
     if family == "reference":

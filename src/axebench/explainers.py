@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Explanation, Predictor, ordered_parallel_map, row_seed
+from .core import (Dataset, Explanation, ExplanationSet, Predictor, ordered_parallel_map,
+                   row_seed, write_json)
 
 
 @dataclass
@@ -32,7 +33,7 @@ class ExplainerConfig:
     background_size: int = 100
     ridge: float = 1.0
 
-    KINDS = ("gradient", "integrated-gradients", "local-surrogate", "kernel-shapley", "manual")
+    KINDS = ("gradient", "integrated-gradients", "local-surrogate", "kernel-shapley")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -46,16 +47,15 @@ class ExplainerConfig:
         return replace(self, seed=seed)
 
 
-def explain_gradient(m: Predictor, x, datapoint_index: int = 0) -> Explanation:
+def explain_gradient(m: Predictor, x) -> Explanation:
     """e = gradient of predict_proba at x."""
     g = m.gradient(np.asarray(x, dtype=float))
     if g is None:
         raise ValueError("gradient not supported")
-    return Explanation(importances=g, datapoint_index=datapoint_index, explainer_tag="gradient")
+    return Explanation(importances=g, explainer_tag="gradient")
 
 
-def explain_integrated_gradients(m: Predictor, x, cfg: ExplainerConfig,
-                                 datapoint_index: int = 0) -> Explanation:
+def explain_integrated_gradients(m: Predictor, x, cfg: ExplainerConfig) -> Explanation:
     """Midpoint-rule path integral of the gradient from a baseline to x."""
     x = np.asarray(x, dtype=float)
     baseline = np.zeros_like(x) if cfg.baseline is None else np.asarray(cfg.baseline, dtype=float)
@@ -68,8 +68,7 @@ def explain_integrated_gradients(m: Predictor, x, cfg: ExplainerConfig,
     for t in ts:
         grads += m.gradient(baseline + t * (x - baseline))
     e = (x - baseline) * grads / cfg.ig_steps
-    return Explanation(importances=e, datapoint_index=datapoint_index,
-                       explainer_tag="integrated-gradients")
+    return Explanation(importances=e, explainer_tag="integrated-gradients")
 
 
 def _weighted_ridge(Z, y, w, alpha):
@@ -82,8 +81,7 @@ def _weighted_ridge(Z, y, w, alpha):
     return theta[1:]
 
 
-def explain_local_surrogate(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
-                            datapoint_index: int = 0) -> Explanation:
+def explain_local_surrogate(m: Predictor, x, d: Dataset, cfg: ExplainerConfig) -> Explanation:
     """Slopes of a kernel-weighted ridge fit over Gaussian perturbations around x."""
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -111,7 +109,7 @@ def explain_local_surrogate(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
         tag = "local-surrogate[ridge-floor]"
     if np.max(np.abs(Z - x)) < 1e-8:
         tag = "local-surrogate[degenerate-sampling]"  # no local variation to fit
-    return Explanation(importances=slopes, datapoint_index=datapoint_index, explainer_tag=tag)
+    return Explanation(importances=slopes, explainer_tag=tag)
 
 
 def _kernel_weight(n: int, s: int) -> float:
@@ -144,8 +142,7 @@ def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return masks, np.ones(budget)
 
 
-def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
-                           datapoint_index: int = 0) -> Explanation:
+def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig) -> Explanation:
     """Shapley values via the kernel-weighted least squares with the efficiency constraint.
 
     Masked features are replaced by values from seeded background rows of the
@@ -179,78 +176,85 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
     sw = np.sqrt(weights)
     phi_head, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
     phi = np.append(phi_head, delta - phi_head.sum())
-    return Explanation(importances=phi, datapoint_index=datapoint_index,
-                       explainer_tag="kernel-shapley")
+    return Explanation(importances=phi, explainer_tag="kernel-shapley")
 
 
-def make_manual_explanations(d: Dataset, important_index: int) -> list[Explanation]:
+def make_manual_explanations(d: Dataset, important_index: int) -> ExplanationSet:
     """One explanation per row marking a single feature as solely important."""
     if not 0 <= important_index < d.n_features:
         raise ValueError("important_index out of range")
-    template = np.zeros(d.n_features)
-    template[important_index] = 1.0
-    tag = f"manual[{d.feature_names[important_index]}]"
-    return [Explanation(importances=template, datapoint_index=i, explainer_tag=tag)
-            for i in range(d.nu)]
+    importances = np.zeros((d.nu, d.n_features))
+    importances[:, important_index] = 1.0
+    return ExplanationSet(importances=importances,
+                          explainer_tag=f"manual[{d.feature_names[important_index]}]")
 
 
 def explain_dataset(m: Predictor, d: Dataset, cfg: ExplainerConfig,
-                    jobs: int = 1) -> list[Explanation]:
+                    jobs: int = 1) -> ExplanationSet:
     """Explain every row; per-row seeds derive from cfg.seed so output is
     independent of scheduling."""
     def one(i: int) -> Explanation:
         x = d.features[i]
         if cfg.kind == "gradient":
-            return explain_gradient(m, x, datapoint_index=i)
+            return explain_gradient(m, x)
         local = cfg.with_seed(row_seed(cfg.seed, i))
         if cfg.kind == "integrated-gradients":
-            return explain_integrated_gradients(m, x, local, datapoint_index=i)
+            return explain_integrated_gradients(m, x, local)
         if cfg.kind == "local-surrogate":
-            return explain_local_surrogate(m, x, d, local, datapoint_index=i)
-        if cfg.kind == "kernel-shapley":
-            return explain_kernel_shapley(m, x, d, local, datapoint_index=i)
-        raise ValueError(f"explainer kind {cfg.kind!r} cannot run over a dataset")
+            return explain_local_surrogate(m, x, d, local)
+        return explain_kernel_shapley(m, x, d, local)
 
-    return ordered_parallel_map(one, range(d.nu), jobs=jobs)
+    rows = ordered_parallel_map(one, range(d.nu), jobs=jobs)
+    return _stack(range(d.nu), [r.importances for r in rows], [r.explainer_tag for r in rows])
 
 
-def save_explanations_csv(explanations: list[Explanation], path, feature_names=None) -> None:
+def _stack(indices, rows, tags) -> ExplanationSet:
+    """Per-row vectors in datapoint_index order, which must list every row
+    0..rows-1 exactly once; the tag is the rows' common tag, or "mixed"."""
+    indices = np.asarray(indices, dtype=int)
+    order = np.argsort(indices, kind="stable")
+    if not np.array_equal(indices[order], np.arange(indices.size)):
+        raise ValueError(f"datapoint_index must list every row 0..{indices.size - 1} "
+                         "exactly once")
+    try:
+        widths = sorted({len(r) for r in rows})
+    except TypeError:
+        raise ValueError("importances must be a list of numbers on every row") from None
+    if len(widths) > 1:
+        raise ValueError(f"length mismatch: explanation widths {widths} differ")
+    distinct = set(tags)
+    return ExplanationSet(importances=[rows[i] for i in order],
+                          explainer_tag=distinct.pop() if len(distinct) == 1 else "mixed")
+
+
+def save_explanations_csv(explanations: ExplanationSet, path, feature_names=None) -> None:
     """Row index plus one importance column per feature."""
-    if not explanations:
-        raise ValueError("no explanations to save")
-    n = len(explanations[0])
+    n = explanations.importances.shape[1]
     names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(n)]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["datapoint_index"] + names)
-        for e in explanations:
-            writer.writerow([e.datapoint_index] + [repr(float(v)) for v in e.importances])
+        for i, row in enumerate(explanations.importances.tolist()):
+            writer.writerow([i] + [repr(v) for v in row])
 
 
-def load_explanations_csv(path, explainer_tag: str = "loaded") -> list[Explanation]:
+def load_explanations_csv(path, explainer_tag: str = "loaded") -> ExplanationSet:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    out = []
-    for row in rows[1:]:
-        out.append(Explanation(importances=[float(v) for v in row[1:]],
-                               datapoint_index=int(row[0]), explainer_tag=explainer_tag))
-    return out
+        body = list(csv.reader(fh))[1:]
+    return _stack([int(row[0]) for row in body], [[float(v) for v in row[1:]] for row in body],
+                  [explainer_tag])
 
 
-def save_explanations_json(explanations: list[Explanation], path) -> None:
-    payload = [{"datapoint_index": e.datapoint_index, "explainer_tag": e.explainer_tag,
-                "importances": [float(v) for v in e.importances]} for e in explanations]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def save_explanations_json(explanations: ExplanationSet, path) -> None:
+    write_json(path, [{"datapoint_index": i, "explainer_tag": explanations.explainer_tag,
+                       "importances": row}
+                      for i, row in enumerate(explanations.importances.tolist())])
 
 
-def load_explanations_json(path) -> list[Explanation]:
+def load_explanations_json(path) -> ExplanationSet:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return [Explanation(importances=item["importances"],
-                        datapoint_index=item["datapoint_index"],
-                        explainer_tag=item.get("explainer_tag", "loaded"))
-            for item in payload]
+    return _stack([item["datapoint_index"] for item in payload],
+                  [item["importances"] for item in payload],
+                  [item.get("explainer_tag", "loaded") for item in payload])

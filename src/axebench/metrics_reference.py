@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Explanation, QualityReport, _magnitude_order, importances_of,
+from .core import (ExplanationSet, QualityReport, _magnitude_order, importances_of,
                    rank_vector)
 
 
@@ -121,7 +121,7 @@ REFERENCE_METRICS = {
 }
 
 
-def reference_quality_report(metric_name: str, explanations: list[Explanation],
+def reference_quality_report(metric_name: str, explanations: ExplanationSet,
                              e_star, n: int, dataset_id: str = "dataset",
                              model_descriptor: str = "model") -> QualityReport:
     """Score every explanation against one shared reference vector.
@@ -131,21 +131,15 @@ def reference_quality_report(metric_name: str, explanations: list[Explanation],
     """
     if metric_name not in REFERENCE_METRICS:
         raise ValueError(f"unknown reference metric {metric_name!r}")
-    if not explanations:
-        raise ValueError("no explanations to score")
-    widths = sorted({len(e) for e in explanations})
-    if len(widths) > 1:
-        raise ValueError(f"length mismatch: explanation widths {widths} differ")
-    rows = np.array([importances_of(e) for e in explanations])
-    per_point = REFERENCE_METRICS[metric_name](GroundTruthPair(e=rows, e_star=e_star, n=n))
-    tags = {e.explainer_tag for e in explanations}
+    pair = GroundTruthPair(e=explanations.importances, e_star=e_star, n=n)
+    per_point = REFERENCE_METRICS[metric_name](pair)
     report = QualityReport.build(
         metric_name=metric_name,
         hyperparams={"n": n},
         per_point_q=per_point,
         dataset_id=dataset_id,
         model_descriptor=model_descriptor,
-        explainer_tag=tags.pop() if len(tags) == 1 else "mixed")
+        explainer_tag=explanations.explainer_tag)
     if report.undefined_count:
         report.hyperparams["undefined_count"] = report.undefined_count
     return report

@@ -13,9 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Dataset, Explanation, Predictor, QualityReport, _magnitude_order,
-                   bottom_n_features, check_explanations, importances_of,
-                   row_seed, top_n_features)
+from .core import (Dataset, ExplanationSet, Predictor, QualityReport, _magnitude_order,
+                   bottom_n_features, check_explanations, row_seed, top_n_features)
 
 
 @dataclass
@@ -92,16 +91,16 @@ def pgu(m: Predictor, x, e, cfg: PerturbConfig) -> float:
 SENSITIVITY_METRICS = {"pgi": pgi, "pgu": pgu}
 
 
-def perturbed_index_sets(metric_name: str, explanations, n: int) -> np.ndarray:
+def perturbed_index_sets(metric_name: str, explanations: ExplanationSet, n: int) -> np.ndarray:
     """(rows, n) ascending feature indices each row's explanation perturbs under the metric."""
     if metric_name not in SENSITIVITY_METRICS:
         raise ValueError(f"unknown sensitivity metric {metric_name!r}")
-    importances = np.array([importances_of(e) for e in explanations], dtype=float)
-    return np.sort(_magnitude_order(importances, n, largest=metric_name == "pgi"), axis=1)
+    return np.sort(_magnitude_order(explanations.importances, n, largest=metric_name == "pgi"),
+                   axis=1)
 
 
 def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
-                               explanations: list[Explanation], cfg: PerturbConfig) -> QualityReport:
+                               explanations: ExplanationSet, cfg: PerturbConfig) -> QualityReport:
     """Dataset-level report; per-row seeds are cfg.seed XOR row index.
 
     Every row is perturbed exactly as the single-point functions would do it,
@@ -122,7 +121,6 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
     if metric_name == "pgu" and cfg.negate_pgu:
         per_point = 0.0 - per_point  # not -per_point: a zero gap stays +0.0
 
-    tags = {e.explainer_tag for e in explanations}
     return QualityReport.build(
         metric_name=metric_name,
         hyperparams={"n": cfg.n, "num_perturbations": cfg.num_perturbations,
@@ -131,4 +129,4 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
         per_point_q=per_point,
         dataset_id=d.dataset_id,
         model_descriptor=m.descriptor,
-        explainer_tag=tags.pop() if len(tags) == 1 else "mixed")
+        explainer_tag=explanations.explainer_tag)

@@ -11,7 +11,7 @@ import pytest
 
 from axebench.axe import AxeConfig, axe_quality
 from axebench.cli import main
-from axebench.core import Dataset, Explanation
+from axebench.core import Dataset, ExplanationSet
 from axebench.data import SyntheticSpec, generate_synthetic
 from axebench.experiments import (RegionGridSpec, bundle_from_config,
                                   default_attack_configs, run_fairwash_detection,
@@ -197,7 +197,7 @@ def test_criterion_5_oracle_equivalence_200_instances():
         k = int(rng.integers(1, min(nu - 1, 7) + 1))
         include_self = bool(rng.integers(0, 2))
         d = Dataset(features=features, feature_names=tuple(f"f{j}" for j in range(nf)))
-        expls = [Explanation(importance_rows[i], i) for i in range(nu)]
+        expls = ExplanationSet(importance_rows)
         report = axe_quality(d, y_preds, expls,
                              AxeConfig(n=max(1, n), k=k, include_self=include_self))
         pp, agg = axe_oracle(features, y_preds, importance_rows, max(1, n), k, include_self)

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from axebench import axe
 from axebench.axe import AxeConfig, axe_quality, one_hot_axe_aggregates
-from axebench.core import Dataset, Explanation
+from axebench.core import Dataset, ExplanationSet
 from axebench.explainers import make_manual_explanations
 
 from oracles import axe_oracle, knn_oracle
@@ -22,7 +22,7 @@ def tiny_report(features, y, importances, k, include_self, n=1):
     features = np.asarray(features, dtype=float)
     d = Dataset(features=features,
                 feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
-    expls = [Explanation(importances, i) for i in range(d.nu)]
+    expls = ExplanationSet(np.tile(importances, (d.nu, 1)))
     return axe_quality(d, y, expls, AxeConfig(n=n, k=k, include_self=include_self))
 
 
@@ -111,8 +111,8 @@ class TestAxeQuality:
     def test_scale_invariance(self, small_threshold_data):
         d = small_threshold_data
         raw = np.array([0.4, -0.2, 0.9, 0.1])
-        a = [Explanation(raw, i) for i in range(d.nu)]
-        b = [Explanation(137.0 * raw, i) for i in range(d.nu)]
+        a = ExplanationSet(np.tile(raw, (d.nu, 1)))
+        b = ExplanationSet(np.tile(137.0 * raw, (d.nu, 1)))
         cfg = AxeConfig(n=2, k=3)
         ra = axe_quality(d, d.labels, a, cfg)
         rb = axe_quality(d, d.labels, b, cfg)
@@ -126,7 +126,7 @@ class TestAxeQuality:
         perm = np.random.default_rng(3).permutation(d.nu)
         shuffled = Dataset(features=d.features[perm], feature_names=d.feature_names,
                            labels=d.labels[perm], dataset_id="shuffled")
-        expls_p = [Explanation(expls[j].importances, i) for i, j in enumerate(perm)]
+        expls_p = ExplanationSet(expls.importances[perm], expls.explainer_tag)
         permuted = axe_quality(shuffled, d.labels[perm], expls_p, cfg)
         assert np.array_equal(permuted.per_point_q, base.per_point_q[perm])
         assert permuted.aggregate_q == base.aggregate_q
@@ -146,7 +146,7 @@ class TestAxeQuality:
         d = small_threshold_data
         expls = make_manual_explanations(d, 0)
         with pytest.raises(ValueError, match="length mismatch"):
-            axe_quality(d, d.labels, expls[:-1], AxeConfig(n=1, k=3))
+            axe_quality(d, d.labels, ExplanationSet(expls.importances[:-1]), AxeConfig(n=1, k=3))
         with pytest.raises(ValueError, match="length mismatch"):
             axe_quality(d, d.labels[:-1], expls, AxeConfig(n=1, k=3))
         with pytest.raises(ValueError, match="n out of range"):
@@ -159,7 +159,7 @@ class TestAxeQuality:
     def test_explanation_width_must_match_feature_count(self, small_threshold_data):
         d = small_threshold_data  # 4 columns
         for width in (2, 6):
-            expls = [Explanation(np.arange(1.0, width + 1), i) for i in range(d.nu)]
+            expls = ExplanationSet(np.tile(np.arange(1.0, width + 1), (d.nu, 1)))
             # width 6 puts the top feature at index 5, past the last column
             with pytest.raises(ValueError, match="length mismatch"):
                 axe_quality(d, d.labels, expls, AxeConfig(n=1, k=3))
@@ -234,8 +234,7 @@ class TestFastPathAndOracle:
     def test_row_blocks_do_not_change_scores(self, small_threshold_data, monkeypatch):
         d = small_threshold_data
         rng = np.random.default_rng(5)
-        expls = [Explanation(np.round(rng.normal(size=d.n_features), 1), i)
-                 for i in range(d.nu)]
+        expls = ExplanationSet(np.round(rng.normal(size=(d.nu, d.n_features)), 1))
         cfg = AxeConfig(n=2, k=4)
         whole = axe_quality(d, d.labels, expls, cfg)
         whole_onehot = one_hot_axe_aggregates(d, 1, d.labels, [1, 4])
@@ -257,7 +256,7 @@ class TestFastPathAndOracle:
             include_self = bool(rng.integers(0, 2))
             d = Dataset(features=features,
                         feature_names=tuple(f"f{j}" for j in range(nf)))
-            expls = [Explanation(importance_rows[i], i) for i in range(nu)]
+            expls = ExplanationSet(importance_rows)
             report = axe_quality(d, y, expls, AxeConfig(n=n, k=k, include_self=include_self))
             oracle_pp, oracle_agg = axe_oracle(features, y, importance_rows, n, k, include_self)
             assert report.per_point_q.tolist() == oracle_pp
@@ -286,7 +285,7 @@ def tied_instances(draw):
 def test_matches_oracle_property(instance):
     features, y, importances, n, k, include_self = instance
     d = Dataset(features=features, feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
-    expls = [Explanation(importances[i], i) for i in range(d.nu)]
+    expls = ExplanationSet(importances)
     report = axe_quality(d, y, expls, AxeConfig(n=n, k=k, include_self=include_self))
     oracle_pp, oracle_agg = axe_oracle(features, y, importances, n, k, include_self)
     assert report.per_point_q.tolist() == oracle_pp

@@ -3,6 +3,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from axebench import cli
 from axebench.cli import main
@@ -133,6 +134,27 @@ class TestEvaluate:
         assert "error [explainers]" in err
         assert "datapoint_index" in err
 
+    def test_ragged_explanation_files_exit_2(self, tmp_path, capsys):
+        rows = [{"datapoint_index": i, "importances": [1.0, 0.5, 0.0]} for i in range(50)]
+        rows[7]["importances"].append(0.25)
+        scalars = [{"datapoint_index": i, "importances": 1.0} for i in range(50)]
+        files = {"short.csv": ("\n".join(["datapoint_index,f0,f1,f2", "0,1.0,0.5",
+                                          *(f"{i},1.0,0.5,0.0" for i in range(1, 50))]) + "\n",
+                               "length mismatch: explanation widths [2, 3] differ"),
+                 "long.json": (json.dumps(rows), "length mismatch: explanation widths [3, 4] differ"),
+                 "scalar.json": (json.dumps(scalars), "a list of numbers on every row")}
+        for name, (text, message) in files.items():
+            expl_path = tmp_path / name
+            expl_path.write_text(text)
+            code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50",
+                         "--cols", "3", "--train", "logistic",
+                         "--explanations", str(expl_path), "--metric", "axe",
+                         "--seed", "0", "--out", str(tmp_path / "run")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "error [explainers]" in err
+            assert message in err
+
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",
                      "--manual-index", "0", "--metric", "axe"])
@@ -156,6 +178,14 @@ class TestExplain:
         assert code == 0
         assert (out / "explanations.csv").exists()
         assert (out / "explanations.json").exists()
+
+
+    def test_manual_is_not_an_explainer_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--synthetic", "threshold-rule", "--train", "logistic",
+                  "--explainer", "manual", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'manual'" in capsys.readouterr().err
 
 
 class TestAttack:

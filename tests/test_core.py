@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, QualityReport,
-                           aggregate_quality, bottom_n_features, rank_vector,
+from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, ExplanationSet,
+                           QualityReport, aggregate_quality, bottom_n_features, rank_vector,
                            row_seed, top_n_features)
 
 from oracles import bottom_n_oracle, rank_oracle, top_n_oracle
@@ -129,10 +129,31 @@ class TestDataset:
 
 class TestExplanation:
     def test_length_and_finiteness(self):
-        e = Explanation(importances=[0.1, -0.2], datapoint_index=3, explainer_tag="t")
+        e = Explanation(importances=[0.1, -0.2], explainer_tag="t")
         assert len(e) == 2
         with pytest.raises(ValueError):
             Explanation(importances=[np.nan])
+
+
+class TestExplanationSet:
+    def test_rows_length_and_read_only(self):
+        s = ExplanationSet(importances=[[0.1, -0.2], [0.3, 0.4], [0.0, 1.0]], explainer_tag="t")
+        assert len(s) == 3
+        assert [row.tolist() for row in s] == [[0.1, -0.2], [0.3, 0.4], [0.0, 1.0]]
+        with pytest.raises(ValueError):
+            s.importances[0, 0] = 9.0
+
+    @pytest.mark.parametrize("importances", [
+        [0.1, -0.2],                   # one vector, not a matrix
+        np.empty((0, 3)),              # no rows
+        np.empty((2, 0)),              # no features
+        [[0.1, np.nan], [0.2, 0.3]],   # non-finite entry
+        [[0.1, np.inf], [0.2, 0.3]],
+        [[0.1, 0.2], [0.3]],           # ragged rows
+    ])
+    def test_rejects(self, importances):
+        with pytest.raises(ValueError):
+            ExplanationSet(importances=importances)
 
 
 class TestQualityReport:

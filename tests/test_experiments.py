@@ -77,6 +77,19 @@ class TestRegionGrid:
         summary = json.loads((tmp_path / "region_summary.json").read_text())
         assert summary["cardinalities"]["ra"] <= 3
 
+    def test_written_cells_parse_as_the_grid(self, tmp_path):
+        spec = RegionGridSpec(e_star=(0.5, 0.5), resolution=9, metrics=tuple(REFERENCE_METRICS))
+        result = run_region_grid(spec)
+        write_region_grid(result, tmp_path)
+        for metric, grid in result.grids.items():
+            lines = (tmp_path / f"region_{metric}.tsv").read_text().splitlines()[1:]
+            assert len(lines) == grid.size
+            for line, (i, j) in zip(lines, np.ndindex(grid.shape)):
+                i1, i2, name, q = line.split("\t")
+                assert name == metric
+                assert [float(i1), float(i2)] == [result.axis[i], result.axis[j]]
+                assert np.array_equal(float(q), grid[i, j], equal_nan=True)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             RegionGridSpec(e_star=(0.7,))

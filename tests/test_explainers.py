@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from axebench.core import top_n_features
+from axebench.axe import AxeConfig, axe_quality
+from axebench.core import row_seed, top_n_features
 from axebench.data import SyntheticSpec, generate_synthetic
 from axebench.explainers import (ExplainerConfig, explain_dataset,
                                  explain_gradient, explain_integrated_gradients,
@@ -194,9 +195,10 @@ class TestManual:
     def test_one_hot_everywhere(self, small_threshold_data):
         expls = make_manual_explanations(small_threshold_data, 2)
         assert len(expls) == small_threshold_data.nu
-        for e in expls:
-            assert top_n_features(e, 1) == [2]
-            assert e.importances.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert expls.explainer_tag == f"manual[{small_threshold_data.feature_names[2]}]"
+        for row in expls:
+            assert top_n_features(row, 1) == [2]
+            assert row.tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_index_validated(self, small_threshold_data):
         with pytest.raises(ValueError):
@@ -226,13 +228,17 @@ class TestRankSignRecovery:
 
 class TestDatasetExplanationsAndIO:
     def test_order_independent_of_jobs(self, small_threshold_data):
+        d = small_threshold_data
         m = make_linear_predictor(LinearModelSpec((0.5, -0.2, 0.1, 0.05)))
         cfg = ExplainerConfig(kind="local-surrogate", samples=60, seed=19)
-        serial = explain_dataset(m, small_threshold_data, cfg, jobs=1)
-        threaded = explain_dataset(m, small_threshold_data, cfg, jobs=4)
-        for a, b in zip(serial, threaded):
-            assert a.datapoint_index == b.datapoint_index
-            assert np.array_equal(a.importances, b.importances)
+        serial = explain_dataset(m, d, cfg, jobs=1)
+        threaded = explain_dataset(m, d, cfg, jobs=4)
+        assert serial.explainer_tag == threaded.explainer_tag
+        assert np.array_equal(serial.importances, threaded.importances)
+        # row i of the set explains dataset row i under row seed i
+        for i in (0, 1, d.nu - 1):
+            row = explain_local_surrogate(m, d.features[i], d, cfg.with_seed(row_seed(19, i)))
+            assert np.array_equal(serial.importances[i], row.importances)
 
     def test_csv_roundtrip(self, tmp_path, small_threshold_data):
         expls = make_manual_explanations(small_threshold_data, 1)
@@ -240,15 +246,47 @@ class TestDatasetExplanationsAndIO:
         save_explanations_csv(expls, path, small_threshold_data.feature_names)
         back = load_explanations_csv(path)
         assert len(back) == len(expls)
-        assert np.array_equal(back[3].importances, expls[3].importances)
+        assert np.array_equal(back.importances, expls.importances)
 
     def test_json_roundtrip(self, tmp_path, small_threshold_data):
         expls = make_manual_explanations(small_threshold_data, 0)
         path = tmp_path / "e.json"
         save_explanations_json(expls, path)
         back = load_explanations_json(path)
-        assert back[0].explainer_tag == expls[0].explainer_tag
-        assert np.array_equal(back[-1].importances, expls[-1].importances)
+        assert back.explainer_tag == expls.explainer_tag
+        assert np.array_equal(back.importances, expls.importances)
+
+    @pytest.mark.parametrize("save,load", [(save_explanations_csv, load_explanations_csv),
+                                           (save_explanations_json, load_explanations_json)])
+    def test_save_load_save_is_byte_identical(self, tmp_path, small_threshold_data, save, load):
+        m = make_linear_predictor(LinearModelSpec((0.5, -0.2, 0.1, 0.05)))
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=30, seed=4, background_size=10)
+        expls = explain_dataset(m, small_threshold_data, cfg)
+        first, second = tmp_path / "first", tmp_path / "second"
+        save(expls, first)
+        back = load(first)
+        assert np.array_equal(back.importances, expls.importances)
+        save(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_rows_with_different_tags_make_a_mixed_set(self):
+        d = generate_synthetic(SyntheticSpec(nu=12, n_features=3, seed=2))
+        m = make_linear_predictor(LinearModelSpec((0.5, -0.2, 0.1)))
+        # noise this small leaves some rows' samples within 1e-8 of the row
+        cfg = ExplainerConfig(kind="local-surrogate", samples=5, sigma_perturb=5e-9, seed=3)
+        tags = {explain_local_surrogate(m, x, d, cfg.with_seed(row_seed(3, i))).explainer_tag
+                for i, x in enumerate(d.features)}
+        assert tags == {"local-surrogate", "local-surrogate[degenerate-sampling]"}
+        expls = explain_dataset(m, d, cfg)
+        assert expls.explainer_tag == "mixed"
+        report = axe_quality(d, m.predict_batch(d.features), expls, AxeConfig(n=1, k=3))
+        assert report.explainer_tag == "mixed"
+
+
+def test_manual_is_not_a_dataset_explainer_kind():
+    # manual sets come from make_manual_explanations (--manual-index), not explain_dataset
+    with pytest.raises(ValueError, match="unknown explainer kind"):
+        ExplainerConfig(kind="manual")
 
 
 def test_with_seed_keeps_every_other_field():

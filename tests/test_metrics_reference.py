@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from axebench.core import Explanation
+from axebench.core import ExplanationSet
 from axebench.metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
                                         feature_agreement,
                                         pairwise_rank_agreement, rank_agreement,
@@ -40,7 +40,7 @@ class TestFeatureAgreement:
         assert seen <= {0.0, 1.0}
 
     def test_aggregate_mean_can_hit_half(self):
-        expls = [Explanation([0.9, 0.1], 0), Explanation([0.1, 0.9], 1)]
+        expls = ExplanationSet([[0.9, 0.1], [0.1, 0.9]])
         report = reference_quality_report("fa", expls, [0.7, 0.3], n=1)
         assert report.aggregate_q == 0.5
 
@@ -98,7 +98,7 @@ class TestRankCorrelation:
         assert rank_correlation(pair([0.9, 0.5, 0.2], [1.0, 1.0, 1.0], 3)) is None
 
     def test_undefined_marks_report(self):
-        expls = [Explanation([1.0, 1.0, 1.0], 0), Explanation([0.5, 0.2, 0.1], 1)]
+        expls = ExplanationSet([[1.0, 1.0, 1.0], [0.5, 0.2, 0.1]])
         report = reference_quality_report("rc", expls, [0.9, 0.5, 0.2], n=3)
         assert report.undefined_count == 1
         assert np.isnan(report.per_point_q[0])
@@ -255,23 +255,24 @@ class TestReport:
     def test_rows_equal_single_pairs(self):
         rng = np.random.default_rng(9)
         e_star = np.round(rng.normal(size=4), 1)
-        expls = [Explanation(np.round(rng.normal(size=4), 1), i) for i in range(30)]
-        expls.append(Explanation([0.3, -0.3, 0.3, 0.3], 30))  # undefined rank correlation
+        rows = np.round(rng.normal(size=(31, 4)), 1)
+        rows[30] = [0.3, -0.3, 0.3, 0.3]  # undefined rank correlation
         for metric, fn in REFERENCE_METRICS.items():
-            report = reference_quality_report(metric, expls, e_star, n=2)
-            singles = [fn(pair(x.importances, e_star, 2)) for x in expls]
+            report = reference_quality_report(metric, ExplanationSet(rows), e_star, n=2)
+            singles = [fn(pair(x, e_star, 2)) for x in rows]
             assert [bits(q) for q in report.per_point_q] == [bits(q) for q in singles]
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            reference_quality_report("fa", [], [0.7, 0.3], n=1)
+        # a report needs at least one row, and the set type cannot hold none
+        with pytest.raises(ValueError, match="non-empty"):
+            reference_quality_report("fa", ExplanationSet(np.empty((0, 2))), [0.7, 0.3], n=1)
 
     def test_unequal_widths_rejected(self):
-        expls = [Explanation([0.9, 0.1], 0), Explanation([0.9, 0.1, 0.2], 1)]
-        with pytest.raises(ValueError, match="length mismatch"):
-            reference_quality_report("fa", expls, [0.7, 0.3], n=1)
+        # a matrix has one width, so rows of two widths never reach the report
+        with pytest.raises(ValueError):
+            ExplanationSet([[0.9, 0.1], [0.9, 0.1, 0.2]])
 
     def test_width_other_than_reference_rejected(self):
-        expls = [Explanation([0.9, 0.1, 0.2], 0), Explanation([0.9, 0.1, 0.2], 1)]
+        expls = ExplanationSet([[0.9, 0.1, 0.2], [0.9, 0.1, 0.2]])
         with pytest.raises(ValueError, match="length mismatch"):
             reference_quality_report("fa", expls, [0.7, 0.3], n=1)

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from axebench.core import Explanation, row_seed
+from axebench.core import ExplanationSet, row_seed
 from axebench.data import SyntheticSpec, generate_synthetic
 from axebench.explainers import make_manual_explanations
 from axebench.metrics_sensitivity import (PerturbConfig, pgi, pgu,
@@ -94,7 +94,8 @@ class TestReport:
         cfg = PerturbConfig(n=1, num_perturbations=25, seed=9)
         report = sensitivity_quality_report("pgi", m, d, expls, cfg)
         for i in (0, 7, 39):
-            direct = pgi(m, d.features[i], expls[i], cfg.with_seed(row_seed(cfg.seed, i)))
+            direct = pgi(m, d.features[i], expls.importances[i],
+                         cfg.with_seed(row_seed(cfg.seed, i)))
             assert report.per_point_q[i] == direct
         assert report.aggregate_q == pytest.approx(report.per_point_q.mean())
 
@@ -115,13 +116,14 @@ class TestReport:
     def test_length_mismatch(self, setup):
         d, m = setup
         with pytest.raises(ValueError, match="length mismatch"):
-            sensitivity_quality_report("pgi", m, d, [], PerturbConfig(n=1))
+            sensitivity_quality_report("pgi", m, d, ExplanationSet(np.ones((d.nu - 1, 3))),
+                                       PerturbConfig(n=1))
 
     def test_explanation_width_must_match_feature_count(self, setup):
         d, m = setup
         for width in (d.n_features - 1, d.n_features + 2):
             # the wider vector ranks its last, nonexistent feature first
-            expls = [Explanation(np.arange(1.0, width + 1), i) for i in range(d.nu)]
+            expls = ExplanationSet(np.tile(np.arange(1.0, width + 1), (d.nu, 1)))
             with pytest.raises(ValueError, match="length mismatch"):
                 sensitivity_quality_report("pgi", m, d, expls, PerturbConfig(n=1))
 
@@ -144,13 +146,13 @@ class TestReport:
         # rounding makes many rows tie on |importance|; the first rows tie on every feature
         importances = np.round(rng.normal(size=(d.nu, d.n_features)), 1)
         importances[:3] = [[0.5, -0.5, 0.5, -0.5], [0.0] * 4, [0.2, 0.2, -0.7, 0.2]]
-        expls = [Explanation(importances[i], i) for i in range(d.nu)]
+        expls = ExplanationSet(importances)
         single = pgi if metric == "pgi" else pgu
 
         def check(cfg):
             report = sensitivity_quality_report(metric, m, d, expls, cfg)
-            direct = [single(m, d.features[i], expls[i], cfg.with_seed(row_seed(cfg.seed, i)))
-                      for i in range(d.nu)]
+            direct = [single(m, d.features[i], importances[i],
+                             cfg.with_seed(row_seed(cfg.seed, i))) for i in range(d.nu)]
             assert report.per_point_q.tolist() == direct
             return report.per_point_q
 
