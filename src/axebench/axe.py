@@ -10,10 +10,15 @@ Rows whose explanations pick the same subset share one neighbor search: the
 rows are grouped by their top-n subset in rank order (not as a sorted set,
 because column order changes the float sum of squared differences once n >= 3
 and would move ties). One kernel, :func:`_nearest_rows`, serves every search.
-It takes the query rows in blocks of a fixed element budget, sorts each
-block's squared Euclidean distances to all rows with a stable argsort, so
-distance ties break by ascending row index, and in leave-one-out mode drops
-the query row itself. The k nearest rows vote; an even split votes 0.
+It takes the query rows in blocks of a fixed element budget and computes each
+block's squared Euclidean distances to all rows. Per query row it then keeps
+only the rows it needs: a partition finds the distance at the last kept
+place, every row strictly closer is kept, and the slots left over go to the
+lowest-index rows tied at that distance. Only those kept rows are
+stable-sorted, so the table is in (distance, row index) order, exactly as a
+full stable sort would give, at O(nu) selection cost per row. In
+leave-one-out mode the query row itself is then dropped. The k nearest rows
+vote; an even split votes 0.
 """
 from __future__ import annotations
 
@@ -53,7 +58,13 @@ class AxeConfig:
 def _nearest_rows(d: Dataset, subset, rows: np.ndarray, max_k: int,
                   include_self: bool) -> np.ndarray:
     """(len(rows), max_k) indices of each query row's nearest dataset rows on
-    ``subset``, in stable (distance, row index) order."""
+    ``subset``, in stable (distance, row index) order.
+
+    Per row, the ``width`` nearest (max_k, plus one for the query row in
+    leave-one-out mode) are selected without sorting all nu distances:
+    ``np.partition`` gives the cut-off distance, rows below it are kept, the
+    lowest-index rows tied at it fill the remaining slots, and only the kept
+    rows are stable-sorted by distance."""
     cand = d.features[:, list(subset)]
     width = max_k if include_self else max_k + 1
     out = np.empty((rows.size, max_k), dtype=int)
@@ -61,7 +72,14 @@ def _nearest_rows(d: Dataset, subset, rows: np.ndarray, max_k: int,
     for start in range(0, rows.size, step):
         block = rows[start:start + step]
         d2 = ((cand[None] - cand[block][:, None]) ** 2).sum(axis=2)
-        head = np.argsort(d2, axis=1, kind="stable")[:, :width]
+        cut = np.partition(d2, width - 1, axis=1)[:, width - 1:width]
+        below = d2 < cut
+        tied = d2 == cut
+        fill = width - below.sum(axis=1, keepdims=True)
+        take = below | (tied & (np.cumsum(tied, axis=1) <= fill))
+        kept = np.nonzero(take)[1].reshape(block.size, width)
+        order = np.argsort(np.take_along_axis(d2, kept, axis=1), axis=1, kind="stable")
+        head = np.take_along_axis(kept, order, axis=1)
         if not include_self:
             keep = head != block[:, None]
             keep[keep.all(axis=1), -1] = False

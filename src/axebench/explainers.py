@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 
@@ -116,6 +117,17 @@ def _kernel_weight(n: int, s: int) -> float:
     return (n - 1) / (comb(n, s) * s * (n - s))
 
 
+@lru_cache(maxsize=None)
+def _all_coalitions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-trivial coalition of n features as read-only 0/1 mask rows,
+    with their kernel weights; built once per n and shared by every row."""
+    masks = ((np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1).astype(float)
+    weights = np.array([_kernel_weight(n, int(s)) for s in masks.sum(axis=1)])
+    masks.flags.writeable = False
+    weights.flags.writeable = False
+    return masks, weights
+
+
 def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Masks (rows of 0/1) and their regression weights.
 
@@ -123,15 +135,8 @@ def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     samples coalition sizes proportionally to the Shapley kernel (which makes
     the subsequent least squares unweighted).
     """
-    total = 2**n - 2
-    if total <= budget:
-        masks = np.zeros((total, n))
-        weights = np.empty(total)
-        for i, bits in enumerate(range(1, 2**n - 1)):
-            mask = [(bits >> j) & 1 for j in range(n)]
-            masks[i] = mask
-            weights[i] = _kernel_weight(n, int(sum(mask)))
-        return masks, weights
+    if 2**n - 2 <= budget:
+        return _all_coalitions(n)
     sizes = np.arange(1, n)
     p = (n - 1) / (sizes * (n - sizes))  # kernel weight summed over coalitions of each size
     p = p / p.sum()
@@ -255,6 +260,18 @@ def save_explanations_json(explanations: ExplanationSet, path) -> None:
 def load_explanations_json(path) -> ExplanationSet:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, list):
+        raise ValueError("explanations JSON must be a list of row objects")
+    for pos, item in enumerate(payload):
+        if not isinstance(item, dict):
+            raise ValueError(f"explanations JSON row {pos} is not an object")
+        for key in ("datapoint_index", "importances"):
+            if key not in item:
+                raise ValueError(f"explanations JSON row {pos} lacks {key!r}")
+        index = item["datapoint_index"]
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ValueError(f"explanations JSON row {pos}: datapoint_index {index!r} "
+                             "is not an integer")
     return _stack([item["datapoint_index"] for item in payload],
                   [item["importances"] for item in payload],
                   [item.get("explainer_tag", "loaded") for item in payload])

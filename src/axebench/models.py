@@ -387,11 +387,16 @@ class ScaffoldPredictor(Predictor):
                            f"det={detector.heldout_accuracy:.3f}"
                            f"{';low-detector' if low else ''})")
 
-    def _route(self, x: np.ndarray) -> int:
+    def _routes(self, X: np.ndarray) -> np.ndarray:
+        """Foil index per row of X: the seeded crc32 of the row's bytes."""
         if len(self.foils) == 1:
-            return 0
-        digest = zlib.crc32(np.ascontiguousarray(x).tobytes()) ^ (self.seed & 0xFFFFFFFF)
-        return digest & 1
+            return np.zeros(len(X), dtype=int)
+        digests = np.fromiter(map(zlib.crc32, np.ascontiguousarray(X, dtype=float)),
+                              dtype=np.int64, count=len(X))
+        return (digests ^ (self.seed & 0xFFFFFFFF)) & 1
+
+    def _route(self, x: np.ndarray) -> int:
+        return int(self._routes(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_proba(self, x) -> float:
         return float(self.predict_proba_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -402,7 +407,7 @@ class ScaffoldPredictor(Predictor):
         flagged = self.detector.flags_batch(X)
         if flagged.any():
             idx = np.flatnonzero(flagged)
-            routes = np.array([self._route(X[i]) for i in idx])
+            routes = self._routes(X[idx])
             for foil_id, foil in enumerate(self.foils):
                 sel = idx[routes == foil_id]
                 if sel.size:

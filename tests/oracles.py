@@ -95,6 +95,21 @@ def knn_oracle(train, targets, subset, x, k, include_self, self_index):
     return 1 if ones * 2 > k else 0
 
 
+def knn_table_oracle(train, subset, query, k, include_self):
+    """Indices of the k rows nearest to row ``query`` on ``subset``, from an
+    exhaustive (distance, index) sort; leave-one-out skips the query row."""
+    scored = []
+    for idx in range(len(train)):
+        if not include_self and idx == query:
+            continue
+        dist = sum((train[idx][f] - train[query][f]) ** 2 for f in subset)
+        scored.append((dist, idx))
+    scored.sort()
+    if k > len(scored):
+        raise ValueError("k exceeds candidate count")
+    return [idx for _, idx in scored[:k]]
+
+
 def axe_oracle(features, y_preds, importance_rows, n, k, include_self):
     per_point = []
     for i in range(len(features)):

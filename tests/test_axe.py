@@ -10,7 +10,7 @@ from axebench.axe import AxeConfig, axe_quality, one_hot_axe_aggregates
 from axebench.core import Dataset, ExplanationSet
 from axebench.explainers import make_manual_explanations
 
-from oracles import axe_oracle, knn_oracle
+from oracles import axe_oracle, knn_oracle, knn_table_oracle
 
 
 def noise_explanations(d, feature):
@@ -261,6 +261,63 @@ class TestFastPathAndOracle:
             oracle_pp, oracle_agg = axe_oracle(features, y, importance_rows, n, k, include_self)
             assert report.per_point_q.tolist() == oracle_pp
             assert report.aggregate_q == oracle_agg
+
+
+def assert_table_matches_oracle(features, subset, k, include_self):
+    features = np.asarray(features, dtype=float)
+    d = Dataset(features=features,
+                feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
+    table = axe._nearest_rows(d, subset, np.arange(d.nu), k, include_self)
+    expected = [knn_table_oracle(features, subset, i, k, include_self) for i in range(d.nu)]
+    assert table.tolist() == expected
+
+
+class TestNeighbourTable:
+    """The selection in _nearest_rows against an exhaustive sort, on inputs
+    where many rows share the distance at the last kept place."""
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_all_rows_identical(self, include_self):
+        assert_table_matches_oracle(np.ones((40, 3)), (0, 2), 11, include_self)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_binary_features(self, include_self):
+        features = np.random.default_rng(1).integers(0, 2, (60, 4))
+        for subset in ((0,), (1, 3), (3, 0, 2), (0, 1, 2, 3)):
+            assert_table_matches_oracle(features, subset, 11, include_self)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_features_rounded_to_a_tenth(self, include_self):
+        features = np.round(np.random.default_rng(2).normal(size=(120, 5)), 1)
+        for subset in ((4,), (2, 0), (1, 3, 4), (0, 1, 2, 3, 4)):
+            assert_table_matches_oracle(features, subset, 11, include_self)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_ties_straddle_the_kth_place(self, include_self):
+        # from row 0, rows at distance 1 come in a group of six spread over
+        # low and high indices, so the kth place cuts through that group
+        column = [0.0, 3.0, 1.0, -1.0, 2.0, 1.0, -2.0, -1.0, 1.0, 3.0, -1.0, 2.0]
+        for k in range(1, 8):
+            assert_table_matches_oracle(np.array(column)[:, None], (0,), k, include_self)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_query_with_lower_index_duplicates(self, include_self):
+        # rows 0-4 coincide, so rows 3 and 4 have lower-index rows at distance 0
+        features = np.array([[0.5, 1.0]] * 5 + [[0.6, 1.0], [0.5, 1.1], [0.4, 0.9]])
+        for k in (1, 2, 3, 5):
+            assert_table_matches_oracle(features, (0, 1), k, include_self)
+
+    def test_width_equals_row_count(self):
+        features = np.round(np.random.default_rng(3).normal(size=(25, 2)), 1)
+        features[7] = features[3]
+        assert_table_matches_oracle(features, (1, 0), 24, include_self=False)
+        assert_table_matches_oracle(features, (1, 0), 25, include_self=True)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_three_row_blocks(self, include_self, monkeypatch):
+        features = np.round(np.random.default_rng(4).normal(size=(50, 3)), 1)
+        monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 3 * 50 * 2)
+        assert_table_matches_oracle(features, (2, 1), 7, include_self)
 
 
 @st.composite

@@ -155,6 +155,32 @@ class TestEvaluate:
             assert "error [explainers]" in err
             assert message in err
 
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda rows: rows[:3] + [{"datapoint_index": 3, "importance": [1.0, 0.5, 0.0]}]
+         + rows[4:], "row 3 lacks 'importances'"),
+        (lambda rows: [{"importances": r["importances"]} for r in rows],
+         "row 0 lacks 'datapoint_index'"),
+        (lambda rows: rows[:5] + [[5, 1.0, 0.5, 0.0]] + rows[6:], "row 5 is not an object"),
+        (lambda rows: {"rows": rows}, "must be a list of row objects"),
+        (lambda rows: [dict(r, datapoint_index=1.5) if i == 1 else r
+                       for i, r in enumerate(rows)], "datapoint_index 1.5 is not an integer"),
+        (lambda rows: [dict(r, datapoint_index=None) if i == 2 else r
+                       for i, r in enumerate(rows)], "datapoint_index None is not an integer"),
+    ], ids=["missing-importances", "missing-datapoint-index", "row-not-object",
+            "payload-not-list", "fractional-index", "null-index"])
+    def test_malformed_json_explanations_exit_2(self, tmp_path, capsys, mangle, message):
+        rows = [{"datapoint_index": i, "importances": [1.0, 0.5, 0.0]} for i in range(50)]
+        expl_path = tmp_path / "bad.json"
+        expl_path.write_text(json.dumps(mangle(rows)))
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50",
+                     "--cols", "3", "--train", "logistic",
+                     "--explanations", str(expl_path), "--metric", "axe",
+                     "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [explainers]" in err
+        assert message in err
+
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",
                      "--manual-index", "0", "--metric", "axe"])

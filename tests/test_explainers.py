@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from axebench import explainers
 from axebench.axe import AxeConfig, axe_quality
 from axebench.core import row_seed, top_n_features
 from axebench.data import SyntheticSpec, generate_synthetic
@@ -189,6 +190,29 @@ class TestKernelShapley:
         a = explain_kernel_shapley(m, x, shapley_background, cfg)
         b = explain_kernel_shapley(m, x, shapley_background, cfg)
         assert np.array_equal(a.importances, b.importances)
+
+    def test_enumerated_coalitions_are_built_once_read_only(self, shapley_background,
+                                                           monkeypatch):
+        masks, weights = explainers._coalition_masks(6, 1000, rng=None)
+        assert explainers._coalition_masks(6, 62, rng=None)[0] is masks
+        assert not masks.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            masks[0, 0] = 1.0
+        m = AffineProbaPredictor([0.05, -0.04, 0.03, 0.02, -0.01, 0.01])
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=200, seed=22,
+                              background_size=20)
+        x = shapley_background.features[2]
+        shared = explain_kernel_shapley(m, x, shapley_background, cfg).importances
+
+        def per_row(n):  # a fresh enumeration for every call
+            masks = np.array([[(bits >> j) & 1 for j in range(n)] for bits in range(1, 2**n - 1)],
+                             dtype=float)
+            return masks, np.array([explainers._kernel_weight(n, int(s))
+                                    for s in masks.sum(axis=1)])
+
+        monkeypatch.setattr(explainers, "_all_coalitions", per_row)
+        fresh = explain_kernel_shapley(m, x, shapley_background, cfg).importances
+        assert np.array_equal(fresh, shared)
 
 
 class TestManual:
