@@ -134,7 +134,7 @@ def _resolve_explanations(params: dict, d, model):
             return make_manual_explanations(d, params["manual_index"])
         if params.get("explainer"):
             cfg = ExplainerConfig(kind=params["explainer"], seed=params["seed"])
-            return explain_dataset(model, d, cfg, jobs=params.get("jobs") or 1)
+            return explain_dataset(model, d, cfg)
     raise CliError("explainers",
                    "no explanations given: use --explanations, --explainer, or --manual-index")
 

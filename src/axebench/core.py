@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -154,28 +153,35 @@ class ExplanationSet:
         return iter(self.importances)
 
 
-class Predictor:
-    """Behavioral interface for a deterministic binary classifier.
+def one_row(x) -> np.ndarray:
+    """A single feature vector as a (1, N) batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected one feature vector, got shape {x.shape}")
+    return x[None, :]
 
-    ``predict`` is tied to ``predict_proba`` by a fixed 0.5 threshold, so the
-    binarized output can never disagree with the probability. ``gradient``
-    returns None for models without a differentiable probability.
+
+class Predictor:
+    """Batch-first behavioral interface for a deterministic binary classifier.
+
+    Subclasses implement ``predict_proba_batch`` and, for a differentiable probability,
+    ``gradient_batch`` (None: no gradient); package code queries models only through
+    these two. Predictions threshold the probability at 0.5, so they never disagree.
     """
 
     descriptor: str = "predictor"
 
-    def predict_proba(self, x) -> float:
+    def predict_proba_batch(self, X) -> np.ndarray:
         raise NotImplementedError
 
-    def predict(self, x) -> int:
-        return int(self.predict_proba(x) >= 0.5)
+    def gradient_batch(self, X) -> np.ndarray | None:
+        return None
 
     def gradient(self, x) -> np.ndarray | None:
         return None
 
-    def predict_proba_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.array([self.predict_proba(x) for x in X], dtype=float)
+    def predict(self, x) -> int:
+        return int(self.predict_proba(x) >= 0.5)
 
     def predict_batch(self, X) -> np.ndarray:
         return (self.predict_proba_batch(X) >= 0.5).astype(int)
@@ -355,11 +361,9 @@ def component_seed(base_seed: int, label: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def ordered_parallel_map(fn, items, jobs: int | None = 1) -> list:
-    """Apply ``fn`` over ``items``, preserving item order regardless of scheduling."""
+def ordered_parallel_map(fn, items, jobs: int = 1) -> list:
+    """Apply ``fn`` over ``items`` on ``jobs`` threads, preserving item order."""
     items = list(items)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

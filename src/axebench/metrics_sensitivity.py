@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (Dataset, ExplanationSet, Predictor, QualityReport, _magnitude_order,
-                   bottom_n_features, check_explanations, row_seed, top_n_features)
+                   bottom_n_features, check_explanations, one_row, row_seed, top_n_features)
 
 
 @dataclass
@@ -55,26 +55,28 @@ def _row_draws(seed: int, rows: int, num_perturbations: int, sigma: float,
     return draws
 
 
-def _perturbed_copies(x: np.ndarray, index_set: list[int], cfg: PerturbConfig) -> np.ndarray:
-    """Noise draws depend only on (seed, set size), so identical index sets share draws."""
-    draws = _draws(cfg.seed, cfg.num_perturbations, cfg.sigma, len(index_set))
-    points = np.repeat(x[None, :], cfg.num_perturbations, axis=0)
-    points[:, index_set] += draws
-    return points
+def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Per-row mean |proba change| when each draw of draws[i] is added to features sets[i]."""
+    rows, count, _ = draws.shape
+    points = np.repeat(X[:, None, :], count, axis=1)
+    points[np.arange(rows)[:, None, None], np.arange(count)[None, :, None],
+           sets[:, None, :]] += draws
+    base = m.predict_proba_batch(X)
+    stacked = m.predict_proba_batch(points.reshape(-1, X.shape[1]))
+    return np.abs(stacked.reshape(rows, count) - base[:, None]).mean(axis=1)
 
 
-def _gap(m: Predictor, x: np.ndarray, index_set: list[int], cfg: PerturbConfig) -> float:
+def _point_gap(m: Predictor, x, index_set: list[int], cfg: PerturbConfig) -> float:
+    """The gap of one datapoint under the draws of cfg.seed itself."""
     if not index_set:
         return 0.0
-    base = m.predict_proba(x)
-    points = _perturbed_copies(x, index_set, cfg)
-    return float(np.abs(m.predict_proba_batch(points) - base).mean())
+    draws = _draws(cfg.seed, cfg.num_perturbations, cfg.sigma, len(index_set))
+    return float(_gaps(m, one_row(x), np.sort(index_set)[None], draws[None])[0])
 
 
 def pgi(m: Predictor, x, e, cfg: PerturbConfig) -> float:
     """Mean |proba change| when perturbing the top-n most important features."""
-    x = np.asarray(x, dtype=float)
-    return _gap(m, x, sorted(top_n_features(e, cfg.n)), cfg)
+    return _point_gap(m, x, top_n_features(e, cfg.n), cfg)
 
 
 def pgu(m: Predictor, x, e, cfg: PerturbConfig) -> float:
@@ -83,8 +85,7 @@ def pgu(m: Predictor, x, e, cfg: PerturbConfig) -> float:
     With negate_pgu the sign is flipped so that higher is better, aligning
     the direction with PGI and other quality scores; a zero gap stays +0.0.
     """
-    x = np.asarray(x, dtype=float)
-    value = _gap(m, x, sorted(bottom_n_features(e, cfg.n)), cfg)
+    value = _point_gap(m, x, bottom_n_features(e, cfg.n), cfg)
     return 0.0 - value if cfg.negate_pgu else value
 
 
@@ -110,14 +111,8 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
     sets = perturbed_index_sets(metric_name, explanations, cfg.n)
     per_point = np.zeros(d.nu)
     if cfg.n:
-        count = cfg.num_perturbations
-        draws = _row_draws(cfg.seed, d.nu, count, cfg.sigma, cfg.n)
-        points = np.repeat(d.features[:, None, :], count, axis=1)
-        points[np.arange(d.nu)[:, None, None], np.arange(count)[None, :, None],
-               sets[:, None, :]] += draws
-        base = m.predict_proba_batch(d.features)
-        stacked = m.predict_proba_batch(points.reshape(-1, d.n_features))
-        per_point = np.abs(stacked.reshape(d.nu, count) - base[:, None]).mean(axis=1)
+        draws = _row_draws(cfg.seed, d.nu, cfg.num_perturbations, cfg.sigma, cfg.n)
+        per_point = _gaps(m, d.features, sets, draws)
     if metric_name == "pgu" and cfg.negate_pgu:
         per_point = 0.0 - per_point  # not -per_point: a zero gap stays +0.0
 

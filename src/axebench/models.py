@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trees import BaggedTrees
-from .core import Dataset, Predictor, write_json
+from .core import Dataset, Predictor, one_row, write_json
 
 
 def sigmoid(z):
@@ -59,20 +59,20 @@ class LinearPredictor(Predictor):
         self.descriptor = descriptor or f"linear(d={self._beta.size})"
 
     def predict_proba(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self._beta.shape:
-            raise ValueError("dimension mismatch")
-        return float(sigmoid(self._b0 + self._beta @ x))
+        return float(self.predict_proba_batch(one_row(x))[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.shape[1] != self._beta.size:
+        if X.ndim != 2 or X.shape[1] != self._beta.size:
             raise ValueError("dimension mismatch")
         return sigmoid(self._b0 + X @ self._beta)
 
     def gradient(self, x) -> np.ndarray:
-        p = self.predict_proba(x)
-        return p * (1.0 - p) * self._beta
+        return self.gradient_batch(one_row(x))[0]
+
+    def gradient_batch(self, X) -> np.ndarray:
+        p = self.predict_proba_batch(X)
+        return (p * (1.0 - p))[:, None] * self._beta
 
     def to_dict(self) -> dict:
         return {"kind": "linear", "coefficients": list(self.spec.coefficients),
@@ -109,8 +109,7 @@ class RulePredictor(Predictor):
         self.descriptor = descriptor or f"rule(x{spec.feature_index}{op}{spec.threshold:g})"
 
     def predict_proba(self, x) -> float:
-        fired = float(np.asarray(x, dtype=float)[self.spec.feature_index]) > self.spec.threshold
-        return 1.0 if fired == self.spec.positive_above else 0.0
+        return float(self.predict_proba_batch(one_row(x))[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
         fired = np.asarray(X, dtype=float)[:, self.spec.feature_index] > self.spec.threshold
@@ -199,18 +198,20 @@ class MlpPredictor(Predictor):
         return acts
 
     def predict_proba(self, x) -> float:
-        return float(self._forward(np.asarray(x, dtype=float)[None, :])[-1][0, 0])
+        return float(self.predict_proba_batch(one_row(x))[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
         return self._forward(X)[-1][:, 0]
 
     def gradient(self, x) -> np.ndarray:
-        acts = self._forward(np.asarray(x, dtype=float)[None, :])
-        p = acts[-1]
-        delta = p * (1.0 - p)  # d proba / d output pre-activation
+        return self.gradient_batch(one_row(x))[0]
+
+    def gradient_batch(self, X) -> np.ndarray:
+        acts = self._forward(X)
+        delta = acts[-1] * (1.0 - acts[-1])  # d proba / d output pre-activation
         for i in range(len(self.weights) - 1, 0, -1):
             delta = (delta @ self.weights[i].T) * _act_grad(self.activation, acts[i])
-        return (delta @ self.weights[0].T)[0]
+        return delta @ self.weights[0].T
 
     def to_dict(self) -> dict:
         return {"kind": "mlp", "activation": self.activation, "descriptor": self.descriptor,
@@ -255,16 +256,17 @@ class OffManifoldFlipPredictor(Predictor):
 
     def __init__(self, base: Predictor, anchor_rows):
         self.base = base
-        rows = np.asarray(anchor_rows, dtype=float)
-        self._anchors = {np.ascontiguousarray(r).tobytes() for r in rows}
+        self._anchors = {r.tobytes() for r in np.ascontiguousarray(anchor_rows, dtype=float)}
         self.descriptor = f"offmanifold-flip({base.descriptor})"
 
-    def _on_manifold(self, x) -> bool:
-        return np.ascontiguousarray(np.asarray(x, dtype=float)).tobytes() in self._anchors
-
     def predict_proba(self, x) -> float:
-        p = self.base.predict_proba(x)
-        return p if self._on_manifold(x) else 1.0 - p
+        return float(self.predict_proba_batch(one_row(x))[0])
+
+    def predict_proba_batch(self, X) -> np.ndarray:
+        X = np.ascontiguousarray(X, dtype=float)
+        p = self.base.predict_proba_batch(X)
+        anchored = np.array([row.tobytes() in self._anchors for row in X], dtype=bool)
+        return np.where(anchored, p, 1.0 - p)
 
 
 @dataclass
@@ -395,23 +397,17 @@ class ScaffoldPredictor(Predictor):
                               dtype=np.int64, count=len(X))
         return (digests ^ (self.seed & 0xFFFFFFFF)) & 1
 
-    def _route(self, x: np.ndarray) -> int:
-        return int(self._routes(np.asarray(x, dtype=float)[None, :])[0])
-
     def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.predict_proba_batch(one_row(x))[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = self.biased.predict_proba_batch(X)
-        flagged = self.detector.flags_batch(X)
-        if flagged.any():
-            idx = np.flatnonzero(flagged)
-            routes = self._routes(X[idx])
-            for foil_id, foil in enumerate(self.foils):
-                sel = idx[routes == foil_id]
-                if sel.size:
-                    out[sel] = foil.predict_proba_batch(X[sel])
+        idx = np.flatnonzero(self.detector.flags_batch(X))
+        routes = self._routes(X[idx])
+        for foil_id, foil in enumerate(self.foils):
+            sel = idx[routes == foil_id]
+            out[sel] = foil.predict_proba_batch(X[sel])
         return out
 
     def to_dict(self) -> dict:
@@ -437,14 +433,23 @@ def build_scaffold(d: Dataset, spec: ScaffoldSpec) -> ScaffoldPredictor:
 
 
 def _scaffold_from_dict(d: dict) -> ScaffoldPredictor:
-    biased = RulePredictor(RuleModelSpec(d["biased"]["feature_index"], d["biased"]["threshold"],
-                                         d["biased"]["positive_above"]))
-    foils = [RulePredictor(RuleModelSpec(f["feature_index"], f["threshold"], f["positive_above"]))
-             for f in d["foils"]]
-    scaffold = ScaffoldPredictor(biased, foils, OodDetector.from_dict(d["detector"]), d["seed"])
+    rule = _LOADERS["rule"]
+    scaffold = ScaffoldPredictor(rule(d["biased"]), [rule(f) for f in d["foils"]],
+                                 OodDetector.from_dict(d["detector"]), d["seed"])
     scaffold.on_data_agreement = d.get("on_data_agreement")
     scaffold.descriptor = d.get("descriptor", scaffold.descriptor)
     return scaffold
+
+
+_LOADERS = {
+    "linear": lambda d: LinearPredictor(LinearModelSpec(tuple(d["coefficients"]), d["intercept"]),
+                                        descriptor=d.get("descriptor")),
+    "rule": lambda d: RulePredictor(
+        RuleModelSpec(d["feature_index"], d["threshold"], d["positive_above"]),
+        descriptor=d.get("descriptor")),
+    "mlp": lambda d: MlpPredictor(d["weights"], d["biases"], d["activation"], d["descriptor"]),
+    "scaffold": _scaffold_from_dict,
+}
 
 
 def save_predictor(pred: Predictor, path) -> None:
@@ -455,17 +460,16 @@ def save_predictor(pred: Predictor, path) -> None:
 
 
 def load_predictor(path) -> Predictor:
+    """Rebuild a predictor from its JSON file; a malformed file raises a ValueError."""
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"predictor file must hold a JSON object, not a {type(d).__name__}")
     kind = d.get("kind")
-    if kind == "linear":
-        spec = LinearModelSpec(tuple(d["coefficients"]), d["intercept"])
-        return LinearPredictor(spec, descriptor=d.get("descriptor"))
-    if kind == "rule":
-        spec = RuleModelSpec(d["feature_index"], d["threshold"], d["positive_above"])
-        return RulePredictor(spec, descriptor=d.get("descriptor"))
-    if kind == "mlp":
-        return MlpPredictor(d["weights"], d["biases"], d["activation"], d["descriptor"])
-    if kind == "scaffold":
-        return _scaffold_from_dict(d)
-    raise ValueError(f"unknown predictor kind {kind!r}")
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
+    if loader is None:
+        raise ValueError(f"unknown predictor kind {kind!r}")
+    try:
+        return loader(d)
+    except KeyError as exc:
+        raise ValueError(f"{kind} predictor file lacks {exc.args[0]!r}") from None

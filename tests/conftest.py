@@ -28,6 +28,9 @@ class AffineProbaPredictor(Predictor):
     def gradient(self, x):
         return self.slopes.copy()
 
+    def gradient_batch(self, X):
+        return np.tile(self.slopes, (np.asarray(X).shape[0], 1))
+
 
 class ConstantPredictor(Predictor):
     def __init__(self, proba=0.5):
@@ -42,6 +45,9 @@ class ConstantPredictor(Predictor):
 
     def gradient(self, x):
         return np.zeros(np.asarray(x).shape[0])
+
+    def gradient_batch(self, X):
+        return np.zeros(np.asarray(X).shape)
 
 
 class AdditiveProbaPredictor(Predictor):

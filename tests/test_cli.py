@@ -181,6 +181,27 @@ class TestEvaluate:
         assert "error [explainers]" in err
         assert message in err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"kind": "linear"}, "linear predictor file lacks 'coefficients'"),
+        ({"kind": "mlp", "activation": "tanh", "descriptor": "mlp(2)",
+          "weights": [[[0.5, -0.5], [0.1, 0.2], [0.3, 0.4]], [[1.0], [-1.0]]]},
+         "mlp predictor file lacks 'biases'"),
+        ([1, 2], "predictor file must hold a JSON object, not a list"),
+        ({"kind": "forest"}, "unknown predictor kind 'forest'"),
+    ], ids=["linear-without-coefficients", "mlp-without-biases", "payload-not-object",
+            "unknown-kind"])
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, payload, message):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50",
+                     "--cols", "3", "--model", str(model_path), "--manual-index", "0",
+                     "--metric", "axe", "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [models]" in err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",
                      "--manual-index", "0", "--metric", "axe"])

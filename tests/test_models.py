@@ -238,13 +238,14 @@ class TestScaffold:
                 assert np.array_equal(first, second)
                 # unflagged points follow the biased rule, flagged ones their routed foil
                 flagged = scaffold.detector.flags_batch(points)
-                expected = [scaffold.foils[scaffold._route(p)].predict_proba(p) if f
+                routes = scaffold._routes(points)
+                expected = [scaffold.foils[r].predict_proba(p) if f
                             else scaffold.biased.predict_proba(p)
-                            for p, f in zip(points, flagged)]
+                            for p, f, r in zip(points, flagged, routes)]
                 assert second.tolist() == expected
             # both foils actually serve traffic
             flagged = scaffold.detector.flags_batch(perturbed)
-            routes = {scaffold._route(perturbed[i]) for i in np.flatnonzero(flagged)}
+            routes = set(scaffold._routes(perturbed[flagged]).tolist())
             assert routes == set(range(len(foil_specs)))
 
     def test_low_detector_recorded_in_descriptor(self):
