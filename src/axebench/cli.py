@@ -164,7 +164,8 @@ def cmd_evaluate(params: dict) -> int:
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
     explanations = _resolve_explanations(params, d, model)
-    y_preds = model.predict_batch(d.features)
+    with _stage("models"):
+        y_preds = model.predict_batch(d.features)
 
     for metric in params["metric"]:
         if metric == "axe":

@@ -64,7 +64,8 @@ class LinearPredictor(Predictor):
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self._beta.size:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"dimension mismatch: model takes {self._beta.size} features, "
+                             f"data has shape {X.shape}")
         return sigmoid(self._b0 + X @ self._beta)
 
     def gradient(self, x) -> np.ndarray:
@@ -375,6 +376,11 @@ class ScaffoldPredictor(Predictor):
     Two-foil routing is a seeded hash of the query bytes, so the choice is a
     pure function of x (repeated calls agree) while alternating pseudo-randomly
     across distinct points.
+
+    The detector is queried only on rows where some foil disagrees with the
+    biased rule: elsewhere its flag cannot change the output. Routing hashes
+    only the flagged rows, which is exact because a route depends on nothing
+    but the row's bytes.
     """
 
     def __init__(self, biased: RulePredictor, foils: list[RulePredictor],
@@ -403,11 +409,13 @@ class ScaffoldPredictor(Predictor):
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = self.biased.predict_proba_batch(X)
-        idx = np.flatnonzero(self.detector.flags_batch(X))
+        foil_out = [foil.predict_proba_batch(X) for foil in self.foils]
+        live = np.flatnonzero(np.any([f != out for f in foil_out], axis=0))
+        idx = live[self.detector.flags_batch(X[live])]
         routes = self._routes(X[idx])
-        for foil_id, foil in enumerate(self.foils):
+        for foil_id, f in enumerate(foil_out):
             sel = idx[routes == foil_id]
-            out[sel] = foil.predict_proba_batch(X[sel])
+            out[sel] = f[sel]
         return out
 
     def to_dict(self) -> dict:

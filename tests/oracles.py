@@ -167,6 +167,34 @@ def tree_oracle(tree, x):
     return tree["value"][node]
 
 
+def best_split_oracle(X, y, feature_ids):
+    """Per-feature gini scan, one candidate at a time: (score, feature,
+    threshold) of the lowest gini cut between distinct values, the earliest
+    cut within a feature and the earliest feature in ``feature_ids`` order on
+    ties, or None when every candidate is constant."""
+    n = y.size
+    total_pos = float(y.sum())
+    best = None
+    for f in feature_ids:
+        order = np.argsort(X[:, f], kind="stable")
+        v = X[order, f]
+        distinct = v[1:] != v[:-1]
+        if not distinct.any():
+            continue
+        pos_left = np.cumsum(y[order])[:-1].astype(float)
+        n_left = np.arange(1, n, dtype=float)
+        n_right = n - n_left
+        pos_right = total_pos - pos_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        gini = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
+        gini[~distinct] = np.inf
+        i = int(np.argmin(gini))
+        if best is None or gini[i] < best[0]:
+            best = (float(gini[i]), int(f), float((v[i] + v[i + 1]) / 2.0))
+    return best
+
+
 def shapley_exhaustive(value_fn, n):
     """Permutation-weighted subset sum; value_fn maps a frozenset of features
     to the coalition value."""

@@ -202,6 +202,25 @@ class TestEvaluate:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"kind": "linear", "coefficients": [0.5, -0.5], "intercept": 0.0},
+         "dimension mismatch: model takes 2 features, data has shape (50, 3)"),
+        ({"kind": "mlp", "activation": "tanh", "descriptor": "mlp(2)",
+          "weights": [[[0.5, -0.5], [0.1, 0.2]], [[1.0], [-1.0]]], "biases": [[0.0, 0.0], [0.0]]},
+         "mismatch"),
+    ], ids=["linear", "mlp"])
+    def test_model_of_wrong_width_exits_2(self, tmp_path, capsys, payload, message):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50",
+                     "--cols", "3", "--model", str(model_path), "--manual-index", "0",
+                     "--metric", "axe", "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [models]" in err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",
                      "--manual-index", "0", "--metric", "axe"])
@@ -305,6 +324,19 @@ class TestReproducibility:
         assert main(["evaluate", "--config", str(first / "run_config.json"),
                      "--out", str(second), "--jobs", "2"]) == 0
         assert dir_bytes(first) == dir_bytes(second)
+
+    def test_attack_rerun_from_config_at_any_parallelism(self, tmp_path):
+        csv_path, schema_path = write_attack_csv(tmp_path, seed=3)
+        first = tmp_path / "first"
+        assert main(["attack", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--num-perturbations", "5", "--seed", "7", "--out", str(first)]) == 0
+        expected = dir_bytes(first)
+        assert any(name.startswith("models/") for name in expected)
+        for jobs in ("1", "2"):
+            again = tmp_path / f"jobs{jobs}"
+            assert main(["attack", "--config", str(first / "run_config.json"),
+                         "--out", str(again), "--jobs", jobs]) == 0
+            assert dir_bytes(again) == expected
 
     def test_config_command_mismatch_rejected(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -1,10 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axebench.core import Dataset
 from axebench.data import SyntheticSpec, generate_synthetic, train_test_split
 from axebench.models import (LinearModelSpec, MlpSpec, OffManifoldFlipPredictor,
-                             RuleModelSpec, ScaffoldSpec, build_scaffold,
+                             OodDetector, RuleModelSpec, ScaffoldSpec, build_scaffold,
                              load_predictor, make_linear_predictor,
                              make_rule_predictor, save_predictor, sigmoid,
                              train_logistic, train_mlp, train_ood_detector)
@@ -255,6 +259,91 @@ class TestScaffold:
         scaffold = build_scaffold(d, spec)  # near-zero noise: detector is near chance
         assert scaffold.detector.heldout_accuracy < 0.85
         assert "low-detector" in scaffold.descriptor
+
+
+@lru_cache(maxsize=None)
+def grid_scaffold(n_foils):
+    foils = (RuleModelSpec(3), RuleModelSpec(5))[:n_foils]
+    spec = ScaffoldSpec(biased=RuleModelSpec(0), foils=foils, sigma_ood=1.0, seed=13)
+    return build_scaffold(grid_dataset(seed=12), spec)
+
+
+def every_row_reference(scaffold, X):
+    """The scaffold with its detector queried on every row and every flagged row routed."""
+    flagged = scaffold.detector.flags_batch(X)
+    routes = scaffold._routes(X)
+    out = scaffold.biased.predict_proba_batch(X)
+    for i in np.flatnonzero(flagged):
+        out[i] = scaffold.foils[routes[i]].predict_proba_batch(X[i:i + 1])[0]
+    return out
+
+
+def foil_disagrees(scaffold, X):
+    biased = scaffold.biased.predict_proba_batch(X)
+    return np.any([f.predict_proba_batch(X) != biased for f in scaffold.foils], axis=0)
+
+
+# rule thresholds are 0.0, so 0.0 and its neighbours sit exactly on them
+_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]) | st.floats(-3, 3)
+
+
+@st.composite
+def scaffold_batches(draw):
+    n_foils = draw(st.integers(1, 2))
+    d = grid_dataset(seed=12)
+    rows = draw(st.lists(st.one_of(
+        st.integers(0, d.nu - 1).map(lambda i: d.features[i]),
+        st.lists(_VALUES, min_size=6, max_size=6).map(np.array)), max_size=12))
+    X = np.array(rows, dtype=float).reshape(-1, 6)
+    X = np.vstack([X, X[:draw(st.integers(0, len(X)))]])  # duplicate rows
+    return n_foils, X
+
+
+class TestScaffoldDetectorSkip:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(scaffold_batches())
+    def test_matches_every_row_reference(self, batch):
+        n_foils, X = batch
+        scaffold = grid_scaffold(n_foils)
+        assert scaffold.predict_proba_batch(X).tolist() == every_row_reference(scaffold, X).tolist()
+
+    @pytest.mark.parametrize("n_foils", [1, 2])
+    def test_perturbed_threshold_and_agreeing_rows(self, n_foils):
+        scaffold = grid_scaffold(n_foils)
+        d = grid_dataset(seed=12)
+        rng = np.random.default_rng(14)
+        perturbed = d.features + rng.normal(0, 1.0, d.features.shape)
+        on_threshold = perturbed[:40].copy()
+        on_threshold[:, [0, 3, 5]] = 0.0
+        X = np.vstack([perturbed, d.features, on_threshold, perturbed[:30]])
+        differs = foil_disagrees(scaffold, X)
+        assert 0 < differs.sum() < len(X)
+        assert scaffold.detector.flags_batch(X[~differs]).any()  # skipped flags exist
+        assert scaffold.predict_proba_batch(X).tolist() == every_row_reference(scaffold, X).tolist()
+        for rows in (X[:1], X[:0]):
+            assert scaffold.predict_proba_batch(rows).tolist() == every_row_reference(
+                scaffold, rows).tolist()
+
+    @pytest.mark.parametrize("n_foils", [1, 2])
+    def test_detector_sees_only_rows_where_a_foil_differs(self, monkeypatch, n_foils):
+        scaffold = grid_scaffold(n_foils)
+        d = grid_dataset(seed=12)
+        X = np.vstack([d.features, d.features + np.random.default_rng(15).normal(
+            0, 1.0, d.features.shape)])
+        seen = []
+        flags_batch = OodDetector.flags_batch
+
+        def spy(self, rows):
+            seen.append(np.array(rows))
+            return flags_batch(self, rows)
+
+        monkeypatch.setattr(OodDetector, "flags_batch", spy)
+        for batch in (X, X[:0]):
+            seen.clear()
+            scaffold.predict_proba_batch(batch)
+            assert len(seen) == 1
+            assert np.array_equal(seen[0], batch[foil_disagrees(scaffold, batch)])
+        assert 0 < foil_disagrees(scaffold, X).sum() < len(X)
 
 
 class TestOffManifoldFlip:

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from axebench._trees import BaggedTrees
+import axebench._trees as trees
+from axebench._trees import BaggedTrees, _best_split
+from axebench.data import benchmark_proxy
+from axebench.models import train_ood_detector
 
-from oracles import tree_oracle
+from oracles import best_split_oracle, tree_oracle
 
 
 def oracle_proba(model: BaggedTrees, X) -> list[float]:
@@ -117,7 +120,6 @@ class TestStackedTraversal:
             scale=2.0, size=(400, X.shape[1])), 1)]))
 
     def test_blocks_do_not_change_output(self, monkeypatch):
-        import axebench._trees as trees
         X, y = rounded_problem(11)
         model = BaggedTrees(n_trees=6, seed=12).fit(X, y)
         whole = model.predict_proba(X)
@@ -158,3 +160,81 @@ def test_matches_oracle_property(data, n_trees, max_depth, seed):
     X, y = data
     model = BaggedTrees(n_trees=n_trees, max_depth=max_depth, min_leaf=1, seed=seed).fit(X, y)
     assert_exact(model, np.vstack([X, X[::-1] + 0.125]))
+
+
+def mixed_columns(seed, nu=150):
+    """Rounded, 0/1, constant and duplicated columns: ties within and across features."""
+    rng = np.random.default_rng(seed)
+    rounded = np.round(rng.normal(size=(nu, 2)), 1)
+    binary = rng.integers(0, 2, (nu, 2)).astype(float)
+    X = np.column_stack([rounded, binary, np.full(nu, 0.5), rounded[:, 0]])
+    y = (rounded[:, 0] + binary[:, 0] + rng.normal(scale=0.5, size=nu) > 0.5).astype(int)
+    return X, y
+
+
+COLUMN_KINDS = {
+    "rounded": st.integers(-6, 6).map(lambda v: v / 4),
+    "binary": st.integers(0, 1).map(float),
+    "constant": st.just(0.25),
+}
+
+
+@st.composite
+def split_problems(draw):
+    """A node's rows: columns of mixed kinds, some copies of an earlier column
+    (exact gini ties across features), and candidates in a random order."""
+    nu = draw(st.integers(1, 30))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([*COLUMN_KINDS, "copy"]), min_size=1, max_size=5)):
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        else:  # a copy with no earlier column is drawn as a rounded one
+            elements = COLUMN_KINDS.get(kind, COLUMN_KINDS["rounded"])
+            columns.append(draw(st.lists(elements, min_size=nu, max_size=nu)))
+    X = np.array(columns, dtype=float).T
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=nu, max_size=nu)), dtype=int)
+    order = draw(st.permutations(range(X.shape[1])))
+    cand = np.array(order[:draw(st.integers(1, len(order)))])
+    return X, y, cand
+
+
+class TestSplitScan:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(split_problems())
+    def test_matches_per_feature_oracle(self, problem):
+        X, y, cand = problem
+        assert _best_split(X, y, cand) == best_split_oracle(X, y, cand)
+
+    def test_all_constant_candidates(self):
+        X = np.column_stack([np.full(6, 1.5), np.zeros(6), np.arange(6.0)])
+        y = np.array([0, 1, 0, 1, 1, 0])
+        assert _best_split(X, y, np.array([1, 0])) is None
+        assert best_split_oracle(X, y, np.array([1, 0])) is None
+        assert _best_split(X, y, np.array([1, 2, 0]))[1] == 2
+
+    @pytest.mark.parametrize("cand, winner", [([5, 0, 1], 5), ([0, 5, 1], 0), ([4, 5, 0], 5)])
+    def test_tie_across_features_goes_to_first_candidate(self, cand, winner):
+        X, y = mixed_columns(0, nu=40)
+        # column 5 copies column 0, so their best cuts tie exactly; column 4 is constant
+        assert _best_split(X, y, np.array([0]))[0] < _best_split(X, y, np.array([1]))[0]
+        split = _best_split(X, y, np.array(cand))
+        assert split[1] == winner
+        assert split == best_split_oracle(X, y, np.array(cand))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_matches_oracle_scan(self, monkeypatch, seed):
+        X, y = mixed_columns(seed)
+        for width in (X.shape[1], 4, 3):
+            kwargs = dict(n_trees=4, max_depth=8, min_leaf=1, feature_fraction=0.6, seed=seed)
+            fast = BaggedTrees(**kwargs).fit(X[:, :width], y).to_dict()
+            with monkeypatch.context() as m:
+                m.setattr(trees, "_best_split", best_split_oracle)
+                slow = BaggedTrees(**kwargs).fit(X[:, :width], y).to_dict()
+            assert fast == slow
+
+    @pytest.mark.parametrize("proxy", ["german_credit", "compas", "communities_and_crime"])
+    def test_detector_on_proxy_matches_oracle_scan(self, monkeypatch, proxy):
+        d = benchmark_proxy(proxy, seed=1, nu=120)
+        fast = train_ood_detector(d, 1.0, seed=2, n_trees=3).to_dict()
+        monkeypatch.setattr(trees, "_best_split", best_split_oracle)
+        assert train_ood_detector(d, 1.0, seed=2, n_trees=3).to_dict() == fast
