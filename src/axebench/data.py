@@ -206,14 +206,21 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         X = rng.standard_normal((nu, nf))
         labels = (X[:, 0] > 0).astype(int)
         foil = nf - 1
-        # redraw until the foil column is empirically uncorrelated with the labels
+        if labels.min() == labels.max():
+            raise ValueError(f"correlated-foil at nu={nu}, seed={spec.seed} drew labels "
+                             "of one class only; use more rows")
+        # redraw until the foil column is empirically uncorrelated with the labels;
+        # a constant draw has no correlation and is redrawn
         for attempt in range(20):
             X[:, foil] = rng.choice([-1.0, 1.0], size=nu)
+            if X[:, foil].min() == X[:, foil].max():
+                continue
             corr = abs(float(np.corrcoef(X[:, foil], labels)[0, 1]))
             if corr < 0.15:
                 break
         else:
-            raise RuntimeError("could not draw a label-uncorrelated foil column")
+            raise ValueError(f"correlated-foil at nu={nu}, seed={spec.seed}: no label-"
+                             "uncorrelated foil column in 20 draws; use more rows")
         metadata["foil_label_correlation"] = corr
         metadata["foil_redraws"] = attempt
         foil_indices = (foil,)

@@ -144,11 +144,25 @@ def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return masks, np.ones(budget)
 
 
-def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig) -> Explanation:
+def _buffer(workspace: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspace's float array of this shape, made on first use; contents are stale."""
+    if shape not in workspace:
+        workspace[shape] = np.empty(shape)
+    return workspace[shape]
+
+
+def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
+                           workspace: dict | None = None) -> Explanation:
     """Shapley values via the kernel-weighted least squares with the efficiency constraint.
 
     Masked features are replaced by values from seeded background rows of the
     dataset; coalition values average over that background.
+
+    The (coalitions, background, N) composite the model scores is written in
+    full on every call, into an array held by ``workspace``: the caller owns
+    that dict and may pass the same one to every row it explains, one thread
+    at a time. Without one, the call makes its own array. The output does not
+    depend on which it is.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -165,7 +179,8 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig) ->
     masks, weights = _coalition_masks(n, cfg.samples, rng)
     n_masks = masks.shape[0]
     # composite[c, b, j] = x_j when feature j is in coalition c, else background row b
-    composite = np.repeat(background[None, :, :], n_masks, axis=0)
+    composite = _buffer({} if workspace is None else workspace, (n_masks, bg_count, n))
+    composite[...] = background
     keep = masks.astype(bool)
     for j in range(n):
         composite[keep[:, j], :, j] = x[j]
@@ -193,7 +208,10 @@ def make_manual_explanations(d: Dataset, important_index: int) -> ExplanationSet
 
 def explain_dataset(m: Predictor, d: Dataset, cfg: ExplainerConfig) -> ExplanationSet:
     """Explain every row with one call of the row explainer; per-row seeds
-    derive from cfg.seed, so row i is exactly that call's output."""
+    derive from cfg.seed, so row i is exactly that call's output. Kernel-Shapley
+    rows share one composite array, which lives as long as this call."""
+    workspace: dict = {}
+
     def one(i: int) -> Explanation:
         x = d.features[i]
         if cfg.kind == "gradient":
@@ -203,7 +221,7 @@ def explain_dataset(m: Predictor, d: Dataset, cfg: ExplainerConfig) -> Explanati
             return explain_integrated_gradients(m, x, local)
         if cfg.kind == "local-surrogate":
             return explain_local_surrogate(m, x, d, local)
-        return explain_kernel_shapley(m, x, d, local)
+        return explain_kernel_shapley(m, x, d, local, workspace)
 
     rows = [one(i) for i in range(d.nu)]
     return _stack(range(d.nu), [r.importances for r in rows], [r.explainer_tag for r in rows])

@@ -19,13 +19,16 @@ from .core import Dataset, Predictor, one_row, write_json
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e) for z >= 0 and
+    e / (1 + e) below, with e = exp(-|z|), so exp never overflows.
+
+    -|z| is taken as min(z, -z), which keeps the sign of a NaN; the result is
+    bit-equal to evaluating each branch on its own rows. A 0-d input gives a float.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    out = np.where(z >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 
@@ -173,7 +176,8 @@ class MlpSpec:
 
 
 def _act(name, z):
-    return np.tanh(z) if name == "tanh" else sigmoid(z)
+    """The hidden activation of z; tanh overwrites z, which must be a fresh array."""
+    return np.tanh(z, out=z) if name == "tanh" else sigmoid(z)
 
 
 def _act_grad(name, a):
@@ -191,9 +195,12 @@ class MlpPredictor(Predictor):
         self.descriptor = descriptor
 
     def _forward(self, X):
+        """Activations of every layer, X first; X is never written. Each layer
+        adds its bias and applies tanh in place on its own fresh matmul output."""
         acts = [np.asarray(X, dtype=float)]
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ W + b
+            z = acts[-1] @ W
+            z += b
             last = i == len(self.weights) - 1
             acts.append(sigmoid(z) if last else _act(self.activation, z))
         return acts

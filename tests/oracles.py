@@ -195,6 +195,29 @@ def best_split_oracle(X, y, feature_ids):
     return best
 
 
+def sigmoid_oracle(z):
+    """Logistic function with each branch evaluated on its own rows by boolean
+    masks: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) elsewhere."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out if out.ndim else float(out)
+
+
+def mlp_forward_oracle(weights, biases, activation, X):
+    """Activations of every layer, X first: a @ W + b, then tanh or the
+    logistic function on hidden layers and the logistic function on the last."""
+    acts = [np.asarray(X, dtype=float)]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ W + b
+        last = i == len(weights) - 1
+        acts.append(np.tanh(z) if activation == "tanh" and not last else sigmoid_oracle(z))
+    return acts
+
+
 def shapley_exhaustive(value_fn, n):
     """Permutation-weighted subset sum; value_fn maps a frozenset of features
     to the coalition value."""

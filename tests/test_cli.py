@@ -246,6 +246,17 @@ class TestExplain:
         assert (out / "explanations.json").exists()
 
 
+    @pytest.mark.parametrize("rows, seed", [(2, 1), (3, 0), (3, 1), (5, 0)])
+    def test_correlated_foil_too_few_rows_exits_2(self, tmp_path, capsys, rows, seed):
+        code = main(["explain", "--synthetic", "correlated-foil", "--rows", str(rows),
+                     "--cols", "8", "--train", "mlp", "--explainer", "gradient",
+                     "--seed", str(seed), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [data]" in err
+        assert f"nu={rows}, seed={seed}" in err
+        assert "Traceback" not in err
+
     def test_manual_is_not_an_explainer_choice(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["explain", "--synthetic", "threshold-rule", "--train", "logistic",

@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +147,35 @@ class TestSynthetic:
         corr = abs(np.corrcoef(d.features[:, foil], d.labels)[0, 1])
         assert corr < 0.15
         assert d.metadata["foil_label_correlation"] == pytest.approx(corr)
+
+    @pytest.mark.parametrize("nu", [2, 3, 4, 5, 6, 7])
+    def test_correlated_foil_small_nu_raises_value_error_naming_the_spec(self, nu):
+        for seed in range(20):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    d = generate_synthetic(SyntheticSpec(nu=nu, n_features=3, seed=seed,
+                                                         generator_kind="correlated-foil"))
+                except ValueError as exc:
+                    assert f"nu={nu}, seed={seed}" in str(exc)
+                    continue
+            assert d.labels.min() != d.labels.max()
+            assert d.metadata["foil_label_correlation"] < 0.15
+
+    def test_correlated_foil_bytes_kept_where_a_constant_foil_was_redrawn(self):
+        # specs whose redraw loop met a constant foil column and still succeeded;
+        # the digest and redraw counts were recorded before the constant check
+        specs = [(4, 1, 3), (4, 7, 5), (4, 10, 8), (4, 12, 6), (6, 0, 11), (6, 10, 10),
+                 (6, 11, 11), (6, 12, 12), (7, 2, 1), (7, 9, 5), (7, 10, 7), (7, 14, 7)]
+        h = hashlib.sha256()
+        for nu, seed, redraws in specs:
+            d = generate_synthetic(SyntheticSpec(nu=nu, n_features=3, seed=seed,
+                                                 generator_kind="correlated-foil"))
+            assert d.metadata["foil_redraws"] == redraws
+            h.update(d.features.tobytes())
+            h.update(d.labels.astype(np.int64).tobytes())
+        assert h.hexdigest() == ("ce1ce5606a54b7eafbb4ef1ce2fac242"
+                                 "7515fc5cd3e12e8583a41d7f5f92cb07")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown generator_kind"):

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,3 +365,87 @@ def test_with_seed_keeps_every_other_field():
     for f in dataclasses.fields(ExplainerConfig):
         if f.name != "seed":
             assert getattr(local, f.name) is getattr(cfg, f.name)
+
+
+def correlated_foil(nu, n_features, seed):
+    return generate_synthetic(SyntheticSpec(nu=nu, n_features=n_features, seed=seed,
+                                            generator_kind="correlated-foil"))
+
+
+def shapley_rows_standalone(m, d, cfg):
+    """Every row explained by its own explain_kernel_shapley call, each with a
+    freshly allocated composite."""
+    return np.array([explain_kernel_shapley(m, d.features[i], d,
+                                            cfg.with_seed(row_seed(cfg.seed, i))).importances
+                     for i in range(d.nu)])
+
+
+class TestKernelShapleyWorkspace:
+    @pytest.mark.parametrize("n_features, samples, nu, background_size", [
+        (6, 1000, 30, 12),    # enumerated coalitions, background drawn from the rows
+        (10, 50, 25, 8),      # sampled coalitions
+        (6, 1000, 9, 100),    # nu < background_size: the background is every row
+    ], ids=["enumerated", "sampled", "nu-below-background"])
+    def test_dataset_rows_bit_equal_to_standalone_calls(self, n_features, samples, nu,
+                                                        background_size):
+        d = correlated_foil(nu, n_features, seed=6)
+        model = train_mlp(d, MlpSpec(hidden_sizes=(6,), epochs=30, seed=1))
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=samples, seed=31,
+                              background_size=background_size)
+        rows = explain_dataset(model, d, cfg).importances
+        assert np.array_equal(rows.view(np.int64),
+                              shapley_rows_standalone(model, d, cfg).view(np.int64))
+
+    def test_one_composite_per_dataset_call(self, monkeypatch):
+        d = correlated_foil(20, 6, seed=2)
+        model = train_mlp(d, MlpSpec(hidden_sizes=(4,), epochs=20, seed=0))
+        seen = []
+        original = explainers._buffer
+
+        def spy(workspace, shape):
+            seen.append(original(workspace, shape))
+            return seen[-1]
+
+        monkeypatch.setattr(explainers, "_buffer", spy)
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=100, seed=3, background_size=10)
+        explain_dataset(model, d, cfg)
+        explain_dataset(model, d, cfg)
+        assert len(seen) == 2 * d.nu
+        # one array for every row of a call, and a new one for the next call
+        assert all(b is seen[0] for b in seen[: d.nu])
+        assert all(b is seen[d.nu] for b in seen[d.nu:]) and seen[d.nu] is not seen[0]
+        explain_kernel_shapley(model, d.features[0], d, cfg)
+        assert seen[-1] is not seen[0] and seen[-1] is not seen[d.nu]
+
+    def test_back_to_back_calls_of_different_width(self):
+        runs = []
+        for n_features, samples in ((6, 1000), (10, 60), (6, 1000)):
+            d = correlated_foil(24, n_features, seed=n_features)
+            model = train_mlp(d, MlpSpec(hidden_sizes=(5,), epochs=20, seed=2))
+            cfg = ExplainerConfig(kind="kernel-shapley", samples=samples, seed=8,
+                                  background_size=10)
+            runs.append((explain_dataset(model, d, cfg).importances,
+                         shapley_rows_standalone(model, d, cfg)))
+        for rows, standalone in runs:
+            assert np.array_equal(rows.view(np.int64), standalone.view(np.int64))
+        assert np.array_equal(runs[0][0], runs[2][0])
+
+    def test_concurrent_calls_equal_sequential(self):
+        jobs = []
+        # the first two share a composite shape, so a shared array would be raced
+        for n_features, samples, seed in ((6, 1000, 11), (6, 1000, 12), (9, 80, 13)):
+            d = correlated_foil(30, n_features, seed=seed)
+            model = train_mlp(d, MlpSpec(hidden_sizes=(5,), epochs=20, seed=4))
+            jobs.append((model, d, ExplainerConfig(kind="kernel-shapley", samples=samples,
+                                                   seed=12, background_size=15)))
+        sequential = [explain_dataset(*job).importances for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(explain_dataset, *job) for job in jobs * 2]
+                concurrent = [f.result(timeout=60).importances for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(concurrent, sequential * 2):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from axebench.core import Dataset
 from axebench.data import SyntheticSpec, generate_synthetic, train_test_split
-from axebench.models import (LinearModelSpec, MlpSpec, OffManifoldFlipPredictor,
-                             OodDetector, RuleModelSpec, ScaffoldSpec, build_scaffold,
-                             load_predictor, make_linear_predictor,
-                             make_rule_predictor, save_predictor, sigmoid,
-                             train_logistic, train_mlp, train_ood_detector)
+from axebench.models import (LinearModelSpec, MlpPredictor, MlpSpec,
+                             OffManifoldFlipPredictor, OodDetector, RuleModelSpec,
+                             ScaffoldSpec, build_scaffold, load_predictor,
+                             make_linear_predictor, make_rule_predictor, save_predictor,
+                             sigmoid, train_logistic, train_mlp, train_ood_detector)
+
+from oracles import mlp_forward_oracle, sigmoid_oracle
 
 
 class TestLinearPredictor:
@@ -395,3 +397,98 @@ def test_sigmoid_stability():
     assert sigmoid(800.0) == 1.0
     assert sigmoid(-800.0) == pytest.approx(0.0)
     assert sigmoid(0.0) == 0.5
+
+
+SPECIAL_Z = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan,
+             5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 36.0, -745.2]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestSigmoid:
+    def test_special_values_bit_equal_to_masked_branches(self):
+        z = np.array(SPECIAL_Z)
+        assert np.array_equal(bits(sigmoid(z)), bits(sigmoid_oracle(z)))
+        assert np.array_equal(bits(sigmoid(z[::-1].reshape(2, 7))),
+                              bits(sigmoid_oracle(z[::-1].reshape(2, 7))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                                allow_subnormal=True),
+                                      st.sampled_from(SPECIAL_Z)),
+                           min_size=1, max_size=40),
+           two_d=st.booleans())
+    def test_bit_equal_to_oracle(self, values, two_d):
+        z = np.array(values, dtype=float)
+        if two_d:
+            z = z[: z.size - z.size % 2].reshape(-1, 2) if z.size > 1 else z.reshape(1, 1)
+        assert np.array_equal(bits(sigmoid(z)), bits(sigmoid_oracle(z)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                       st.sampled_from(SPECIAL_Z)))
+    def test_zero_d_input_gives_a_float(self, z):
+        out = sigmoid(z)
+        assert type(out) is float
+        assert bits(out) == bits(sigmoid_oracle(z))
+        assert type(sigmoid(np.float64(z))) is float
+
+
+def random_mlp(activation, hidden, seed=0):
+    rng = np.random.default_rng(seed)
+    sizes = (5, *hidden, 1)
+    return MlpPredictor([rng.normal(0, 1.5, (sizes[i], sizes[i + 1])) for i in range(len(sizes) - 1)],
+                        [rng.normal(0, 0.5, sizes[i + 1]) for i in range(len(sizes) - 1)],
+                        activation, descriptor="mlp(test)")
+
+
+def oracle_forward(model, X):
+    return mlp_forward_oracle(model.weights, model.biases, model.activation, X)
+
+
+class TestInPlaceForward:
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("hidden", [(7,), (6, 4)], ids=["one-hidden", "two-hidden"])
+    def test_bit_equal_to_oracle_forward(self, activation, hidden):
+        m = random_mlp(activation, hidden)
+        X = np.random.default_rng(1).normal(0, 2, (300, 5))
+        X[:20] = np.round(X[:20])
+        acts = oracle_forward(m, X)
+        assert np.array_equal(bits(m.predict_proba_batch(X)), bits(acts[-1][:, 0]))
+        delta = acts[-1] * (1.0 - acts[-1])
+        for i in range(len(m.weights) - 1, 0, -1):
+            a = acts[i]
+            delta = (delta @ m.weights[i].T) * (1.0 - a * a if activation == "tanh"
+                                                else a * (1.0 - a))
+        assert np.array_equal(bits(m.gradient_batch(X)), bits(delta @ m.weights[0].T))
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_caller_input_left_unchanged(self, activation):
+        m = random_mlp(activation, (6, 4))
+        X = np.random.default_rng(2).normal(0, 1, (50, 5))
+        before = X.copy()
+        m.predict_proba_batch(X)
+        m.gradient_batch(X)
+        assert np.array_equal(bits(X), bits(before))
+        frozen = X.copy()
+        frozen.flags.writeable = False
+        assert np.array_equal(m.predict_proba_batch(frozen), m.predict_proba_batch(before))
+        assert np.array_equal(m.gradient_batch(frozen), m.gradient_batch(before))
+        assert np.array_equal(bits(frozen), bits(before))
+        # a list and an integer array are converted, never written
+        ints = np.arange(15).reshape(3, 5)
+        assert np.array_equal(m.predict_proba_batch(ints), m.predict_proba_batch(ints.tolist()))
+        assert np.array_equal(ints, np.arange(15).reshape(3, 5))
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("hidden", [(5,), (4, 3)], ids=["one-hidden", "two-hidden"])
+    def test_training_equal_under_oracle_forward(self, monkeypatch, small_threshold_data,
+                                                 activation, hidden):
+        spec = MlpSpec(hidden_sizes=hidden, activation=activation, epochs=40, seed=3)
+        trained = train_mlp(small_threshold_data, spec)
+        monkeypatch.setattr(MlpPredictor, "_forward", oracle_forward)
+        reference = train_mlp(small_threshold_data, spec)
+        for a, b in zip(trained.weights + trained.biases, reference.weights + reference.biases):
+            assert np.array_equal(bits(a), bits(b))
