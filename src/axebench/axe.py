@@ -23,7 +23,7 @@ vote; an even split votes 0.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +129,7 @@ def axe_quality(d: Dataset, y_preds, explanations: ExplanationSet, cfg: AxeConfi
 
     return QualityReport.build(
         metric_name="axe",
-        hyperparams={"n": cfg.n, "k": cfg.k, "include_self": cfg.include_self},
+        hyperparams=asdict(cfg),
         per_point_q=per_point,
         dataset_id=d.dataset_id,
         model_descriptor=model_descriptor,

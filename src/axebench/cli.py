@@ -221,15 +221,9 @@ def cmd_attack(params: dict) -> int:
                             num_perturbations=params["num_perturbations"],
                             sigma=params["sigma"])
     verdicts = []
+    d = _resolve_dataset(params) if params.get("dataset") else None
     with _stage("experiments"):
-        if params.get("dataset"):
-            if not params.get("schema"):
-                raise CliError("data", "--schema is required with --dataset")
-            d = load_csv(params["dataset"], DatasetSchema.from_json(params["schema"]))
-            if d.protected_index is None:
-                raise CliError("experiments", "dataset lacks a protected column")
-            if not d.foil_indices:
-                raise CliError("experiments", "dataset declares no foil columns")
+        if d is not None:
             models = standard_model_set(params["seed"], 1.0, 0.8,
                                         two_foils=len(d.foil_indices) >= 2)
             bundles = {d.dataset_id: build_attack_bundle(d, models)}
@@ -293,7 +287,8 @@ def cmd_report(params: dict) -> int:
     ok = True
     verdict_file = run_dir / "verdicts.json"
     if verdict_file.exists():
-        verdicts = load_verdicts(verdict_file)
+        with _stage("experiments"):
+            verdicts = load_verdicts(verdict_file)
         _print_verdicts(verdicts)
         for v in verdicts:
             if v.recomputed_pass() != v.passed:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +320,8 @@ class QualityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QualityReport":
+        _check_record("quality report", d, ("metric_name", "hyperparams", "per_point_q",
+                                            "aggregate_q"))
         version = d.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"report schema_version {version!r} is not supported; "
@@ -348,6 +350,26 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _check_record(kind: str, d, required) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} must hold a JSON object, not a {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{kind} lacks field {', '.join(map(repr, missing))}")
+
+
+def record_from_dict(cls, d):
+    """Dataclass ``cls`` from a dict of exactly its fields; a non-object, a missing
+    required field or an unknown key (a misspelt one too) raises ValueError naming it."""
+    kind = f"{cls.__name__} record"
+    _check_record(kind, d, [f.name for f in fields(cls)
+                            if f.default is MISSING and f.default_factory is MISSING])
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{kind} has unknown field {', '.join(map(repr, unknown))}")
+    return cls(**d)
 
 
 def row_seed(base_seed: int, row_index: int) -> int:

@@ -3,19 +3,20 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, write_json
+from .core import Dataset, record_from_dict, write_json
 
 GENERATOR_KINDS = ("gaussian-blobs", "threshold-rule", "correlated-foil")
 
 
 @dataclass
 class DatasetSchema:
-    """Declares how a CSV maps onto a Dataset: column roles and categorical encodings."""
+    """How a CSV maps onto a Dataset: column roles and categorical encodings.
+    A schema file is a JSON object holding exactly these fields."""
 
     name: str
     column_names: list[str]
@@ -39,29 +40,10 @@ class DatasetSchema:
     @classmethod
     def from_json(cls, path) -> "DatasetSchema":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(
-            name=raw["name"],
-            column_names=list(raw["column_names"]),
-            target_column=raw["target_column"],
-            protected_column=raw.get("protected_column"),
-            foil_columns=list(raw.get("foil_columns", [])),
-            categorical_columns={k: dict(v) for k, v in raw.get("categorical_columns", {}).items()},
-            drop_columns=list(raw.get("drop_columns", [])),
-            notes=raw.get("notes", ""),
-        )
+            return record_from_dict(cls, json.load(fh))
 
     def to_json(self, path) -> None:
-        write_json(path, {
-            "name": self.name,
-            "column_names": self.column_names,
-            "target_column": self.target_column,
-            "protected_column": self.protected_column,
-            "foil_columns": self.foil_columns,
-            "categorical_columns": self.categorical_columns,
-            "drop_columns": self.drop_columns,
-            "notes": self.notes,
-        })
+        write_json(path, asdict(self))
 
 
 def _parse_cell(cell: str, col: str, row_num: int, encoding: dict | None) -> float:

@@ -8,14 +8,14 @@ dataclasses that serialize to JSON/TSV for downstream tooling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .axe import AxeConfig, axe_quality
 from .core import (Dataset, ExplanationSet, component_seed, ordered_parallel_map,
-                   write_json)
+                   record_from_dict, write_json)
 from .data import SyntheticSpec, benchmark_proxy, generate_synthetic
 from .explainers import make_manual_explanations
 from .metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
@@ -46,11 +46,6 @@ class RegionGridSpec:
         for m in self.metrics:
             if m not in REFERENCE_METRICS:
                 raise ValueError(f"unknown reference metric {m!r}")
-
-    def to_dict(self) -> dict:
-        return {"e_star": list(self.e_star), "grid_min": self.grid_min,
-                "grid_max": self.grid_max, "resolution": self.resolution,
-                "n": self.n, "metrics": list(self.metrics)}
 
 
 @dataclass
@@ -88,7 +83,7 @@ def write_region_grid(result: RegionGridResult, out_dir) -> list[Path]:
                     fh.write(f"{a!r}\t{b!r}\t{metric}\t{q!r}\n")
         written.append(path)
     summary = {
-        "spec": result.spec.to_dict(),
+        "spec": asdict(result.spec),
         "value_sets": result.value_sets,
         "cardinalities": {m: len(v) for m, v in result.value_sets.items()},
     }
@@ -111,11 +106,6 @@ class ScaffoldModelConfig:
     detector_trees: int = 12
     detector_depth: int = 12
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "n_foils": self.n_foils, "sigma_ood": self.sigma_ood,
-                "seed": self.seed, "detector_trees": self.detector_trees,
-                "detector_depth": self.detector_depth}
-
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -123,10 +113,6 @@ class AttackConfig:
     models: tuple[ScaffoldModelConfig, ...]
     dataset_seed: int = 0
     nu: int = 800
-
-    def to_dict(self) -> dict:
-        return {"dataset_name": self.dataset_name, "dataset_seed": self.dataset_seed,
-                "nu": self.nu, "models": [m.to_dict() for m in self.models]}
 
 
 def standard_model_set(base_seed: int, sigma_lime: float, sigma_shap: float,
@@ -164,14 +150,12 @@ def default_attack_configs(seed: int = 0) -> list[AttackConfig]:
 
 @dataclass
 class AttackBundle:
-    """One dataset with its biased rule and the adversarial models wrapping it."""
+    """One dataset and the adversarial models wrapping its biased rule."""
 
     dataset: Dataset
-    biased: RulePredictor
     models: dict[str, object]           # name -> ScaffoldPredictor
     model_foils: dict[str, tuple[int, ...]]
     protected_index: int
-    foil_candidates: tuple[int, ...]
 
     def other_indices(self, model_name: str) -> list[int]:
         used = {self.protected_index, *self.model_foils[model_name]}
@@ -188,7 +172,6 @@ def build_attack_bundle(d: Dataset, model_cfgs) -> AttackBundle:
         raise ValueError(f"dataset provides {len(d.foil_indices)} foil columns, "
                          f"but a model needs {needed}")
     biased_spec = RuleModelSpec(d.protected_index, 0.0, True)
-    biased = make_rule_predictor(biased_spec, d.n_features)
     models, model_foils = {}, {}
     for cfg in model_cfgs:
         foils = d.foil_indices[:cfg.n_foils]
@@ -199,9 +182,8 @@ def build_attack_bundle(d: Dataset, model_cfgs) -> AttackBundle:
             detector_trees=cfg.detector_trees, detector_depth=cfg.detector_depth)
         models[cfg.name] = build_scaffold(d, spec)
         model_foils[cfg.name] = foils
-    return AttackBundle(dataset=d, biased=biased, models=models, model_foils=model_foils,
-                        protected_index=d.protected_index,
-                        foil_candidates=d.foil_indices)
+    return AttackBundle(dataset=d, models=models, model_foils=model_foils,
+                        protected_index=d.protected_index)
 
 
 def bundle_from_config(cfg: AttackConfig) -> AttackBundle:
@@ -234,18 +216,11 @@ class DetectionVerdict:
         return self.compute_pass(self.q_protected, self.q_foil1, self.q_foil2)
 
     def to_dict(self) -> dict:
-        return {"dataset_id": self.dataset_id, "model_name": self.model_name,
-                "metric_name": self.metric_name, "hyperparams": self.hyperparams,
-                "q_protected": self.q_protected, "q_foil1": self.q_foil1,
-                "q_foil2": self.q_foil2, "q_other": self.q_other,
-                "passed": self.passed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectionVerdict":
-        return cls(dataset_id=d["dataset_id"], model_name=d["model_name"],
-                   metric_name=d["metric_name"], hyperparams=dict(d["hyperparams"]),
-                   q_protected=d["q_protected"], q_foil1=d["q_foil1"],
-                   q_foil2=d["q_foil2"], q_other=d["q_other"], passed=d["passed"])
+        return record_from_dict(cls, d)
 
 
 def run_fairwash_detection(bundle: AttackBundle,
@@ -283,9 +258,7 @@ def run_fairwash_detection(bundle: AttackBundle,
             q = {f: axe_quality(d, y_preds, manual[f], cfg,
                                 model_descriptor=model.descriptor).aggregate_q
                  for f in scored}
-            verdicts.append(_verdict(d, model_name, "axe",
-                                     {"n": cfg.n, "k": cfg.k, "include_self": cfg.include_self},
-                                     q, sets, others))
+            verdicts.append(_verdict(d, model_name, "axe", asdict(cfg), q, sets, others))
 
         # first feature of each distinct (metric, per-row index sets)
         key_of, representative = {}, {}
@@ -304,12 +277,7 @@ def run_fairwash_detection(bundle: AttackBundle,
                         ordered_parallel_map(score, representative.values(), jobs=jobs)))
         for metric in ("pgi", "pgu"):
             q = {f: memo[key_of[metric, f]] for f in scored}
-            verdicts.append(_verdict(d, model_name, metric,
-                                     {"n": perturb_cfg.n,
-                                      "num_perturbations": perturb_cfg.num_perturbations,
-                                      "sigma": perturb_cfg.sigma,
-                                      "seed": perturb_cfg.seed,
-                                      "negate_pgu": perturb_cfg.negate_pgu},
+            verdicts.append(_verdict(d, model_name, metric, asdict(perturb_cfg),
                                      q, sets, others))
     return verdicts
 
@@ -333,7 +301,10 @@ def write_verdicts(verdicts: list[DetectionVerdict], path) -> None:
 
 def load_verdicts(path):
     with open(path, encoding="utf-8") as fh:
-        return [DetectionVerdict.from_dict(v) for v in json.load(fh)]
+        rows = json.load(fh)
+    if not isinstance(rows, list):
+        raise ValueError(f"verdict file must hold a JSON list, not a {type(rows).__name__}")
+    return [DetectionVerdict.from_dict(v) for v in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ because the metric's verdicts depend on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -118,9 +118,7 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
 
     return QualityReport.build(
         metric_name=metric_name,
-        hyperparams={"n": cfg.n, "num_perturbations": cfg.num_perturbations,
-                     "sigma": cfg.sigma, "seed": cfg.seed,
-                     "negate_pgu": cfg.negate_pgu},
+        hyperparams=asdict(cfg),
         per_point_q=per_point,
         dataset_id=d.dataset_id,
         model_descriptor=m.descriptor,

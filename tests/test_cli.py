@@ -289,11 +289,44 @@ class TestAttack:
         code = main(["attack", "--dataset", str(csv_path), "--schema", str(schema_path),
                      "--seed", "0", "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "protected" in capsys.readouterr().err
+        assert ("error [experiments]: dataset lacks a protected column"
+                in capsys.readouterr().err)
+
+    def test_no_foil_columns_exits_2(self, tmp_path, capsys):
+        csv_path, schema_path = write_attack_csv(tmp_path)
+        schema = read_json(schema_path)
+        schema["foil_columns"] = []
+        schema_path.write_text(json.dumps(schema))
+        code = main(["attack", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == ("error [experiments]: dataset provides 0 foil columns, "
+                               "but a model needs 1")
 
     def test_unknown_proxy_exits_2(self, tmp_path, capsys):
         code = main(["attack", "--proxy", "nope", "--out", str(tmp_path / "run")])
         assert code == 2
+
+
+class TestSchemaFile:
+    @pytest.mark.parametrize("command", ["evaluate", "attack"])
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda s: [1, 2], "DatasetSchema record must hold a JSON object, not a list"),
+        (lambda s: {k: v for k, v in s.items() if k != "name"},
+         "DatasetSchema record lacks field 'name'"),
+        (lambda s: {}, "DatasetSchema record lacks field 'name', 'column_names', "
+                       "'target_column'"),
+        (lambda s: {**s, "protected_colum": "prot"},
+         "DatasetSchema record has unknown field 'protected_colum'"),
+    ], ids=["payload-not-object", "missing-name", "empty-object", "misspelt-key"])
+    def test_malformed_schema_exits_2(self, tmp_path, capsys, command, mangle, message):
+        csv_path, schema_path = write_attack_csv(tmp_path)
+        schema_path.write_text(json.dumps(mangle(read_json(schema_path))))
+        code = main([command, "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error [data]: {message}"
 
 
 class TestRegionGrid:
@@ -418,6 +451,29 @@ class TestReport:
         assert capsys.readouterr().err.strip() == (
             "error [core]: report schema_version 2 is not supported; "
             "this version reads schema_version 1")
+
+    @pytest.mark.parametrize("name, payload, message", [
+        ("verdicts.json", "not json", "error [experiments]: Expecting value"),
+        ("verdicts.json", "{}",
+         "error [experiments]: verdict file must hold a JSON list, not a dict"),
+        ("verdicts.json", json.dumps([{"dataset_id": "d", "metric_name": "axe",
+                                       "hyperparams": {}, "q_protected": 1.0,
+                                       "q_foil1": 0.5, "q_foil2": None, "q_other": 0.5,
+                                       "passed": True}]),
+         "error [experiments]: DetectionVerdict record lacks field 'model_name'"),
+        ("report_fa.json", json.dumps({"schema_version": 1, "metric_name": "fa",
+                                       "hyperparams": {}, "aggregate_q": 0.5}),
+         "error [core]: quality report lacks field 'per_point_q'"),
+        ("report_fa.json", "[]",
+         "error [core]: quality report must hold a JSON object, not a list"),
+    ], ids=["verdicts-not-json", "verdicts-not-list", "verdict-without-model-name",
+            "report-without-per-point-q", "report-not-object"])
+    def test_malformed_run_file_exits_2(self, tmp_path, capsys, name, payload, message):
+        (tmp_path / name).write_text(payload)
+        assert main(["report", "--run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 2

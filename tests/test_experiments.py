@@ -6,6 +6,7 @@ import pytest
 import axebench.experiments as experiments
 from axebench.axe import AxeConfig, axe_quality
 from axebench.core import Dataset
+from axebench.data import DatasetSchema
 from axebench.experiments import (DetectionVerdict, RegionGridSpec,
                                   build_attack_bundle, load_verdicts,
                                   run_fairwash_detection, run_principle_suite,
@@ -186,6 +187,28 @@ class TestDetection:
         write_verdicts(small_verdicts, tmp_path / "v.json")
         back = load_verdicts(tmp_path / "v.json")
         assert [v.to_dict() for v in back] == [v.to_dict() for v in small_verdicts]
+
+    def test_record_layouts_are_pinned(self, small_verdicts, result, tmp_path):
+        # the files carry exactly their dataclass fields: a new field changes the format
+        write_verdicts(small_verdicts, tmp_path / "v.json")
+        rows = json.loads((tmp_path / "v.json").read_text())
+        assert {frozenset(r) for r in rows} == {frozenset({
+            "dataset_id", "model_name", "metric_name", "hyperparams", "q_protected",
+            "q_foil1", "q_foil2", "q_other", "passed"})}
+        perturb = {"n", "negate_pgu", "num_perturbations", "seed", "sigma"}
+        assert {r["metric_name"]: set(r["hyperparams"]) for r in rows} == {
+            "axe": {"include_self", "k", "n"}, "pgi": perturb, "pgu": perturb}
+
+        write_region_grid(result, tmp_path / "grid")
+        summary = json.loads((tmp_path / "grid" / "region_summary.json").read_text())
+        assert set(summary["spec"]) == {"e_star", "grid_min", "grid_max", "resolution",
+                                        "n", "metrics"}
+
+        DatasetSchema(name="s", column_names=["a", "y"], target_column="y").to_json(
+            tmp_path / "schema.json")
+        assert set(json.loads((tmp_path / "schema.json").read_text())) == {
+            "name", "column_names", "target_column", "protected_column", "foil_columns",
+            "categorical_columns", "drop_columns", "notes"}
 
     def test_rerun_is_identical(self, small_bundle, small_verdicts):
         again = run_fairwash_detection(
