@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .axe import AxeConfig, axe_quality
-from .core import QualityReport, check_explanations, write_json
+from .core import QualityReport, check_explanations, check_type, write_json
 from .data import (BENCHMARK_PROXIES, DatasetSchema, GENERATOR_KINDS,
                    SyntheticSpec, benchmark_proxy, generate_synthetic, load_csv)
 from .experiments import (PRINCIPLES, RegionGridSpec, build_attack_bundle,
@@ -40,6 +40,38 @@ from .models import (MlpSpec, load_predictor, save_predictor, train_logistic,
 ENV_PREFIX = "AXEBENCH_"
 _ENV_KEYS = ("seed", "out", "jobs", "n", "k")
 
+# Every parameter key once: the type its value must have wherever it comes from
+# (flag, environment or config file) and the settings of its ``--key`` flag.
+_FLAGS = {
+    "config": (str, {"help": "JSON run config; flags override its values"}),
+    "seed": (int, {}),
+    "out": (str, {}),
+    "jobs": (int, {}),
+    "dataset": (str, {"help": "CSV path"}),
+    "schema": (str, {"help": "dataset schema JSON"}),
+    "synthetic": (str, {"choices": GENERATOR_KINDS}),
+    "proxy": (str, {"help": f"benchmark stand-in: {', '.join(BENCHMARK_PROXIES)} "
+                            f"(attack also takes 'all')"}),
+    "rows": (int, {}),
+    "cols": (int, {}),
+    "model": (str, {"help": "predictor JSON path"}),
+    "train": (str, {"choices": ("logistic", "mlp")}),
+    "explanations": (str, {"help": "explanations CSV/JSON path"}),
+    "explainer": (str, {"choices": ExplainerConfig.KINDS}),
+    "manual_index": (int, {}),
+    "metric": (list[str], {"action": "append",
+                           "help": "repeatable: axe, pgi, pgu, fa, ra, sa, sra, rc, pra"}),
+    "n": (int, {}),
+    "k": (int, {}),
+    "include_self": (bool, {"action": argparse.BooleanOptionalAction}),
+    "e_star": (str, {}),
+    "num_perturbations": (int, {}),
+    "sigma": (float, {}),
+    "axe_trace": (bool, {"action": argparse.BooleanOptionalAction}),
+    "resolution": (int, {}),
+    "run": (str, {"required": True}),
+}
+
 
 class CliError(Exception):
     def __init__(self, module: str, message: str):
@@ -57,14 +89,36 @@ def _stage(module: str):
         raise CliError(module, str(exc)) from exc
 
 
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Merge defaults < environment < config file < explicit flags."""
+def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
+    """Merge defaults < environment < config file < explicit flags, checking each
+    environment and config value against its key's entry in ``_FLAGS``."""
     merged = dict(defaults)
     for key in _ENV_KEYS:
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None and key in defaults:
-            merged[key] = type(defaults[key])(raw) if defaults[key] is not None else raw
-    merged.update({k: v for k, v in config.items() if k in defaults})
+            tp = _FLAGS[key][0]
+            try:
+                merged[key] = tp(raw)
+            except ValueError:
+                raise ValueError(f"{ENV_PREFIX}{key.upper()} must be {tp.__name__}, "
+                                 f"not {raw!r}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config file must hold a JSON object, not a {type(config).__name__}")
+    for key, value in config.items():
+        if key == "command":
+            if value != args.command:
+                raise ValueError(f"config file was written by command {value!r}, "
+                                 f"not {args.command!r}")
+            continue
+        if key not in defaults:
+            raise ValueError(f"config key {key!r} is not a parameter of {args.command!r}")
+        tp, settings = _FLAGS[key]
+        check_type(f"config key {key!r}", value, tp if defaults[key] is not None else tp | None)
+        choices = settings.get("choices")
+        if choices and value is not None and value not in choices:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(choices)}, "
+                             f"not {value!r}")
+        merged[key] = value
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -72,16 +126,14 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     return merged
 
 
-def _load_config_file(args: argparse.Namespace) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        env_path = os.environ.get(ENV_PREFIX + "CONFIG")
-        path = env_path
+def _load_config_file(args: argparse.Namespace):
+    if "config" not in args:  # report reads no config, from a flag or the environment
+        return {}
+    path = args.config if args.config is not None else os.environ.get(ENV_PREFIX + "CONFIG")
     if path is None:
         return {}
-    with _stage("cli"):
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _out_dir(params: dict) -> Path:
@@ -112,13 +164,10 @@ def _resolve_model(params: dict, d):
     with _stage("models"):
         if params.get("model"):
             return load_predictor(params["model"])
-        train = params.get("train")
-        if train == "logistic":
+        if params.get("train") == "logistic":
             return train_logistic(d, seed=params["seed"])
-        if train == "mlp":
+        if params.get("train") == "mlp":
             return train_mlp(d, MlpSpec(hidden_sizes=(8,), seed=params["seed"]))
-        if train:
-            raise CliError("models", f"unknown trainer {train!r}")
     raise CliError("models", "no model given: use --model FILE or --train logistic|mlp")
 
 
@@ -160,6 +209,7 @@ _EVALUATE_DEFAULTS = {
 
 
 def cmd_evaluate(params: dict) -> int:
+    """Score explanations under one or more metrics."""
     out = _out_dir(params)
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
@@ -194,7 +244,13 @@ def cmd_evaluate(params: dict) -> int:
     return 0
 
 
+# explain persists _EVALUATE_DEFAULTS but takes flags only for what it reads
+_EXPLAIN_KEYS = ("seed", "out", "jobs", "dataset", "schema", "synthetic", "proxy",
+                 "rows", "cols", "model", "train", "explainer", "manual_index")
+
+
 def cmd_explain(params: dict) -> int:
+    """Generate and save explanations."""
     out = _out_dir(params)
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
@@ -215,14 +271,15 @@ _ATTACK_DEFAULTS = {
 
 
 def cmd_attack(params: dict) -> int:
+    """Run the fairwash-detection experiment."""
     out = _out_dir(params)
-    axe_cfg = AxeConfig(n=params["n"], k=params["k"], include_self=params["include_self"])
-    perturb = PerturbConfig(n=params["n"], seed=params["seed"],
-                            num_perturbations=params["num_perturbations"],
-                            sigma=params["sigma"])
     verdicts = []
     d = _resolve_dataset(params) if params.get("dataset") else None
     with _stage("experiments"):
+        axe_cfg = AxeConfig(n=params["n"], k=params["k"], include_self=params["include_self"])
+        perturb = PerturbConfig(n=params["n"], seed=params["seed"],
+                                num_perturbations=params["num_perturbations"],
+                                sigma=params["sigma"])
         if d is not None:
             models = standard_model_set(params["seed"], 1.0, 0.8,
                                         two_foils=len(d.foil_indices) >= 2)
@@ -253,6 +310,7 @@ _REGION_DEFAULTS = {
 
 
 def cmd_region_grid(params: dict) -> int:
+    """Map explanation quality over candidate explanations (i1, i2)."""
     out = _out_dir(params)
     with _stage("experiments"):
         e_star = tuple(float(v) for v in str(params["e_star"]).split(","))
@@ -269,6 +327,7 @@ _PRINCIPLES_DEFAULTS = {"seed": 0, "out": None, "jobs": 1}
 
 
 def cmd_principles(params: dict) -> int:
+    """Audit every metric against the principles."""
     out = _out_dir(params)
     with _stage("experiments"):
         matrix = principle_matrix(seed=params["seed"])
@@ -281,6 +340,7 @@ def cmd_principles(params: dict) -> int:
 
 
 def cmd_report(params: dict) -> int:
+    """Verify and summarize a finished run."""
     run_dir = Path(params["run"])
     if not run_dir.is_dir():
         raise CliError("cli", f"run directory {run_dir} does not exist")
@@ -335,84 +395,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="axebench",
         description="Evaluate feature-importance explanations without ground truth")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON run config; flags override its values")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--jobs", type=int)
-
-    def data_flags(p):
-        p.add_argument("--dataset", help="CSV path")
-        p.add_argument("--schema", help="dataset schema JSON")
-        p.add_argument("--synthetic", choices=GENERATOR_KINDS)
-        p.add_argument("--proxy", help=f"benchmark stand-in: {', '.join(BENCHMARK_PROXIES)}")
-        p.add_argument("--rows", type=int)
-        p.add_argument("--cols", type=int)
-
-    def model_flags(p):
-        p.add_argument("--model", help="predictor JSON path")
-        p.add_argument("--train", choices=("logistic", "mlp"))
-
-    p_eval = sub.add_parser("evaluate", help="score explanations under one or more metrics")
-    common(p_eval); data_flags(p_eval); model_flags(p_eval)
-    p_eval.add_argument("--explanations", help="explanations CSV/JSON path")
-    p_eval.add_argument("--explainer", choices=ExplainerConfig.KINDS)
-    p_eval.add_argument("--manual-index", dest="manual_index", type=int)
-    p_eval.add_argument("--metric", action="append",
-                        help="repeatable: axe, pgi, pgu, fa, ra, sa, sra, rc, pra")
-    p_eval.add_argument("--n", type=int)
-    p_eval.add_argument("--k", type=int)
-    p_eval.add_argument("--include-self", dest="include_self",
-                        action=argparse.BooleanOptionalAction)
-    p_eval.add_argument("--e-star", dest="e_star")
-    p_eval.add_argument("--num-perturbations", dest="num_perturbations", type=int)
-    p_eval.add_argument("--sigma", type=float)
-    p_eval.add_argument("--axe-trace", dest="axe_trace",
-                        action=argparse.BooleanOptionalAction)
-
-    p_explain = sub.add_parser("explain", help="generate and save explanations")
-    common(p_explain); data_flags(p_explain); model_flags(p_explain)
-    p_explain.add_argument("--explainer", choices=ExplainerConfig.KINDS)
-    p_explain.add_argument("--manual-index", dest="manual_index", type=int)
-
-    p_attack = sub.add_parser("attack", help="fairwash-detection experiment")
-    common(p_attack)
-    p_attack.add_argument("--proxy", help="benchmark stand-in name or 'all'")
-    p_attack.add_argument("--dataset"); p_attack.add_argument("--schema")
-    p_attack.add_argument("--n", type=int)
-    p_attack.add_argument("--k", type=int)
-    p_attack.add_argument("--include-self", dest="include_self",
-                          action=argparse.BooleanOptionalAction)
-    p_attack.add_argument("--num-perturbations", dest="num_perturbations", type=int)
-    p_attack.add_argument("--sigma", type=float)
-
-    p_grid = sub.add_parser("region-grid", help="explanation-quality maps over (i1, i2)")
-    common(p_grid)
-    p_grid.add_argument("--e-star", dest="e_star")
-    p_grid.add_argument("--resolution", type=int)
-    p_grid.add_argument("--n", type=int)
-
-    p_prin = sub.add_parser("principles", help="audit every metric against the principles")
-    common(p_prin)
-
-    p_report = sub.add_parser("report", help="verify and summarize a finished run")
-    p_report.add_argument("--run", required=True)
+    for command, (handler, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        keys = _EXPLAIN_KEYS if command == "explain" else defaults
+        for key, (tp, settings) in _FLAGS.items():
+            if key in keys or (key == "config" and command != "report"):
+                typed = {"type": tp} if tp in (int, float) else {}
+                p.add_argument("--" + key.replace("_", "-"), **typed, **settings)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler, defaults = _COMMANDS[args.command]
     try:
-        config = _load_config_file(args)
-        if config.get("command", args.command) != args.command:
-            raise CliError("cli", f"config file was written by command "
-                                  f"{config['command']!r}, not {args.command!r}")
-        params = _resolve(args, config, defaults)
-        if args.command == "report":
-            params["run"] = args.run
+        with _stage("cli"):
+            params = _resolve(args, _load_config_file(args), defaults)
         return handler(params)
     except CliError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -166,7 +168,8 @@ class Predictor:
 
     Subclasses implement ``predict_proba_batch`` and, for a differentiable probability,
     ``gradient_batch`` (None: no gradient); package code queries models only through
-    these two. Predictions threshold the probability at 0.5, so they never disagree.
+    these two, and ``predict_proba(x)``/``gradient(x)`` are their one-row calls.
+    Predictions threshold the probability at 0.5, so they never disagree.
     """
 
     descriptor: str = "predictor"
@@ -177,8 +180,12 @@ class Predictor:
     def gradient_batch(self, X) -> np.ndarray | None:
         return None
 
+    def predict_proba(self, x) -> float:
+        return float(self.predict_proba_batch(one_row(x))[0])
+
     def gradient(self, x) -> np.ndarray | None:
-        return None
+        g = self.gradient_batch(one_row(x))
+        return None if g is None else g[0]
 
     def predict(self, x) -> int:
         return int(self.predict_proba(x) >= 0.5)
@@ -360,15 +367,42 @@ def _check_record(kind: str, d, required) -> None:
         raise ValueError(f"{kind} lacks field {', '.join(map(repr, missing))}")
 
 
+def _conforms(value, tp) -> bool:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return any(_conforms(value, a) for a in args)
+    if origin in (list, tuple):
+        return isinstance(value, (list, tuple)) and all(_conforms(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items())
+    if isinstance(value, bool) and tp is not bool:
+        return False
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def check_type(label: str, value, tp) -> None:
+    """Raise ValueError naming ``label`` unless the JSON value ``value`` has type ``tp``:
+    str, int, float, bool, ``list``/``tuple``/``dict`` of these, or ``X | None``. A bool
+    is never an int, an int is also a float, and a list stands for a tuple."""
+    if not _conforms(value, tp):
+        name = str(tp) if typing.get_origin(tp) else tp.__name__
+        raise ValueError(f"{label} must be {name}, not {type(value).__name__}")
+
+
 def record_from_dict(cls, d):
-    """Dataclass ``cls`` from a dict of exactly its fields; a non-object, a missing
-    required field or an unknown key (a misspelt one too) raises ValueError naming it."""
+    """Dataclass ``cls`` from a dict of exactly its fields, each of its annotated type;
+    a non-object, a missing required field, an unknown key (a misspelt one too) or a
+    mistyped value raises ValueError naming it."""
     kind = f"{cls.__name__} record"
     _check_record(kind, d, [f.name for f in fields(cls)
                             if f.default is MISSING and f.default_factory is MISSING])
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{kind} has unknown field {', '.join(map(repr, unknown))}")
+    hints = typing.get_type_hints(cls)
+    for name, value in d.items():
+        check_type(f"{kind} field {name!r}", value, hints[name])
     return cls(**d)
 
 

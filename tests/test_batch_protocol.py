@@ -37,6 +37,20 @@ def _mlp(hidden, activation, seed) -> MlpPredictor:
     return MlpPredictor(weights, biases, activation, f"mlp{hidden}-{activation}")
 
 
+class _BatchOnly(Predictor):
+    """A subclass implementing only the batch protocol: its scalar methods are
+    the ones ``Predictor`` defines."""
+
+    def __init__(self, base: Predictor):
+        self.base = base
+
+    def predict_proba_batch(self, X) -> np.ndarray:
+        return self.base.predict_proba_batch(X)
+
+    def gradient_batch(self, X) -> np.ndarray:
+        return self.base.gradient_batch(X)
+
+
 def _predictors() -> dict[str, Predictor]:
     mlp = _mlp((5,), "tanh", 1)
     scaffold = build_scaffold(
@@ -52,6 +66,7 @@ def _predictors() -> dict[str, Predictor]:
         "rule": make_rule_predictor(RuleModelSpec(1, 0.0, False)),
         "scaffold": scaffold,
         "offmanifold-flip": OffManifoldFlipPredictor(mlp, ANCHORS),
+        "batch-only": _BatchOnly(mlp),
     }
 
 
@@ -82,6 +97,7 @@ def _bits(value) -> bytes:
 def test_scalar_methods_are_one_row_batches(kind, x):
     m = PREDICTORS[kind]
     assert _bits(m.predict_proba(x)) == _bits(m.predict_proba_batch(x[None])[0])
+    assert m.predict(x) == m.predict_batch(x[None])[0]
     g, g_batch = m.gradient(x), m.gradient_batch(x[None])
     if g is None or g_batch is None:
         assert g is None and g_batch is None

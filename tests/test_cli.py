@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -308,6 +309,14 @@ class TestAttack:
         code = main(["attack", "--proxy", "nope", "--out", str(tmp_path / "run")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "error [experiments]: n out of range: need n >= 1"),
+        (["--sigma", "0"], "error [experiments]: sigma must be positive"),
+    ], ids=["n-zero", "sigma-zero"])
+    def test_out_of_range_hyperparameter_exits_2(self, tmp_path, capsys, flags, message):
+        assert main(["attack", "--proxy", "compas", *flags, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestSchemaFile:
     @pytest.mark.parametrize("command", ["evaluate", "attack"])
@@ -319,7 +328,12 @@ class TestSchemaFile:
                        "'target_column'"),
         (lambda s: {**s, "protected_colum": "prot"},
          "DatasetSchema record has unknown field 'protected_colum'"),
-    ], ids=["payload-not-object", "missing-name", "empty-object", "misspelt-key"])
+        (lambda s: {**s, "column_names": 5},
+         "DatasetSchema record field 'column_names' must be list[str], not int"),
+        (lambda s: {**s, "drop_columns": "c5"},
+         "DatasetSchema record field 'drop_columns' must be list[str], not str"),
+    ], ids=["payload-not-object", "missing-name", "empty-object", "misspelt-key",
+            "int-column-names", "str-drop-columns"])
     def test_malformed_schema_exits_2(self, tmp_path, capsys, command, mangle, message):
         csv_path, schema_path = write_attack_csv(tmp_path)
         schema_path.write_text(json.dumps(mangle(read_json(schema_path))))
@@ -420,6 +434,81 @@ class TestPrecedence:
         assert cfg["seed"] == 99       # flag beats env
 
 
+class TestOutsideValues:
+    @pytest.mark.parametrize("command, config, env, message", [
+        ("evaluate", [1, 2], {}, "config file must hold a JSON object, not a list"),
+        ("region-grid", {"resolution": "x"}, {},
+         "config key 'resolution' must be int, not str"),
+        ("evaluate", {"include_self": "no", "k": 3}, {},
+         "config key 'include_self' must be bool, not str"),
+        ("evaluate", {"n": 1.0}, {}, "config key 'n' must be int, not float"),
+        ("principles", {"seed": "abc"}, {}, "config key 'seed' must be int, not str"),
+        ("principles", {"seed": True}, {}, "config key 'seed' must be int, not bool"),
+        ("region-grid", {"e_star": None}, {}, "config key 'e_star' must be str, not NoneType"),
+        ("evaluate", {"metric": "axe"}, {}, "config key 'metric' must be list[str], not str"),
+        ("evaluate", {"train": "svm"}, {},
+         "config key 'train' must be one of logistic, mlp, not 'svm'"),
+        ("principles", {"sead": 3}, {}, "config key 'sead' is not a parameter of 'principles'"),
+        ("principles", None, {"AXEBENCH_SEED": "abc"}, "AXEBENCH_SEED must be int, not 'abc'"),
+        ("principles", None, {"AXEBENCH_JOBS": "x"}, "AXEBENCH_JOBS must be int, not 'x'"),
+    ], ids=["config-list", "str-resolution", "str-include-self", "float-n", "str-seed",
+            "bool-seed", "null-e-star", "str-metric", "unknown-trainer", "misspelt-key",
+            "env-str-seed", "env-str-jobs"])
+    def test_mistyped_value_exits_2_before_the_command_runs(
+            self, tmp_path, capsys, monkeypatch, command, config, env, message):
+        argv = [command, "--out", str(tmp_path / "run")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error [cli]: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+
+_COMMON = {"--config", "--seed", "--out", "--jobs"}
+_DATA_MODEL = {"--dataset", "--schema", "--synthetic", "--proxy", "--rows", "--cols",
+               "--model", "--train", "--explainer", "--manual-index"}
+_SYNTHETIC = ["--synthetic", "threshold-rule", "--rows", "40", "--cols", "3",
+              "--train", "logistic", "--manual-index", "0"]
+_EVALUATE_KEYS = {"seed", "n", "k", "include_self", "dataset", "schema", "synthetic",
+                  "proxy", "rows", "cols", "model", "train", "explanations", "explainer",
+                  "manual_index", "metric", "e_star", "num_perturbations", "sigma",
+                  "axe_trace"}
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize("command, argv, flags, persisted", [
+        ("evaluate", lambda tmp: _SYNTHETIC,
+         _COMMON | _DATA_MODEL | {"--explanations", "--metric", "--n", "--k", "--include-self",
+                                  "--no-include-self", "--e-star", "--num-perturbations",
+                                  "--sigma", "--axe-trace", "--no-axe-trace"},
+         _EVALUATE_KEYS),
+        ("explain", lambda tmp: _SYNTHETIC, _COMMON | _DATA_MODEL, _EVALUATE_KEYS),
+        ("attack", lambda tmp: ["--dataset", str(write_attack_csv(tmp, nu=120)[0]),
+                                "--schema", str(tmp / "schema.json"),
+                                "--num-perturbations", "5"],
+         _COMMON | {"--proxy", "--dataset", "--schema", "--n", "--k", "--include-self",
+                    "--no-include-self", "--num-perturbations", "--sigma"},
+         {"seed", "n", "k", "include_self", "proxy", "dataset", "schema",
+          "num_perturbations", "sigma"}),
+        ("region-grid", lambda tmp: ["--resolution", "3"],
+         _COMMON | {"--e-star", "--resolution", "--n"}, {"seed", "e_star", "resolution", "n"}),
+        ("principles", lambda tmp: [], _COMMON, {"seed"}),
+        ("report", None, {"--run"}, None),
+    ])
+    def test_flags_and_persisted_keys_are_pinned(self, tmp_path, capsys, command, argv,
+                                                 flags, persisted):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags | {"--help"}
+        if argv is not None:
+            out = tmp_path / "run"
+            assert main([command, *argv(tmp_path), "--out", str(out)]) == 0
+            assert set(read_json(out / "run_config.json")) == persisted | {"command"}
+
+
 class TestPrinciplesCommand:
     def test_writes_matrix(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -461,13 +550,19 @@ class TestReport:
                                        "q_foil1": 0.5, "q_foil2": None, "q_other": 0.5,
                                        "passed": True}]),
          "error [experiments]: DetectionVerdict record lacks field 'model_name'"),
+        ("verdicts.json", json.dumps([{"dataset_id": "d", "model_name": "m",
+                                       "metric_name": "axe", "hyperparams": {},
+                                       "q_protected": "high", "q_foil1": 0.5,
+                                       "q_foil2": None, "q_other": 0.5, "passed": True}]),
+         "error [experiments]: DetectionVerdict record field 'q_protected' must be "
+         "float, not str"),
         ("report_fa.json", json.dumps({"schema_version": 1, "metric_name": "fa",
                                        "hyperparams": {}, "aggregate_q": 0.5}),
          "error [core]: quality report lacks field 'per_point_q'"),
         ("report_fa.json", "[]",
          "error [core]: quality report must hold a JSON object, not a list"),
     ], ids=["verdicts-not-json", "verdicts-not-list", "verdict-without-model-name",
-            "report-without-per-point-q", "report-not-object"])
+            "verdict-with-str-q", "report-without-per-point-q", "report-not-object"])
     def test_malformed_run_file_exits_2(self, tmp_path, capsys, name, payload, message):
         (tmp_path / name).write_text(payload)
         assert main(["report", "--run", str(tmp_path)]) == 2
@@ -477,6 +572,12 @@ class TestReport:
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 2
+
+    def test_ignores_config_environment(self, tmp_path, monkeypatch):
+        run = tmp_path / "grid"
+        assert main(["region-grid", "--resolution", "3", "--out", str(run)]) == 0
+        monkeypatch.setenv("AXEBENCH_CONFIG", str(run / "run_config.json"))
+        assert main(["report", "--run", str(run)]) == 0
 
 
 class TestInternalError:
