@@ -18,10 +18,32 @@ level per step, for as many steps as the deepest tree has levels, with no
 test for which paths are still moving. Leaf values are summed tree by tree in
 tree order, the float order of a per-tree loop, so probabilities are exact to
 the last bit.
+
+Copies of a row that differ from it in one column (a perturbation metric's
+queries) are scored without walking each copy: the per-feature-threshold idea
+of QuickScorer (Lucchese et al., SIGIR 2015) applied to one free column. One
+frontier walk per (row, tree) pair carries the interval (lo, hi] of free-column
+values that reaches each node: it follows the row at other columns, and at a
+free-column node with threshold t it sends (lo, min(hi, t)] left and
+(max(lo, t), hi] right, dropping an empty side. The trees' leaf intervals cut
+the row's line into cells; every value in a cell takes the same path in every
+tree, so each (cell, tree) has one leaf, and a cell's votes are summed in tree
+order exactly as the stacked walk sums them. A copy's cell is the number of
+the row's cuts strictly below its value: a value on a cut lands in the cell
+that the cut closes, as the walk's ``<=`` test sends it left, and +inf and NaN,
+which that test sends right at every (finite) threshold, land in the last
+cell. The probabilities are therefore bit-equal to walking the copies.
+
+``from_dict`` rejects trees the walks could not follow: children must lie
+after their parent and inside the tree, each node has at most one parent,
+thresholds are finite (the interval rule needs this) and leaf values lie in
+[0, 1]. Both predict paths reject rows narrower than the widest split feature.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .core import check_type
 
 
 def _best_split(X, y, feature_ids):
@@ -101,8 +123,31 @@ class _Tree:
                 "value": self.value.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "_Tree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+    def from_dict(cls, d: dict, label: str) -> "_Tree":
+        """Rebuild a tree, raising ValueError naming ``label`` if it is malformed."""
+        fields = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
+        for key, tp in fields.items():
+            if key not in d:
+                raise ValueError(f"{label} lacks {key!r}")
+            check_type(f"{label} {key!r}", d[key], list[tp])
+        tree = cls(*(d[key] for key in fields))
+        size = tree.feature.size
+        if size == 0 or any(len(d[key]) != size for key in fields):
+            raise ValueError(f"{label} arrays must be non-empty and of equal length")
+        if np.any(tree.feature < -1):
+            raise ValueError(f"{label} leaves must have feature -1")
+        inner = np.flatnonzero(tree.feature >= 0)
+        children = np.concatenate([tree.left[inner], tree.right[inner]])
+        if np.any(children <= np.concatenate([inner, inner])) or np.any(children >= size):
+            raise ValueError(f"{label} has a child index outside the tree or not after its parent")
+        if np.unique(children).size != children.size:
+            raise ValueError(f"{label} has a node with two parents")
+        if not np.all(np.isfinite(tree.threshold)):
+            raise ValueError(f"{label} thresholds must be finite")
+        leaf_values = tree.value[tree.feature < 0]
+        if not np.all((leaf_values >= 0.0) & (leaf_values <= 1.0)):
+            raise ValueError(f"{label} leaf values must lie in [0, 1]")
+        return tree
 
 
 def _levels(tree: _Tree) -> int:
@@ -120,7 +165,8 @@ class _NodeTable:
     """Every tree's nodes in one table; leaves are self-loops on feature 0.
 
     ``step[2 * node + went_left]`` is the node a path moves to, so a leaf's
-    two entries both hold the leaf itself.
+    two entries both hold the leaf itself. A leaf's threshold is +inf, so a
+    copy path's interval also stays whole at its leaf.
     """
 
     def __init__(self, trees: list[_Tree]):
@@ -133,9 +179,12 @@ class _NodeTable:
                                 np.concatenate([t.left + o for t, o in zip(trees, offsets)])])
         step[leaf] = node[leaf, None]
         feature[leaf] = 0
+        threshold = np.concatenate([t.threshold for t in trees])
+        threshold[leaf] = np.inf
+        self.width = int(feature.max()) + 1  # columns a row needs
         self.roots = offsets
         self.feature = feature
-        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.threshold = threshold
         self.step = step.ravel()
         self.value = np.concatenate([t.value for t in trees])
         self.levels = max(_levels(t) for t in trees)
@@ -176,11 +225,19 @@ class BaggedTrees:
     def _merge(self) -> None:
         self._table = _NodeTable(self.trees) if self.trees else None
 
-    def predict_proba(self, X) -> np.ndarray:
+    def _checked(self, X) -> tuple[_NodeTable, np.ndarray]:
         table = self._table
         if table is None:
             raise RuntimeError("classifier is not fitted")
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"detector input must be a batch of rows, not shape {X.shape}")
+        if X.shape[1] < table.width:
+            raise ValueError(f"detector splits on {table.width} features, rows have {X.shape[1]}")
+        return table, X
+
+    def predict_proba(self, X) -> np.ndarray:
+        table, X = self._checked(X)
         n_points, width = X.shape
         flat = X.ravel()
         n_trees = table.roots.size
@@ -202,6 +259,62 @@ class BaggedTrees:
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
+    def predict_proba_copies(self, rows, free, which, values) -> np.ndarray:
+        """``predict_proba`` of copies that each differ from a row in one column, bit for bit.
+
+        Copy i is ``rows[which[i]]`` with column ``free[which[i]]`` set to ``values[i]``;
+        only the rows that ``which`` names are walked (see the module docstring).
+        """
+        table, rows = self._checked(rows)
+        used, copy_row = np.unique(np.asarray(which, dtype=np.int64), return_inverse=True)
+        n_trees = table.roots.size
+        # one path per (used row, tree) pair to start with; a path is split in two
+        # where the free column's threshold cuts its interval (lo, hi]
+        pair_offset = np.repeat(used * rows.shape[1], n_trees)
+        pair_free = np.repeat(np.asarray(free, dtype=np.int64)[used], n_trees)
+        pair = np.arange(used.size * n_trees)
+        node = np.tile(table.roots, used.size)
+        lo, hi = np.full(pair.size, -np.inf), np.full(pair.size, np.inf)
+        flat = rows.ravel()
+        for _ in range(table.levels):
+            feature, threshold = table.feature[node], table.threshold[node]
+            on_free = feature == pair_free[pair]
+            below = lo < threshold
+            go_left = np.where(on_free, below, flat[pair_offset[pair] + feature] <= threshold)
+            split = on_free & below & (threshold < hi)
+            if split.any():
+                pair = np.concatenate([pair, pair[split]])
+                lo = np.concatenate([lo, threshold[split]])
+                hi = np.concatenate([np.where(split, threshold, hi), hi[split]])
+                node = np.concatenate([table.step[2 * node + go_left], table.step[2 * node[split]]])
+            else:
+                node = table.step[2 * node + go_left]
+        # cells: row u's cuts are its paths' finite ends, numbered as ranks in
+        # ``cut_values``; row u's cells follow the cuts of earlier rows plus u
+        finite = hi < np.inf
+        u = pair // n_trees
+        cut_values = np.unique(hi[finite])
+        stride = cut_values.size + 1
+        cut_key = np.unique(u[finite] * stride + np.searchsorted(cut_values, hi[finite]))
+
+        def cell(row, value, side):
+            """The cell of ``row`` that follows its cuts below ``value`` (side 'left'),
+            or its cuts at or below it ('right')."""
+            return np.searchsorted(cut_key, row * stride
+                                   + np.searchsorted(cut_values, value, side)) + row
+
+        # path (lo, hi] covers the cells from the first above lo to the one holding hi
+        first = cell(u, lo, "right")
+        length = cell(u, hi, "left") + 1 - first
+        ends = np.cumsum(length)
+        cells = np.repeat(first - ends + length, length) + np.arange(ends[-1] if ends.size else 0)
+        leaf_of = np.zeros((cut_key.size + used.size, n_trees))
+        leaf_of[cells, np.repeat(pair % n_trees, length)] = np.repeat(table.value[node], length)
+        votes = np.zeros(leaf_of.shape[0])
+        for t in range(n_trees):  # per-tree order keeps the sum bit-exact
+            votes += leaf_of[:, t]
+        return (votes / n_trees)[cell(copy_row, np.asarray(values, dtype=float), "left")]
+
     def to_dict(self) -> dict:
         return {"n_trees": self.n_trees, "max_depth": self.max_depth,
                 "min_leaf": self.min_leaf, "feature_fraction": self.feature_fraction,
@@ -211,6 +324,7 @@ class BaggedTrees:
     def from_dict(cls, d: dict) -> "BaggedTrees":
         model = cls(n_trees=d["n_trees"], max_depth=d["max_depth"], min_leaf=d["min_leaf"],
                     feature_fraction=d["feature_fraction"], seed=d["seed"])
-        model.trees = [_Tree.from_dict(t) for t in d["trees"]]
+        check_type("detector 'trees'", d["trees"], list[dict])
+        model.trees = [_Tree.from_dict(t, f"detector tree {i}") for i, t in enumerate(d["trees"])]
         model._merge()
         return model

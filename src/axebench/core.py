@@ -193,6 +193,22 @@ class Predictor:
     def predict_batch(self, X) -> np.ndarray:
         return (self.predict_proba_batch(X) >= 0.5).astype(int)
 
+    def predict_proba_copies(self, X, sets, draws) -> np.ndarray:
+        """(rows, count) probabilities of :func:`perturbed_copies` of X. An override
+        may skip materialising or scoring copies but must return the same bits."""
+        rows, count = draws.shape[:2]
+        return self.predict_proba_batch(perturbed_copies(X, sets, draws)).reshape(rows, count)
+
+
+def perturbed_copies(X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """(rows * count, width) copies of X's rows, row-major: copy (i, j) adds
+    draws[i, j] to features sets[i] of row i."""
+    rows, count, _ = draws.shape
+    points = np.repeat(X[:, None, :], count, axis=1)
+    points[np.arange(rows)[:, None, None], np.arange(count)[None, :, None],
+           sets[:, None, :]] += draws
+    return points.reshape(-1, X.shape[1])
+
 
 def importances_of(e) -> np.ndarray:
     """Accept an Explanation or a plain vector and return the importance array."""

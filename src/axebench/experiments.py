@@ -8,7 +8,7 @@ dataclasses that serialize to JSON/TSV for downstream tooling.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,12 +233,15 @@ def run_fairwash_detection(bundle: AttackBundle,
     averages the one-hot explanation of every feature that is neither protected
     nor a foil of the model at hand, scored exactly as the other columns are.
 
-    A perturbation report depends on the explanations only through the index
-    sets they perturb, so each model is scored once per distinct (metric,
-    per-row index sets); with n=1 every PGU one-hot set is {0}, or {1} for the
-    set that marks feature 0.
+    A perturbation gap depends on the explanations only through the index
+    sets they perturb, so each model's gaps are computed once per distinct
+    per-row index sets, whichever metric asks: with n=1 every PGU one-hot set
+    is {0}, or {1} for the set that marks feature 0, which are the PGI sets of
+    features 0 and 1. PGU is then ``0.0 - gap`` under negate_pgu, bit-equal to
+    its own report, because negation commutes with the mean and keeps +0.0.
     """
     perturb_cfg = perturb_cfg or PerturbConfig(n=1)
+    gap_cfg = replace(perturb_cfg, negate_pgu=False)
     d = bundle.dataset
     verdicts: list[DetectionVerdict] = []
     manual = {f: make_manual_explanations(d, f) for f in range(d.n_features)}
@@ -260,23 +263,24 @@ def run_fairwash_detection(bundle: AttackBundle,
                  for f in scored}
             verdicts.append(_verdict(d, model_name, "axe", asdict(cfg), q, sets, others))
 
-        # first feature of each distinct (metric, per-row index sets)
+        # first (metric, feature) of each distinct per-row index sets
         key_of, representative = {}, {}
         for metric in ("pgi", "pgu"):
             for f in scored:
-                key = (metric, perturbed_index_sets(metric, manual[f], perturb_cfg.n).tobytes())
+                key = perturbed_index_sets(metric, manual[f], perturb_cfg.n).tobytes()
                 key_of[metric, f] = key
                 representative.setdefault(key, (metric, f))
 
-        def score(job: tuple[str, int]) -> float:
+        def gap(job: tuple[str, int]) -> float:
             metric, f = job
-            return sensitivity_quality_report(metric, model, d, manual[f],
-                                              perturb_cfg).aggregate_q
+            return sensitivity_quality_report(metric, model, d, manual[f], gap_cfg).aggregate_q
 
         memo = dict(zip(representative,
-                        ordered_parallel_map(score, representative.values(), jobs=jobs)))
+                        ordered_parallel_map(gap, representative.values(), jobs=jobs)))
         for metric in ("pgi", "pgu"):
             q = {f: memo[key_of[metric, f]] for f in scored}
+            if metric == "pgu" and perturb_cfg.negate_pgu:
+                q = {f: 0.0 - gap for f, gap in q.items()}  # not -gap: a zero gap stays +0.0
             verdicts.append(_verdict(d, model_name, metric, asdict(perturb_cfg),
                                      q, sets, others))
     return verdicts

@@ -35,7 +35,9 @@ class GroundTruthPair:
         if not (np.all(np.isfinite(self.e)) and np.all(np.isfinite(self.e_star))):
             raise ValueError("importances must be finite")
         self.n = int(self.n)
-        if not 0 <= self.n <= self.e_star.size:
+        if self.n < 0:
+            raise ValueError("n must be non-negative")
+        if self.n > self.e_star.size:
             raise ValueError("n exceeds feature count")
 
 

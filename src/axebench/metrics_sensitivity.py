@@ -57,13 +57,8 @@ def _row_draws(seed: int, rows: int, num_perturbations: int, sigma: float,
 
 def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Per-row mean |proba change| when each draw of draws[i] is added to features sets[i]."""
-    rows, count, _ = draws.shape
-    points = np.repeat(X[:, None, :], count, axis=1)
-    points[np.arange(rows)[:, None, None], np.arange(count)[None, :, None],
-           sets[:, None, :]] += draws
     base = m.predict_proba_batch(X)
-    stacked = m.predict_proba_batch(points.reshape(-1, X.shape[1]))
-    return np.abs(stacked.reshape(rows, count) - base[:, None]).mean(axis=1)
+    return np.abs(m.predict_proba_copies(X, sets, draws) - base[:, None]).mean(axis=1)
 
 
 def _point_gap(m: Predictor, x, index_set: list[int], cfg: PerturbConfig) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trees import BaggedTrees
-from .core import Dataset, Predictor, one_row, write_json
+from .core import Dataset, Predictor, one_row, perturbed_copies, write_json
 
 
 def sigmoid(z):
@@ -290,6 +290,10 @@ class OodDetector:
         """True where a point looks perturbed (off-manifold)."""
         return self.model.predict(X).astype(bool)
 
+    def flags_copies(self, rows, free, which, values) -> np.ndarray:
+        """``flags_batch`` of one-column copies of rows; see ``BaggedTrees.predict_proba_copies``."""
+        return self.model.predict_proba_copies(rows, free, which, values) >= 0.5
+
     def to_dict(self) -> dict:
         return {"model": self.model.to_dict(), "sigma_ood": self.sigma_ood,
                 "seed": self.seed, "heldout_accuracy": self.heldout_accuracy}
@@ -387,7 +391,9 @@ class ScaffoldPredictor(Predictor):
     The detector is queried only on rows where some foil disagrees with the
     biased rule: elsewhere its flag cannot change the output. Routing hashes
     only the flagged rows, which is exact because a route depends on nothing
-    but the row's bytes.
+    but the row's bytes. Perturbed copies that differ from their row in one
+    column take their flags from the detector's per-row leaf cells, which give
+    the same bits as walking each copy.
     """
 
     def __init__(self, biased: RulePredictor, foils: list[RulePredictor],
@@ -415,10 +421,30 @@ class ScaffoldPredictor(Predictor):
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        return self._assemble(X, lambda live: self.detector.flags_batch(X[live]))
+
+    def predict_proba_copies(self, X, sets, draws) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        count = draws.shape[1]
+        points = perturbed_copies(X, sets, draws)  # the rules and routing read them
+        if sets.shape[1] == 1:
+            free = sets[:, 0]
+
+            def flags(live):
+                which = live // count
+                return self.detector.flags_copies(X, free, which, points[live, free[which]])
+        else:
+            def flags(live):
+                return self.detector.flags_batch(points[live])
+        return self._assemble(points, flags).reshape(-1, count)
+
+    def _assemble(self, X: np.ndarray, flags_of) -> np.ndarray:
+        """The biased rule's output on X, with each row where a foil disagrees and
+        ``flags_of(those rows' indices)`` is True served by its routed foil."""
         out = self.biased.predict_proba_batch(X)
         foil_out = [foil.predict_proba_batch(X) for foil in self.foils]
         live = np.flatnonzero(np.any([f != out for f in foil_out], axis=0))
-        idx = live[self.detector.flags_batch(X[live])]
+        idx = live[flags_of(live)]
         routes = self._routes(X[idx])
         for foil_id, f in enumerate(foil_out):
             sel = idx[routes == foil_id]

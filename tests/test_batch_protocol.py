@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from axebench import models
 from axebench.axe import AxeConfig
-from axebench.core import Dataset, ExplanationSet, Predictor
+from axebench.core import Dataset, ExplanationSet, Predictor, perturbed_copies
 from axebench.experiments import (build_attack_bundle, principle_matrix,
                                   run_fairwash_detection, standard_model_set)
 from axebench.explainers import ExplainerConfig, explain_dataset
@@ -103,6 +103,19 @@ def test_scalar_methods_are_one_row_batches(kind, x):
         assert g is None and g_batch is None
     else:
         assert g.shape == (N,) and _bits(g) == _bits(g_batch[0])
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("kind", list(PREDICTORS))
+def test_copies_are_the_batch_of_the_materialised_copies(kind, width):
+    m = PREDICTORS[kind]
+    rng = np.random.default_rng(width)
+    X = ANCHORS[rng.integers(0, len(ANCHORS), 40)]
+    sets = np.sort(np.argsort(rng.random((len(X), N)), axis=1)[:, :width], axis=1)
+    draws = rng.normal(0.0, 0.5, (len(X), 15, width))
+    draws[::3] = -np.take_along_axis(X, sets, axis=1)[::3, None, :]  # copies on exact zeros
+    expected = m.predict_proba_batch(perturbed_copies(X, sets, draws)).reshape(len(X), 15)
+    assert _bits(m.predict_proba_copies(X, sets, draws)) == _bits(expected)
 
 
 def test_flip_membership_is_exact_row_bytes():

@@ -9,6 +9,8 @@ import pytest
 from axebench import cli
 from axebench.cli import main
 from axebench.core import QualityReport
+from axebench.data import SyntheticSpec, generate_synthetic
+from axebench.models import RuleModelSpec, ScaffoldSpec, build_scaffold
 
 
 def read_json(path):
@@ -222,6 +224,31 @@ class TestEvaluate:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda tree: tree["left"].__setitem__(0, 10**6),
+         "error [models]: detector tree 0 has a child index outside the tree"),
+        (lambda tree: tree["left"].__setitem__(0, 0),
+         "error [models]: detector tree 0 has a child index outside the tree "
+         "or not after its parent"),
+        (lambda tree: tree["feature"].__setitem__(0, 7),
+         "error [models]: detector splits on 8 features, rows have 3"),
+    ], ids=["child-out-of-range", "root-is-its-own-child", "split-feature-beyond-width"])
+    def test_malformed_scaffold_detector_exits_2(self, tmp_path, capsys, mangle, message):
+        d = generate_synthetic(SyntheticSpec(nu=60, n_features=3, seed=0))
+        scaffold = build_scaffold(d, ScaffoldSpec(biased=RuleModelSpec(0), foils=(RuleModelSpec(1),),
+                                                  detector_trees=2, detector_depth=4))
+        payload = scaffold.to_dict()
+        mangle(payload["detector"]["model"]["trees"][0])
+        model_path = tmp_path / "scaffold.json"
+        model_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50",
+                     "--cols", "3", "--model", str(model_path), "--manual-index", "0",
+                     "--metric", "pgi", "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",
                      "--manual-index", "0", "--metric", "axe"])
@@ -350,6 +377,13 @@ class TestRegionGrid:
         assert main(["region-grid", "--resolution", "3", "--out", str(out)]) == 0
         assert time.perf_counter() - start < 1.0
         assert (out / "region_summary.json").exists()
+
+    @pytest.mark.parametrize("n, message", [
+        ("-1", "n must be non-negative"), ("3", "n exceeds feature count")])
+    def test_n_out_of_range_names_its_bound(self, tmp_path, capsys, n, message):
+        code = main(["region-grid", "--resolution", "3", "--n", n, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error [experiments]: {message}\n"
 
     def test_reference_swap_bit_identical_grids(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

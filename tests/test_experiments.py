@@ -7,7 +7,7 @@ import axebench.experiments as experiments
 from axebench.axe import AxeConfig, axe_quality
 from axebench.core import Dataset
 from axebench.data import DatasetSchema
-from axebench.experiments import (DetectionVerdict, RegionGridSpec,
+from axebench.experiments import (AttackBundle, DetectionVerdict, RegionGridSpec,
                                   build_attack_bundle, load_verdicts,
                                   run_fairwash_detection, run_principle_suite,
                                   run_region_grid, standard_model_set,
@@ -16,6 +16,7 @@ from axebench.explainers import make_manual_explanations
 from axebench.metrics_reference import REFERENCE_METRICS
 from axebench.metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
                                           sensitivity_quality_report)
+from axebench.models import RuleModelSpec, make_rule_predictor
 
 from conftest import assert_matches_oracle
 
@@ -272,19 +273,32 @@ class TestDetectionScoring:
             sensitivity_quality_report(metric, model, d, expls, self.CFG).aggregate_q))
         assert verdict_values(small_verdicts, metric) == reference
 
+    def test_memo_keeps_the_sign_of_zero(self):
+        # a rule on the protected column ignores PGU's columns 0 and 1: zero gaps
+        d = small_attack_dataset()
+        bundle = AttackBundle(dataset=d, models={"rule": make_rule_predictor(RuleModelSpec(2))},
+                              model_foils={"rule": (3,)}, protected_index=2)
+        verdicts = run_fairwash_detection(bundle, perturb_cfg=self.CFG)
+        reference = unmemoised_values(bundle, lambda model, expls: (
+            sensitivity_quality_report("pgu", model, d, expls, self.CFG).aggregate_q))
+        got = verdict_values(verdicts, "pgu")
+        assert got["rule"][:2] == (0.0, 0.0)
+        assert repr(got) == repr(reference)  # repr tells -0.0 from 0.0
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_distinct_index_set_is_scored_once(self, small_bundle, monkeypatch, jobs):
         calls = []
 
         def counting(metric_name, m, d, explanations, cfg):
             sets = perturbed_index_sets(metric_name, explanations, cfg.n)
-            calls.append((id(m), metric_name, sets.tobytes()))
+            calls.append((id(m), sets.tobytes()))
             return sensitivity_quality_report(metric_name, m, d, explanations, cfg)
 
         monkeypatch.setattr(experiments, "sensitivity_quality_report", counting)
         run_fairwash_detection(small_bundle, perturb_cfg=self.CFG, jobs=jobs)
-        # per model: six one-hot PGI sets, and PGU's bottom feature is 0, or 1 for the set on 0
-        assert len(calls) == len(set(calls)) == 4 * (6 + 2)
+        # per model: six one-hot PGI sets; PGU's bottom feature is 0, or 1 for the set
+        # on 0, and those are the PGI sets of features 0 and 1
+        assert len(calls) == len(set(calls)) == 4 * 6
 
     def test_axe_other_column_uses_top_n_subsets(self, small_bundle):
         """At n=2 a one-hot explanation's top-2 adds the lowest-index zero feature;

@@ -189,6 +189,13 @@ class TestRanges:
             assert rc is None or -1.0 - 1e-12 <= rc <= 1.0 + 1e-12
 
 
+    @pytest.mark.parametrize("n, message", [(-1, "n must be non-negative"),
+                                            (4, "n exceeds feature count")])
+    def test_n_out_of_range_names_its_bound(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pair([0.5, 0.2, 0.1], [0.4, 0.3, 0.2], n)
+
+
 class TestAgainstOracle:
     def test_random_instances_match_brute_force(self):
         rng = np.random.default_rng(7)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axebench.core import Dataset
+from axebench._trees import BaggedTrees
+from axebench.core import Dataset, ExplanationSet, perturbed_copies
 from axebench.data import SyntheticSpec, generate_synthetic, train_test_split
+from axebench.metrics_sensitivity import PerturbConfig, sensitivity_quality_report
 from axebench.models import (LinearModelSpec, MlpPredictor, MlpSpec,
                              OffManifoldFlipPredictor, OodDetector, RuleModelSpec,
                              ScaffoldSpec, build_scaffold, load_predictor,
@@ -346,6 +348,69 @@ class TestScaffoldDetectorSkip:
             assert len(seen) == 1
             assert np.array_equal(seen[0], batch[foil_disagrees(scaffold, batch)])
         assert 0 < foil_disagrees(scaffold, X).sum() < len(X)
+
+
+@st.composite
+def copy_queries(draw):
+    """Grid rows (duplicates included), index sets of width 1-3, and draws that put
+    copies on the rules' 0.0 thresholds (a draw cancelling its value), on signed
+    zeros, subnormals and infinities."""
+    n_foils, width = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    d = grid_dataset(seed=12)
+    picked = draw(st.lists(st.integers(0, d.nu - 1), min_size=1, max_size=10))
+    X = d.features[picked + picked[:draw(st.integers(0, len(picked)))]]
+    sets = np.array([sorted(draw(st.permutations(range(6)))[:width]) for _ in X])
+    count = draw(st.integers(1, 6))
+    value = (_VALUES | st.sampled_from([np.inf, -np.inf])
+             | st.sampled_from(sorted(set((-d.features).ravel().tolist()))))
+    draws = draw(st.lists(value, min_size=X.shape[0] * count * width,
+                          max_size=X.shape[0] * count * width))
+    return n_foils, X, sets, np.array(draws).reshape(X.shape[0], count, width)
+
+
+class TestScaffoldCopies:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(copy_queries())
+    def test_matches_scoring_the_materialised_copies(self, query):
+        n_foils, X, sets, draws = query
+        scaffold = grid_scaffold(n_foils)
+        expected = scaffold.predict_proba_batch(perturbed_copies(X, sets, draws))
+        got = scaffold.predict_proba_copies(X, sets, draws)
+        assert got.shape == draws.shape[:2]
+        assert got.tobytes() == expected.reshape(got.shape).tobytes()
+
+    @pytest.mark.parametrize("n_foils", [1, 2])
+    def test_width_one_copies_never_reach_the_tree_walk(self, monkeypatch, n_foils):
+        scaffold = grid_scaffold(n_foils)
+        d = grid_dataset(seed=12)
+        walked, copies = [], []
+        walk, by_cells = BaggedTrees.predict_proba, BaggedTrees.predict_proba_copies
+
+        def walk_spy(self, X):
+            walked.append(np.array(X))
+            return walk(self, X)
+
+        def cells_spy(self, rows, free, which, values):
+            copies.append(len(values))
+            return by_cells(self, rows, free, which, values)
+
+        monkeypatch.setattr(BaggedTrees, "predict_proba", walk_spy)
+        monkeypatch.setattr(BaggedTrees, "predict_proba_copies", cells_spy)
+        importances = np.random.default_rng(16).normal(size=(d.nu, 6))
+        dataset_rows = {r.tobytes() for r in d.features}
+        for n in (1, 2):
+            walked.clear()
+            copies.clear()
+            for metric in ("pgi", "pgu"):
+                sensitivity_quality_report(metric, scaffold, d, ExplanationSet(importances),
+                                           PerturbConfig(n=n, num_perturbations=20, seed=17))
+            queried = np.vstack(walked)
+            if n == 1:  # the walk sees only the unperturbed rows; copies go by cells
+                assert sum(copies) > 0
+                assert {r.tobytes() for r in queried} <= dataset_rows
+            else:  # two free columns: the copies are walked
+                assert not copies
+                assert len(queried) > 2 * d.nu
 
 
 class TestOffManifoldFlip:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,3 +240,140 @@ class TestSplitScan:
         fast = train_ood_detector(d, 1.0, seed=2, n_trees=3).to_dict()
         monkeypatch.setattr(trees, "_best_split", best_split_oracle)
         assert train_ood_detector(d, 1.0, seed=2, n_trees=3).to_dict() == fast
+
+
+def materialised(rows, free, which, values):
+    points = np.array(rows, dtype=float)[which]
+    points[np.arange(len(which)), np.asarray(free)[which]] = values
+    return points
+
+
+def assert_copies_exact(model: BaggedTrees, rows, free, which, values) -> None:
+    got = model.predict_proba_copies(rows, free, which, values)
+    assert got.tobytes() == model.predict_proba(materialised(rows, free, which, values)).tobytes()
+
+
+# values where the walk's `<=` test and the interval rule could part ways
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def copy_problems(draw):
+    """A fitted ensemble of 1-16 trees (depth 0 gives root-leaf trees) on rounded
+    features, rows with duplicates, and copies whose values sit on the trees' own
+    thresholds, next to them, on signed zeros, subnormals and infinities."""
+    X, y = draw(st.integers(8, 40).flatmap(lambda nu: st.tuples(
+        arrays(float, (nu, 3), elements=st.integers(-6, 6).map(lambda v: v / 4)),
+        arrays(int, nu, elements=st.integers(0, 1)))))
+    model = BaggedTrees(n_trees=draw(st.integers(1, 16)), max_depth=draw(st.integers(0, 6)),
+                        min_leaf=1, seed=draw(st.integers(0, 2**16))).fit(X, y)
+    rows = np.vstack([X, X[:draw(st.integers(0, len(X)))]])  # duplicate rows
+    free = np.array(draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))))
+    thresholds = [t for tree in model.trees for t in tree.threshold[tree.feature >= 0].tolist()]
+    value = st.sampled_from(_EDGES) | st.integers(-8, 8).map(lambda v: v / 4)
+    if thresholds:
+        at = st.sampled_from(thresholds)
+        value |= at | at.map(lambda t: float(np.nextafter(t, np.inf)))
+    count = draw(st.integers(0, 60))
+    which = np.array(draw(st.lists(st.integers(0, len(rows) - 1), min_size=count,
+                                   max_size=count)), dtype=np.int64)
+    values = np.array(draw(st.lists(value, min_size=count, max_size=count)), dtype=float)
+    return model, rows, free, which, values
+
+
+class TestCopies:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(copy_problems())
+    def test_matches_walking_the_copies(self, problem):
+        assert_copies_exact(*problem)
+
+    def test_hand_built_trees_of_unequal_depth(self):
+        model = ensemble([STUMP, DEEP, leaf(0.125), DEEP, leaf(1.0)])
+        rng = np.random.default_rng(21)
+        rows = np.round(rng.normal(size=(40, 3)), 1)
+        rows[:10] = rows[0]  # duplicate rows
+        free = rng.integers(0, 3, len(rows))
+        pattern = [0.5, -0.25, 1.0, 0.1, *_EDGES, 7.0, -7.0]  # DEEP's and STUMP's thresholds first
+        which = np.repeat(np.arange(len(rows)), len(pattern))  # every row, each many times
+        values = np.tile(pattern, len(rows))
+        assert_copies_exact(model, rows, free, which, values)
+        assert_copies_exact(model, rows, free, which[::-1], values)
+
+    def test_detector_on_proxy_rows(self):
+        d = benchmark_proxy("communities_and_crime", seed=3, nu=150)
+        model = train_ood_detector(d, 1.0, seed=4, n_trees=16, max_depth=20).model
+        rng = np.random.default_rng(5)
+        for column in range(d.n_features):
+            free = np.full(d.nu, column)
+            which = rng.integers(0, d.nu, 400)
+            values = d.features[which, column] + rng.normal(0.0, 0.5, which.size)
+            assert_copies_exact(model, d.features, free, which, values)
+
+    def test_no_copies(self):
+        X, y = rounded_problem(22)
+        model = BaggedTrees(n_trees=3, seed=23).fit(X, y)
+        got = model.predict_proba_copies(X, np.zeros(len(X), dtype=int), [], [])
+        assert got.shape == (0,)
+
+    def test_unfitted_raises(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            BaggedTrees().predict_proba_copies(np.zeros((2, 3)), [0, 0], [0], [1.0])
+
+
+def tree_file(**changes):
+    tree = {key: list(values) for key, values in DEEP.items()}
+    for key, (index, value) in changes.items():
+        tree[key][index] = value
+    return {"n_trees": 2, "max_depth": 10, "min_leaf": 1, "feature_fraction": 1.0,
+            "seed": 0, "trees": [STUMP, tree]}
+
+
+class TestMalformedTrees:
+    @pytest.mark.parametrize("payload, message", [
+        (tree_file(left=(0, 10**6)), "detector tree 1 has a child index outside the tree"),
+        (tree_file(left=(0, 0)), "not after its parent"),
+        (tree_file(right=(1, 1)), "not after its parent"),
+        (tree_file(right=(3, 2)), "not after its parent"),
+        (tree_file(left=(1, 6)), "detector tree 1 has a node with two parents"),
+        (tree_file(feature=(2, -2)), "detector tree 1 leaves must have feature -1"),
+        (tree_file(threshold=(0, float("inf"))), "detector tree 1 thresholds must be finite"),
+        (tree_file(threshold=(1, float("nan"))), "thresholds must be finite"),
+        (tree_file(value=(2, 1.5)), "detector tree 1 leaf values must lie in [0, 1]"),
+        (tree_file(value=(4, -0.25)), "leaf values must lie in [0, 1]"),
+        (tree_file(value=(6, float("nan"))), "leaf values must lie in [0, 1]"),
+        (tree_file(feature=(0, 0.5)), "detector tree 1 'feature' must be list[int]"),
+        (tree_file(threshold=(0, "a")), "'threshold' must be list[float]"),
+        ({**tree_file(), "trees": [STUMP, {**DEEP, "value": DEEP["value"][:-1]}]},
+         "detector tree 1 arrays must be non-empty and of equal length"),
+        ({**tree_file(), "trees": [leaf(0.5), {key: [] for key in DEEP}]},
+         "arrays must be non-empty"),
+        ({**tree_file(), "trees": [STUMP, {k: v for k, v in DEEP.items() if k != "right"}]},
+         "detector tree 1 lacks 'right'"),
+        ({**tree_file(), "trees": [STUMP, [1, 2]]}, "detector 'trees' must be list[dict]"),
+        ({**tree_file(), "trees": 3}, "detector 'trees' must be list[dict]"),
+    ], ids=["child-out-of-range", "root-is-its-own-child", "child-is-its-parent",
+            "child-before-parent", "two-parents", "leaf-feature", "infinite-threshold",
+            "nan-threshold", "leaf-value-above-one", "negative-leaf-value", "nan-leaf-value",
+            "fractional-feature", "text-threshold", "unequal-lengths", "empty-tree",
+            "missing-array", "tree-not-object", "trees-not-list"])
+    def test_rejected_on_load(self, payload, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BaggedTrees.from_dict(payload)
+
+    def test_valid_files_still_load(self):
+        payload = tree_file()
+        assert BaggedTrees.from_dict(payload).to_dict() == payload
+        X, y = rounded_problem(24)
+        fitted = BaggedTrees(n_trees=5, max_depth=9, seed=25).fit(X, y).to_dict()
+        assert BaggedTrees.from_dict(fitted).to_dict() == fitted
+
+    def test_rows_narrower_than_a_split_feature_are_rejected(self):
+        model = ensemble([STUMP, DEEP])  # splits on features 0, 1 and 2
+        narrow = np.zeros((4, 2))
+        for predict in (model.predict_proba,
+                        lambda X: model.predict_proba_copies(X, [0] * len(X), [1], [0.5])):
+            with pytest.raises(ValueError, match="^detector splits on 3 features, rows have 2$"):
+                predict(narrow)
+        with pytest.raises(ValueError, match=re.escape("a batch of rows, not shape (3,)")):
+            model.predict_proba(np.zeros(3))
+        assert model.predict_proba(np.zeros((4, 3))).shape == (4,)
