@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_type
+from .core import check_fields
 
 
 def _best_split(X, y, feature_ids):
@@ -126,10 +126,7 @@ class _Tree:
     def from_dict(cls, d: dict, label: str) -> "_Tree":
         """Rebuild a tree, raising ValueError naming ``label`` if it is malformed."""
         fields = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
-        for key, tp in fields.items():
-            if key not in d:
-                raise ValueError(f"{label} lacks {key!r}")
-            check_type(f"{label} {key!r}", d[key], list[tp])
+        check_fields(label, d, {key: list[tp] for key, tp in fields.items()})
         tree = cls(*(d[key] for key in fields))
         size = tree.feature.size
         if size == 0 or any(len(d[key]) != size for key in fields):
@@ -322,9 +319,10 @@ class BaggedTrees:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BaggedTrees":
+        check_fields("detector", d, {"n_trees": int, "max_depth": int, "min_leaf": int,
+                                     "feature_fraction": float, "seed": int, "trees": list[dict]})
         model = cls(n_trees=d["n_trees"], max_depth=d["max_depth"], min_leaf=d["min_leaf"],
                     feature_fraction=d["feature_fraction"], seed=d["seed"])
-        check_type("detector 'trees'", d["trees"], list[dict])
         model.trees = [_Tree.from_dict(t, f"detector tree {i}") for i, t in enumerate(d["trees"])]
         model._merge()
         return model

@@ -406,6 +406,16 @@ def check_type(label: str, value, tp) -> None:
         raise ValueError(f"{label} must be {name}, not {type(value).__name__}")
 
 
+def check_fields(label: str, d, types: dict) -> None:
+    """Raise ValueError naming ``label`` unless ``d`` is a JSON object that holds
+    every key of ``types``, each value of the type ``check_type`` accepts for it."""
+    check_type(label, d, dict)
+    for key, tp in types.items():
+        if key not in d:
+            raise ValueError(f"{label} lacks {key!r}")
+        check_type(f"{label} {key!r}", d[key], tp)
+
+
 def record_from_dict(cls, d):
     """Dataclass ``cls`` from a dict of exactly its fields, each of its annotated type;
     a non-object, a missing required field, an unknown key (a misspelt one too) or a

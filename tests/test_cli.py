@@ -24,6 +24,15 @@ def dir_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+MLP_WEIGHTS = [[[0.5, -0.5], [0.1, 0.2], [0.3, 0.4]], [[1.0], [-1.0]]]
+
+
+def mlp_file(**changes):
+    """A valid 3-input MLP model file with hidden layer (2,), fields replaced by ``changes``."""
+    return {"kind": "mlp", "activation": "tanh", "descriptor": "mlp(2)", "weights": MLP_WEIGHTS,
+            "biases": [[0.0, 0.0], [0.0]], **changes}
+
+
 def write_attack_csv(tmp_path, nu=150, seed=0):
     rng = np.random.default_rng(seed)
     cols = {
@@ -191,8 +200,27 @@ class TestEvaluate:
          "mlp predictor file lacks 'biases'"),
         ([1, 2], "predictor file must hold a JSON object, not a list"),
         ({"kind": "forest"}, "unknown predictor kind 'forest'"),
+        (mlp_file(activation="relu"), "mlp activation must be 'tanh' or 'sigmoid', not 'relu'"),
+        (mlp_file(weights=[], biases=[]), "mlp needs at least one layer"),
+        (mlp_file(weights=MLP_WEIGHTS[:1] + [[[1.0, 0.5], [-1.0, 0.5]]],
+                  biases=[[0.0, 0.0], [0.0, 0.0]]),
+         "mlp last layer 1 must give 1 output, not 2"),
+        (mlp_file(weights=MLP_WEIGHTS[:1] + [[[1.0], [-1.0], [0.5]]]),
+         "mlp layer 1 takes 3 inputs, layer 0 gives 2"),
+        (mlp_file(biases=[[0.0, 0.0, 0.0], [0.0]]),
+         "mlp layer 0 bias must have 2 entries, not shape (3,)"),
+        (mlp_file(biases=[[0.0, 0.0]]), "mlp has 2 weight matrices but 1 biases"),
+        (mlp_file(weights=[[[0.5, -0.5], [0.1], [0.3, 0.4]], MLP_WEIGHTS[1]]),
+         "mlp layer 0 weights and bias must be rectangular"),
+        (mlp_file(weights=[[[]], MLP_WEIGHTS[1]]),
+         "mlp layer 0 weights must be a non-empty matrix"),
+        (mlp_file(weights=[0.5, 1.0]),
+         "mlp predictor file 'weights' must be list[list[list[float]]], not list"),
+        (mlp_file(activation=None), "mlp predictor file 'activation' must be str, not NoneType"),
     ], ids=["linear-without-coefficients", "mlp-without-biases", "payload-not-object",
-            "unknown-kind"])
+            "unknown-kind", "mlp-relu", "mlp-no-layers", "mlp-two-outputs", "mlp-broken-chain",
+            "mlp-bias-length", "mlp-bias-count", "mlp-ragged-weights", "mlp-empty-weights",
+            "mlp-flat-weights", "mlp-activation-not-text"])
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -204,13 +232,13 @@ class TestEvaluate:
         assert "error [models]" in err
         assert message in err
         assert "Traceback" not in err
+        assert "error [internal]" not in err
 
     @pytest.mark.parametrize("payload, message", [
         ({"kind": "linear", "coefficients": [0.5, -0.5], "intercept": 0.0},
          "dimension mismatch: model takes 2 features, data has shape (50, 3)"),
-        ({"kind": "mlp", "activation": "tanh", "descriptor": "mlp(2)",
-          "weights": [[[0.5, -0.5], [0.1, 0.2]], [[1.0], [-1.0]]], "biases": [[0.0, 0.0], [0.0]]},
-         "mismatch"),
+        (mlp_file(weights=[MLP_WEIGHTS[0][:2], MLP_WEIGHTS[1]]),
+         "dimension mismatch: model takes 2 features, data has shape (50, 3)"),
     ], ids=["linear", "mlp"])
     def test_model_of_wrong_width_exits_2(self, tmp_path, capsys, payload, message):
         model_path = tmp_path / "model.json"
@@ -248,6 +276,40 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda p: p.__setitem__("detector", []),
+         "scaffold predictor file 'detector' must be dict, not list"),
+        (lambda p: p.__setitem__("foils", [5]),
+         "scaffold predictor file 'foils' must be list[dict], not list"),
+        (lambda p: p["detector"]["model"].__setitem__("n_trees", "x"),
+         "detector 'n_trees' must be int, not str"),
+        (lambda p: p["detector"].__setitem__("sigma_ood", None),
+         "scaffold detector 'sigma_ood' must be float, not NoneType"),
+        (lambda p: p["detector"].pop("model"), "scaffold detector lacks 'model'"),
+        (lambda p: p["biased"].pop("threshold"),
+         "scaffold predictor file biased rule lacks 'threshold'"),
+        (lambda p: p["foils"][0].__setitem__("positive_above", "yes"),
+         "scaffold predictor file foil 0 'positive_above' must be bool, not str"),
+        (lambda p: p.__setitem__("seed", 1.5), "scaffold predictor file 'seed' must be int"),
+    ], ids=["detector-not-object", "foil-not-object", "n-trees-not-int", "sigma-not-number",
+            "detector-without-model", "rule-without-threshold", "polarity-not-bool",
+            "seed-not-int"])
+    def test_malformed_scaffold_file_exits_2(self, tmp_path, capsys, mangle, message):
+        d = generate_synthetic(SyntheticSpec(nu=60, n_features=3, seed=0))
+        payload = build_scaffold(d, ScaffoldSpec(biased=RuleModelSpec(0),
+                                                 foils=(RuleModelSpec(1),),
+                                                 detector_trees=2, detector_depth=4)).to_dict()
+        mangle(payload)
+        model_path = tmp_path / "scaffold.json"
+        model_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50",
+                     "--cols", "3", "--model", str(model_path), "--manual-index", "0",
+                     "--metric", "pgi", "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [models]: {message}")
+        assert "error [internal]" not in err
 
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from axebench._trees import BaggedTrees
 from axebench.core import Dataset, ExplanationSet, perturbed_copies
 from axebench.data import SyntheticSpec, generate_synthetic, train_test_split
+from axebench.explainers import ExplainerConfig, explain_kernel_shapley
 from axebench.metrics_sensitivity import PerturbConfig, sensitivity_quality_report
 from axebench.models import (LinearModelSpec, MlpPredictor, MlpSpec,
                              OffManifoldFlipPredictor, OodDetector, RuleModelSpec,
@@ -457,6 +458,19 @@ class TestSerialization:
         assert np.array_equal(back.predict_proba_batch(points),
                               scaffold.predict_proba_batch(points))
 
+    def test_valid_files_reload_to_the_same_dict(self, tmp_path, small_threshold_data):
+        d = grid_dataset(seed=13)
+        scaffold = build_scaffold(d, ScaffoldSpec(biased=RuleModelSpec(0),
+                                                  foils=(RuleModelSpec(3), RuleModelSpec(5)),
+                                                  seed=14))
+        models = [make_linear_predictor(LinearModelSpec((0.7, -0.3), 0.2)),
+                  make_rule_predictor(RuleModelSpec(1, 0.5, False)),
+                  train_mlp(small_threshold_data, MlpSpec(hidden_sizes=(4, 3), epochs=5)),
+                  scaffold]
+        for m in models:
+            save_predictor(m, tmp_path / "m.json")
+            assert load_predictor(tmp_path / "m.json").to_dict() == m.to_dict()
+
 
 def test_sigmoid_stability():
     assert sigmoid(800.0) == 1.0
@@ -557,3 +571,67 @@ class TestInPlaceForward:
         reference = train_mlp(small_threshold_data, spec)
         for a, b in zip(trained.weights + trained.biases, reference.weights + reference.biases):
             assert np.array_equal(bits(a), bits(b))
+
+
+@lru_cache(maxsize=None)
+def cli_shaped_mlp(n_inputs):
+    """An MLP of the shape the command line trains: one hidden layer of 8 units."""
+    X = np.random.default_rng(n_inputs).normal(0, 1, (120, n_inputs))
+    d = Dataset(features=X, feature_names=tuple(f"f{i}" for i in range(n_inputs)),
+                labels=(X.sum(axis=1) > 0).astype(int))
+    return train_mlp(d, MlpSpec(hidden_sizes=(8,), epochs=60, seed=n_inputs))
+
+
+class TestBlockedBatches:
+    @pytest.mark.parametrize("n_inputs", [1, 8, 12, 17, 22])
+    @pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 4097, 25_400])
+    def test_bit_equal_to_one_whole_batch_pass(self, rows, n_inputs):
+        m = cli_shaped_mlp(n_inputs)
+        X = np.random.default_rng(rows).normal(0, 1.5, (rows, n_inputs))
+        acts = m._forward(X)
+        proba, grad = m.predict_proba_batch(X), m.gradient_batch(X)
+        assert proba.shape == (rows,) and grad.shape == (rows, n_inputs)
+        assert proba.tobytes() == acts[-1][:, 0].tobytes()
+        assert grad.tobytes() == m._backward(acts).tobytes()
+
+    @pytest.mark.parametrize("rows, blocks", [
+        (0, [0]), (1, [1]), (2048, [2048]), (2049, [2049]), (2050, [2048, 2]),
+        (4097, [2048, 2049]), (25_400, [2048] * 12 + [824]),
+    ])
+    def test_blocks_of_at_most_2048_rows_with_a_one_row_tail_folded(self, monkeypatch,
+                                                                   rows, blocks):
+        seen = []
+        forward = MlpPredictor._forward
+
+        def spy(self, X, *args):
+            seen.append(len(X))
+            return forward(self, X, *args)
+
+        monkeypatch.setattr(MlpPredictor, "_forward", spy)
+        m = cli_shaped_mlp(8)
+        X = np.zeros((rows, 8))
+        m.predict_proba_batch(X)
+        m.gradient_batch(X)
+        # forward, then gradient; only a block that took in a one-row tail exceeds 2,048
+        assert seen == blocks * 2
+
+    def test_kernel_shapley_composite_is_one_batch_call(self, monkeypatch):
+        calls = []
+        batch = MlpPredictor.predict_proba_batch
+
+        def spy(self, X):
+            calls.append(len(X))
+            return batch(self, X)
+
+        monkeypatch.setattr(MlpPredictor, "predict_proba_batch", spy)
+        d = generate_synthetic(SyntheticSpec(nu=150, n_features=8, seed=0))
+        explain_kernel_shapley(cli_shaped_mlp(8), d.features[0], d,
+                               ExplainerConfig(kind="kernel-shapley"))
+        assert calls == [100, 1, 25_400]  # background, the row, 254 coalitions x 100
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 8)], ids=["one-d", "three-d"])
+    def test_batch_of_wrong_rank_rejected(self, shape):
+        m = cli_shaped_mlp(8)
+        for query in (m.predict_proba_batch, m.gradient_batch):
+            with pytest.raises(ValueError, match="dimension mismatch: model takes 8 features"):
+                query(np.zeros(shape))
