@@ -8,7 +8,7 @@ perturbation-gap baselines, four explainer families, and an adversarial
 fairwashing testbed ship alongside it.
 """
 
-from .axe import AxeConfig, axe_quality
+from .axe import AxeConfig, axe_quality, axe_quality_many
 from .core import (Dataset, Explanation, ExplanationSet, Predictor, QualityReport,
                    aggregate_quality, bottom_n_features, rank_vector,
                    top_n_features)
@@ -36,7 +36,7 @@ from .models import (LinearModelSpec, MlpSpec, RuleModelSpec, ScaffoldSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxeConfig", "axe_quality",
+    "AxeConfig", "axe_quality", "axe_quality_many",
     "Dataset", "Explanation", "ExplanationSet", "Predictor", "QualityReport",
     "aggregate_quality", "bottom_n_features", "rank_vector", "top_n_features",
     "BENCHMARK_PROXIES", "DatasetSchema", "SyntheticSpec", "benchmark_proxy",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .axe import AxeConfig, axe_quality
+from .axe import AxeConfig, axe_quality, axe_quality_many
 from .core import (Dataset, ExplanationSet, component_seed, ordered_parallel_map,
                    record_from_dict, write_json)
 from .data import SyntheticSpec, benchmark_proxy, generate_synthetic
@@ -245,22 +245,22 @@ def run_fairwash_detection(bundle: AttackBundle,
     d = bundle.dataset
     verdicts: list[DetectionVerdict] = []
     manual = {f: make_manual_explanations(d, f) for f in range(d.n_features)}
+    y_preds = [model.predict_batch(d.features) for model in bundle.models.values()]
+    # one call per feature: all models and k values vote on shared neighbour tables
+    axe_q = {f: axe_quality_many(d, y_preds, manual[f], axe_cfgs) for f in manual}
 
-    for model_name, model in bundle.models.items():
+    for t, (model_name, model) in enumerate(bundle.models.items()):
         foils = bundle.model_foils[model_name]
         if len(foils) == 0:
             raise ValueError("model has no foil features")
-        y_preds = model.predict_batch(d.features)
         sets = {"protected": bundle.protected_index, "foil1": foils[0]}
         if len(foils) > 1:
             sets["foil2"] = foils[1]
         others = bundle.other_indices(model_name)
         scored = [*sets.values(), *others]
 
-        for cfg in axe_cfgs:
-            q = {f: axe_quality(d, y_preds, manual[f], cfg,
-                                model_descriptor=model.descriptor).aggregate_q
-                 for f in scored}
+        for c, cfg in enumerate(axe_cfgs):
+            q = {f: axe_q[f][t][c].aggregate_q for f in scored}
             verdicts.append(_verdict(d, model_name, "axe", asdict(cfg), q, sets, others))
 
         # first (metric, feature) of each distinct per-row index sets

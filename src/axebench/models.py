@@ -148,7 +148,11 @@ class RulePredictor(Predictor):
         return float(self.predict_proba_batch(one_row(x))[0])
 
     def predict_proba_batch(self, X) -> np.ndarray:
-        fired = np.asarray(X, dtype=float)[:, self.spec.feature_index] > self.spec.threshold
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] <= self.spec.feature_index:
+            raise ValueError(f"dimension mismatch: rule reads feature {self.spec.feature_index}, "
+                             f"data has shape {X.shape}")
+        fired = X[:, self.spec.feature_index] > self.spec.threshold
         return (fired == self.spec.positive_above).astype(float)
 
     def to_dict(self) -> dict:

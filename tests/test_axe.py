@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from axebench import axe
-from axebench.axe import AxeConfig, axe_quality, one_hot_axe_aggregates
+from axebench.axe import AxeConfig, axe_quality, axe_quality_many, one_hot_axe_aggregates
 from axebench.core import Dataset, ExplanationSet
 from axebench.explainers import make_manual_explanations
 
@@ -219,17 +219,22 @@ class TestOffManifoldIndifference:
 
 class TestFastPathAndOracle:
     def test_one_hot_fast_path_matches_general_path(self, small_threshold_data):
+        # several targets and k values on shared tables against one call per pair
         d = small_threshold_data
-        y = d.labels
-        cache = {}
+        targets = [d.labels, 1 - d.labels, np.arange(d.nu) % 2]
         for feature in range(d.n_features):
+            expls = make_manual_explanations(d, feature)
             for include_self in (False, True):
-                fast = one_hot_axe_aggregates(d, feature, y, [1, 3, 5],
-                                              include_self, _table_cache=cache)
-                for k, agg in fast.items():
-                    slow = axe_quality(d, y, make_manual_explanations(d, feature),
-                                       AxeConfig(n=1, k=k, include_self=include_self))
-                    assert agg == slow.aggregate_q
+                cfgs = [AxeConfig(n=1, k=k, include_self=include_self) for k in (1, 3, 5)]
+                shared = axe_quality_many(d, targets, expls, cfgs)
+                for y, reports in zip(targets, shared):
+                    for cfg, report in zip(cfgs, reports):
+                        alone = axe_quality(d, y, expls, cfg)
+                        assert np.array_equal(report.per_point_q, alone.per_point_q)
+                        assert report.aggregate_q == alone.aggregate_q
+                        assert report.hyperparams == alone.hyperparams
+                assert one_hot_axe_aggregates(d, feature, d.labels, [5, 1, 3], include_self) == {
+                    cfg.k: report.aggregate_q for cfg, report in zip(cfgs, shared[0])}
 
     def test_row_blocks_do_not_change_scores(self, small_threshold_data, monkeypatch):
         d = small_threshold_data
@@ -318,6 +323,140 @@ class TestNeighbourTable:
         features = np.round(np.random.default_rng(4).normal(size=(50, 3)), 1)
         monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 3 * 50 * 2)
         assert_table_matches_oracle(features, (2, 1), 7, include_self)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_wide_subsets(self, include_self):
+        # from 8 columns on, numpy's sum over a row would add pairwise; the
+        # kernel adds in subset order, as the oracle does
+        rng = np.random.default_rng(5)
+        features = np.round(rng.normal(size=(60, 12)), 1)
+        features[rng.integers(0, 60, 20)] = features[rng.integers(0, 60, 20)]
+        binary = rng.integers(0, 2, (60, 12))
+        for width in range(8, 13):
+            subset = tuple(rng.permutation(12)[:width])
+            assert_table_matches_oracle(features, subset, 11, include_self)
+            assert_table_matches_oracle(binary, subset, 11, include_self)
+
+
+def table_by_sort(d2, rows, k, include_self):
+    """First k of all candidates in stable (distance, index) order; leave-one-out
+    drops the query row."""
+    order = np.argsort(d2, axis=1, kind="stable")
+    if not include_self:
+        order = order[order != rows[:, None]].reshape(len(rows), -1)
+    return order[:, :k]
+
+
+def summed_distances(features, subset, rows):
+    """numpy's sum of squares over the subset axis: left to right below 8
+    columns, pairwise from 8 on."""
+    cand = features[:, list(subset)]
+    return ((cand[None] - cand[rows][:, None]) ** 2).sum(axis=2)
+
+
+def ordered_distances(features, subset, rows):
+    """Each column's difference times itself, added left to right in subset order."""
+    d2 = np.zeros((len(rows), len(features)))
+    for j in subset:
+        diff = features[:, j] - features[rows, j][:, None]
+        d2 = d2 + diff * diff
+    return d2
+
+
+@st.composite
+def table_instances(draw):
+    """Tables over 1-12 columns with rounded or free features, duplicate rows,
+    signed zeros, a subset of query rows and a block budget down to one row."""
+    nu = draw(st.integers(2, 24))
+    nf = draw(st.integers(1, 12))
+    value = st.one_of(st.integers(-12, 12).map(lambda v: v / 10),
+                      st.floats(-3, 3, allow_nan=False, allow_subnormal=False))
+    features = draw(arrays(float, (nu, nf), elements=value))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, nu - 1), st.integers(0, nu - 1)),
+                                  max_size=nu)):
+        features[dst] = features[src]
+    features[draw(arrays(bool, (nu, nf))) & (features == 0)] = -0.0
+    subset = tuple(draw(st.permutations(range(nf)))[:draw(st.integers(1, nf))])
+    rows = np.array(sorted(draw(st.sets(st.integers(0, nu - 1), min_size=1))))
+    include_self = draw(st.booleans())
+    k = draw(st.integers(1, nu if include_self else nu - 1))
+    block_elements = draw(st.integers(1, len(rows) * nu * len(subset)))
+    return features, subset, rows, k, include_self, block_elements
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table_instances())
+def test_table_matches_full_sort_property(instance):
+    features, subset, rows, k, include_self, block_elements = instance
+    d = Dataset(features=features, feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(axe, "_BLOCK_ELEMENTS", block_elements)
+        table = axe._nearest_rows(d, subset, rows, k, include_self)
+    expected = table_by_sort(ordered_distances(features, subset, rows), rows, k, include_self)
+    assert np.array_equal(table, expected)
+    if len(subset) <= 7:  # numpy adds fewer than 8 terms left to right: the same bits
+        summed = summed_distances(features, subset, rows)
+        assert np.array_equal(table, table_by_sort(summed, rows, k, include_self))
+
+
+class TestSharedTables:
+    """axe_quality_many: one table per (row group, include_self) at the widest k."""
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_first_k_columns_of_the_widest_table_are_the_k_table(self, include_self):
+        features = np.round(np.random.default_rng(6).normal(size=(80, 3)), 1)
+        d = Dataset(features=features, feature_names=("a", "b", "c"))
+        rows = np.arange(d.nu)
+        for subset in ((0,), (2, 1), (1, 0, 2)):
+            widest = axe._nearest_rows(d, subset, rows, 11, include_self)
+            for k in range(1, 11):
+                assert np.array_equal(widest[:, :k],
+                                      axe._nearest_rows(d, subset, rows, k, include_self))
+
+    def test_each_target_and_k_equals_its_own_call(self, small_threshold_data):
+        d = small_threshold_data
+        rng = np.random.default_rng(7)
+        expls = ExplanationSet(np.round(rng.normal(size=(d.nu, d.n_features)), 1))
+        targets = [d.labels, 1 - d.labels, rng.integers(0, 2, d.nu)]
+        cfgs = [AxeConfig(n=n, k=k, include_self=include_self)
+                for n in (1, 2) for include_self in (False, True) for k in (3, 5, 11)]
+        shared = axe_quality_many(d, targets, expls, cfgs, ["a", "b", "c"])
+        for y, descriptor, reports in zip(targets, "abc", shared):
+            for cfg, report in zip(cfgs, reports):
+                alone = axe_quality(d, y, expls, cfg, model_descriptor=descriptor)
+                assert np.array_equal(report.per_point_q, alone.per_point_q)
+                assert report.aggregate_q == alone.aggregate_q
+                assert (report.hyperparams, report.model_descriptor) == (
+                    alone.hyperparams, alone.model_descriptor)
+
+    def test_one_search_per_row_group_and_mode(self, small_threshold_data, monkeypatch):
+        d = small_threshold_data
+        expls = ExplanationSet(np.round(np.random.default_rng(8).normal(size=(d.nu, 4)), 1))
+        groups = len(np.unique(axe._magnitude_order(expls.importances, 2, True), axis=0))
+        searches = []
+        nearest = axe._nearest_rows
+
+        def counting(d, subset, rows, max_k, include_self):
+            searches.append((max_k, include_self))
+            return nearest(d, subset, rows, max_k, include_self)
+
+        monkeypatch.setattr(axe, "_nearest_rows", counting)
+        cfgs = [AxeConfig(n=2, k=k, include_self=include_self)
+                for k in (3, 5, 11) for include_self in (False, True)]
+        axe_quality_many(d, [d.labels, 1 - d.labels], expls, cfgs)
+        assert sorted(searches) == [(11, False)] * groups + [(11, True)] * groups
+
+    def test_validation_errors(self, small_threshold_data):
+        d = small_threshold_data
+        expls = make_manual_explanations(d, 0)
+        cfg = AxeConfig(n=1, k=3)
+        with pytest.raises(ValueError, match="length mismatch: predictions"):
+            axe_quality_many(d, [d.labels, d.labels[:-1]], expls, [cfg])
+        with pytest.raises(ValueError, match="k out of range"):
+            axe_quality_many(d, [d.labels], expls, [cfg, AxeConfig(n=1, k=d.nu)])
+        with pytest.raises(ValueError, match="one model descriptor per target"):
+            axe_quality_many(d, [d.labels, d.labels], expls, [cfg], ["only one"])
+        assert axe_quality_many(d, [], expls, [cfg]) == []
 
 
 @st.composite

@@ -239,7 +239,9 @@ class TestEvaluate:
          "dimension mismatch: model takes 2 features, data has shape (50, 3)"),
         (mlp_file(weights=[MLP_WEIGHTS[0][:2], MLP_WEIGHTS[1]]),
          "dimension mismatch: model takes 2 features, data has shape (50, 3)"),
-    ], ids=["linear", "mlp"])
+        ({"kind": "rule", "feature_index": 10, "threshold": 0.0, "positive_above": True},
+         "dimension mismatch: rule reads feature 10, data has shape (50, 3)"),
+    ], ids=["linear", "mlp", "rule"])
     def test_model_of_wrong_width_exits_2(self, tmp_path, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -292,9 +294,11 @@ class TestEvaluate:
         (lambda p: p["foils"][0].__setitem__("positive_above", "yes"),
          "scaffold predictor file foil 0 'positive_above' must be bool, not str"),
         (lambda p: p.__setitem__("seed", 1.5), "scaffold predictor file 'seed' must be int"),
+        (lambda p: p["foils"][0].__setitem__("feature_index", 10),
+         "dimension mismatch: rule reads feature 10, data has shape (50, 3)"),
     ], ids=["detector-not-object", "foil-not-object", "n-trees-not-int", "sigma-not-number",
             "detector-without-model", "rule-without-threshold", "polarity-not-bool",
-            "seed-not-int"])
+            "seed-not-int", "foil-rule-beyond-width"])
     def test_malformed_scaffold_file_exits_2(self, tmp_path, capsys, mangle, message):
         d = generate_synthetic(SyntheticSpec(nu=60, n_features=3, seed=0))
         payload = build_scaffold(d, ScaffoldSpec(biased=RuleModelSpec(0),

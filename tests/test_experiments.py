@@ -1,9 +1,11 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import axebench.experiments as experiments
+from axebench import axe
 from axebench.axe import AxeConfig, axe_quality
 from axebench.core import Dataset
 from axebench.data import DatasetSchema
@@ -310,6 +312,31 @@ class TestDetectionScoring:
             d, model.predict_batch(d.features), expls, cfg).aggregate_q)
         assert verdict_values(verdicts, "axe") == reference
 
+
+    def test_one_neighbour_search_per_feature_and_mode(self, small_bundle, monkeypatch):
+        """Every model and k of one feature votes on shared tables: one search per
+        (feature, include_self) at its widest k, and each (model, config) scores
+        as it would alone."""
+        d = small_bundle.dataset
+        cfgs = (AxeConfig(n=1, k=3), AxeConfig(n=1, k=11), AxeConfig(n=1, k=5, include_self=True))
+        searches = []
+        nearest = axe._nearest_rows
+
+        def counting(d, subset, rows, max_k, include_self):
+            searches.append((tuple(subset), rows.size, max_k, include_self))
+            return nearest(d, subset, rows, max_k, include_self)
+
+        monkeypatch.setattr(axe, "_nearest_rows", counting)
+        verdicts = run_fairwash_detection(small_bundle, axe_cfgs=cfgs, perturb_cfg=self.CFG)
+        monkeypatch.undo()
+        assert sorted(searches) == sorted(((f,), d.nu, max_k, include_self)
+                                          for f in range(d.n_features)
+                                          for max_k, include_self in ((11, False), (5, True)))
+        for cfg in cfgs:
+            reference = unmemoised_values(small_bundle, lambda model, expls: axe_quality(
+                d, model.predict_batch(d.features), expls, cfg).aggregate_q)
+            assert verdict_values([v for v in verdicts if v.hyperparams == asdict(cfg)],
+                                  "axe") == reference
 
 # ---------------------------------------------------------------------------
 # Principle audits

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -105,6 +106,14 @@ class TestRulePredictor:
     def test_no_gradient(self):
         m = make_rule_predictor(RuleModelSpec(0))
         assert m.gradient([1.0]) is None
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4,), (2, 4, 3)],
+                             ids=["too-narrow", "one-d", "three-d"])
+    def test_batch_it_cannot_read_rejected(self, shape):
+        m = make_rule_predictor(RuleModelSpec(2, 0.0, True))
+        message = f"dimension mismatch: rule reads feature 2, data has shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            m.predict_proba_batch(np.zeros(shape))
 
 
 class TestTrainLogistic:
