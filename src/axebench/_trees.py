@@ -127,7 +127,10 @@ class _Tree:
         """Rebuild a tree, raising ValueError naming ``label`` if it is malformed."""
         fields = {"feature": int, "threshold": float, "left": int, "right": int, "value": float}
         check_fields(label, d, {key: list[tp] for key, tp in fields.items()})
-        tree = cls(*(d[key] for key in fields))
+        try:
+            tree = cls(*(d[key] for key in fields))
+        except OverflowError:
+            raise ValueError(f"{label} holds an index beyond 64 bits") from None
         size = tree.feature.size
         if size == 0 or any(len(d[key]) != size for key in fields):
             raise ValueError(f"{label} arrays must be non-empty and of equal length")

@@ -102,8 +102,7 @@ def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
             except ValueError:
                 raise ValueError(f"{ENV_PREFIX}{key.upper()} must be {tp.__name__}, "
                                  f"not {raw!r}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"config file must hold a JSON object, not a {type(config).__name__}")
+    check_type("config file", config, dict)
     for key, value in config.items():
         if key == "command":
             if value != args.command:
@@ -198,11 +197,15 @@ def _reference_vector(params: dict, model):
                    "reference metrics need --e-star or a linear model with coefficients")
 
 
-_EVALUATE_DEFAULTS = {
-    "seed": 0, "out": None, "jobs": 1, "n": 1, "k": 5, "include_self": False,
+_EXPLAIN_DEFAULTS = {
+    "seed": 0, "out": None, "jobs": 1,
     "dataset": None, "schema": None, "synthetic": None, "proxy": None,
     "rows": 200, "cols": 5, "model": None, "train": None,
-    "explanations": None, "explainer": None, "manual_index": None,
+    "explainer": None, "manual_index": None,
+}
+
+_EVALUATE_DEFAULTS = {
+    **_EXPLAIN_DEFAULTS, "n": 1, "k": 5, "include_self": False, "explanations": None,
     "metric": ["axe"], "e_star": None, "num_perturbations": 100, "sigma": 0.5,
     "axe_trace": False,
 }
@@ -244,11 +247,6 @@ def cmd_evaluate(params: dict) -> int:
     return 0
 
 
-# explain persists _EVALUATE_DEFAULTS but takes flags only for what it reads
-_EXPLAIN_KEYS = ("seed", "out", "jobs", "dataset", "schema", "synthetic", "proxy",
-                 "rows", "cols", "model", "train", "explainer", "manual_index")
-
-
 def cmd_explain(params: dict) -> int:
     """Generate and save explanations."""
     out = _out_dir(params)
@@ -259,7 +257,7 @@ def cmd_explain(params: dict) -> int:
     explanations = _resolve_explanations(params, d, model)
     save_explanations_csv(explanations, out / "explanations.csv", d.feature_names)
     save_explanations_json(explanations, out / "explanations.json")
-    _write_run_config(out, "explain", params, _EVALUATE_DEFAULTS)
+    _write_run_config(out, "explain", params, _EXPLAIN_DEFAULTS)
     return 0
 
 
@@ -382,7 +380,7 @@ def _write_run_config(out: Path, command: str, params: dict, defaults: dict) -> 
 
 _COMMANDS = {
     "evaluate": (cmd_evaluate, _EVALUATE_DEFAULTS),
-    "explain": (cmd_explain, _EVALUATE_DEFAULTS),
+    "explain": (cmd_explain, _EXPLAIN_DEFAULTS),
     "attack": (cmd_attack, _ATTACK_DEFAULTS),
     "region-grid": (cmd_region_grid, _REGION_DEFAULTS),
     "principles": (cmd_principles, _PRINCIPLES_DEFAULTS),
@@ -397,9 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, defaults) in _COMMANDS.items():
         p = sub.add_parser(command, help=handler.__doc__)
-        keys = _EXPLAIN_KEYS if command == "explain" else defaults
         for key, (tp, settings) in _FLAGS.items():
-            if key in keys or (key == "config" and command != "report"):
+            if key in defaults or (key == "config" and command != "report"):
                 typed = {"type": tp} if tp in (int, float) else {}
                 p.add_argument("--" + key.replace("_", "-"), **typed, **settings)
     return parser

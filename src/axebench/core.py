@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -343,8 +344,11 @@ class QualityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QualityReport":
-        _check_record("quality report", d, ("metric_name", "hyperparams", "per_point_q",
-                                            "aggregate_q"))
+        tags = ("dataset_id", "model_descriptor", "explainer_tag")
+        check_fields("quality report", d, {"metric_name": str, "hyperparams": dict,
+                                           "per_point_q": list[float | None],
+                                           "aggregate_q": float | None,
+                                           **dict.fromkeys(tags, str)}, optional=tags)
         version = d.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"report schema_version {version!r} is not supported; "
@@ -353,9 +357,7 @@ class QualityReport:
         agg = float("nan") if d["aggregate_q"] is None else float(d["aggregate_q"])
         return cls(metric_name=d["metric_name"], hyperparams=dict(d["hyperparams"]),
                    per_point_q=np.asarray(per_point), aggregate_q=agg,
-                   dataset_id=d.get("dataset_id", "dataset"),
-                   model_descriptor=d.get("model_descriptor", "model"),
-                   explainer_tag=d.get("explainer_tag", "manual"))
+                   **{tag: d[tag] for tag in tags if tag in d})
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
@@ -375,14 +377,6 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _check_record(kind: str, d, required) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{kind} must hold a JSON object, not a {type(d).__name__}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ValueError(f"{kind} lacks field {', '.join(map(repr, missing))}")
-
-
 def _conforms(value, tp) -> bool:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
@@ -394,26 +388,32 @@ def _conforms(value, tp) -> bool:
             _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items())
     if isinstance(value, bool) and tp is not bool:
         return False
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return False
     return isinstance(value, (int, float) if tp is float else tp)
 
 
 def check_type(label: str, value, tp) -> None:
     """Raise ValueError naming ``label`` unless the JSON value ``value`` has type ``tp``:
     str, int, float, bool, ``list``/``tuple``/``dict`` of these, or ``X | None``. A bool
-    is never an int, an int is also a float, and a list stands for a tuple."""
+    is never an int, an int is also a float, an int beyond float range is neither, and a
+    list stands for a tuple."""
     if not _conforms(value, tp):
         name = str(tp) if typing.get_origin(tp) else tp.__name__
         raise ValueError(f"{label} must be {name}, not {type(value).__name__}")
 
 
-def check_fields(label: str, d, types: dict) -> None:
-    """Raise ValueError naming ``label`` unless ``d`` is a JSON object that holds
-    every key of ``types``, each value of the type ``check_type`` accepts for it."""
+def check_fields(label: str, d, types: dict, optional=()) -> None:
+    """Raise ValueError naming ``label`` unless ``d`` is a JSON object that holds every
+    key of ``types`` not in ``optional``, each value of the type ``check_type`` accepts
+    for it. Keys outside ``types`` are left to the caller."""
     check_type(label, d, dict)
+    missing = [key for key in types if key not in d and key not in optional]
+    if missing:
+        raise ValueError(f"{label} lacks {', '.join(map(repr, missing))}")
     for key, tp in types.items():
-        if key not in d:
-            raise ValueError(f"{label} lacks {key!r}")
-        check_type(f"{label} {key!r}", d[key], tp)
+        if key in d:
+            check_type(f"{label} {key!r}", d[key], tp)
 
 
 def record_from_dict(cls, d):
@@ -421,14 +421,13 @@ def record_from_dict(cls, d):
     a non-object, a missing required field, an unknown key (a misspelt one too) or a
     mistyped value raises ValueError naming it."""
     kind = f"{cls.__name__} record"
-    _check_record(kind, d, [f.name for f in fields(cls)
-                            if f.default is MISSING and f.default_factory is MISSING])
+    hints = typing.get_type_hints(cls)
+    check_fields(kind, d, {f.name: hints[f.name] for f in fields(cls)},
+                 optional=[f.name for f in fields(cls)
+                           if f.default is not MISSING or f.default_factory is not MISSING])
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{kind} has unknown field {', '.join(map(repr, unknown))}")
-    hints = typing.get_type_hints(cls)
-    for name, value in d.items():
-        check_type(f"{kind} field {name!r}", value, hints[name])
     return cls(**d)
 
 

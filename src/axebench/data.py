@@ -127,6 +127,11 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             raise ValueError(f"parse error at row {r}, col {schema.target_column}: "
                              f"target must be 0/1, got {y!r}")
         labels[r - 1] = int(y)
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        r, j = bad[0]
+        raise ValueError(f"parse error at row {r + 1}, col {feature_cols[j]}: "
+                         f"{raw[r, j]} is not finite")
 
     return _standardized_dataset(
         raw, feature_cols, labels,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .axe import AxeConfig, axe_quality, axe_quality_many
-from .core import (Dataset, ExplanationSet, component_seed, ordered_parallel_map,
+from .core import (Dataset, ExplanationSet, check_type, component_seed, ordered_parallel_map,
                    record_from_dict, write_json)
 from .data import SyntheticSpec, benchmark_proxy, generate_synthetic
 from .explainers import make_manual_explanations
@@ -306,8 +306,7 @@ def write_verdicts(verdicts: list[DetectionVerdict], path) -> None:
 def load_verdicts(path):
     with open(path, encoding="utf-8") as fh:
         rows = json.load(fh)
-    if not isinstance(rows, list):
-        raise ValueError(f"verdict file must hold a JSON list, not a {type(rows).__name__}")
+    check_type("verdict file", rows, list)
     return [DetectionVerdict.from_dict(v) for v in rows]
 
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Explanation, ExplanationSet, Predictor, one_row, row_seed, write_json
+from .core import (Dataset, Explanation, ExplanationSet, Predictor, check_fields, check_type,
+                   one_row, row_seed, write_json)
 
 
 @dataclass
@@ -230,15 +231,11 @@ def explain_dataset(m: Predictor, d: Dataset, cfg: ExplainerConfig) -> Explanati
 def _stack(indices, rows, tags) -> ExplanationSet:
     """Per-row vectors in datapoint_index order, which must list every row
     0..rows-1 exactly once; the tag is the rows' common tag, or "mixed"."""
-    indices = np.asarray(indices, dtype=int)
-    order = np.argsort(indices, kind="stable")
-    if not np.array_equal(indices[order], np.arange(indices.size)):
-        raise ValueError(f"datapoint_index must list every row 0..{indices.size - 1} "
+    if sorted(indices) != list(range(len(indices))):  # in Python: no int64 overflow
+        raise ValueError(f"datapoint_index must list every row 0..{len(indices) - 1} "
                          "exactly once")
-    try:
-        widths = sorted({len(r) for r in rows})
-    except TypeError:
-        raise ValueError("importances must be a list of numbers on every row") from None
+    order = np.argsort(indices)
+    widths = sorted({len(r) for r in rows})
     if len(widths) > 1:
         raise ValueError(f"length mismatch: explanation widths {widths} differ")
     distinct = set(tags)
@@ -261,8 +258,12 @@ def save_explanations_csv(explanations: ExplanationSet, path, feature_names=None
 def load_explanations_csv(path, explainer_tag: str = "loaded") -> ExplanationSet:
     with open(path, newline="", encoding="utf-8") as fh:
         body = list(csv.reader(fh))[1:]
-    return _stack([int(row[0]) for row in body], [[float(v) for v in row[1:]] for row in body],
-                  [explainer_tag])
+    try:
+        indices = [int(row[0]) for row in body]
+    except IndexError:  # only a blank line has no first cell
+        blank = next(i for i, row in enumerate(body) if not row)
+        raise ValueError(f"explanations CSV line {blank + 2} is blank") from None
+    return _stack(indices, [[float(v) for v in row[1:]] for row in body], [explainer_tag])
 
 
 def save_explanations_json(explanations: ExplanationSet, path) -> None:
@@ -274,18 +275,11 @@ def save_explanations_json(explanations: ExplanationSet, path) -> None:
 def load_explanations_json(path) -> ExplanationSet:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, list):
-        raise ValueError("explanations JSON must be a list of row objects")
+    check_type("explanations JSON", payload, list)
     for pos, item in enumerate(payload):
-        if not isinstance(item, dict):
-            raise ValueError(f"explanations JSON row {pos} is not an object")
-        for key in ("datapoint_index", "importances"):
-            if key not in item:
-                raise ValueError(f"explanations JSON row {pos} lacks {key!r}")
-        index = item["datapoint_index"]
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise ValueError(f"explanations JSON row {pos}: datapoint_index {index!r} "
-                             "is not an integer")
+        check_fields(f"explanations JSON row {pos}", item,
+                     {"datapoint_index": int, "importances": list[float], "explainer_tag": str},
+                     optional=("explainer_tag",))
     return _stack([item["datapoint_index"] for item in payload],
                   [item["importances"] for item in payload],
                   [item.get("explainer_tag", "loaded") for item in payload])

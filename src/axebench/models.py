@@ -46,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trees import BaggedTrees
-from .core import (Dataset, Predictor, check_fields, check_type, one_row, perturbed_copies,
-                   write_json)
+from .core import Dataset, Predictor, check_fields, one_row, perturbed_copies, write_json
 
 
 def sigmoid(z):
@@ -571,22 +570,18 @@ def build_scaffold(d: Dataset, spec: ScaffoldSpec) -> ScaffoldPredictor:
     return scaffold
 
 
-def _descriptor(label: str, d: dict, default: str | None = None) -> str | None:
-    descriptor = d.get("descriptor", default)
-    check_type(f"{label} 'descriptor'", descriptor, str | None)
-    return descriptor
-
-
 def _linear_from_dict(d: dict, label: str) -> LinearPredictor:
-    check_fields(label, d, {"coefficients": list[float], "intercept": float})
+    check_fields(label, d, {"coefficients": list[float], "intercept": float,
+                            "descriptor": str | None}, optional=("descriptor",))
     return LinearPredictor(LinearModelSpec(tuple(d["coefficients"]), d["intercept"]),
-                           descriptor=_descriptor(label, d))
+                           descriptor=d.get("descriptor"))
 
 
 def _rule_from_dict(d: dict, label: str) -> RulePredictor:
-    check_fields(label, d, {"feature_index": int, "threshold": float, "positive_above": bool})
+    check_fields(label, d, {"feature_index": int, "threshold": float, "positive_above": bool,
+                            "descriptor": str | None}, optional=("descriptor",))
     return RulePredictor(RuleModelSpec(d["feature_index"], d["threshold"], d["positive_above"]),
-                         descriptor=_descriptor(label, d))
+                         descriptor=d.get("descriptor"))
 
 
 def _mlp_from_dict(d: dict, label: str) -> MlpPredictor:
@@ -596,13 +591,14 @@ def _mlp_from_dict(d: dict, label: str) -> MlpPredictor:
 
 
 def _scaffold_from_dict(d: dict, label: str) -> ScaffoldPredictor:
-    check_fields(label, d, {"seed": int, "biased": dict, "foils": list[dict], "detector": dict})
-    check_type(f"{label} 'on_data_agreement'", d.get("on_data_agreement"), float | None)
+    check_fields(label, d, {"seed": int, "biased": dict, "foils": list[dict], "detector": dict,
+                            "on_data_agreement": float | None, "descriptor": str | None},
+                 optional=("on_data_agreement", "descriptor"))
     foils = [_rule_from_dict(f, f"{label} foil {i}") for i, f in enumerate(d["foils"])]
     scaffold = ScaffoldPredictor(_rule_from_dict(d["biased"], f"{label} biased rule"), foils,
                                  OodDetector.from_dict(d["detector"]), d["seed"])
     scaffold.on_data_agreement = d.get("on_data_agreement")
-    scaffold.descriptor = _descriptor(label, d, scaffold.descriptor)
+    scaffold.descriptor = d.get("descriptor") or scaffold.descriptor  # as linear and rule do
     return scaffold
 
 
@@ -621,10 +617,8 @@ def load_predictor(path) -> Predictor:
     """Rebuild a predictor from its JSON file; a malformed file raises a ValueError."""
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
-    if not isinstance(d, dict):
-        raise ValueError(f"predictor file must hold a JSON object, not a {type(d).__name__}")
-    kind = d.get("kind")
-    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
-    if loader is None:
+    check_fields("predictor file", d, {"kind": str})
+    kind = d["kind"]
+    if kind not in _LOADERS:
         raise ValueError(f"unknown predictor kind {kind!r}")
-    return loader(d, f"{kind} predictor file")
+    return _LOADERS[kind](d, f"{kind} predictor file")

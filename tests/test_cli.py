@@ -154,7 +154,8 @@ class TestEvaluate:
                                           *(f"{i},1.0,0.5,0.0" for i in range(1, 50))]) + "\n",
                                "length mismatch: explanation widths [2, 3] differ"),
                  "long.json": (json.dumps(rows), "length mismatch: explanation widths [3, 4] differ"),
-                 "scalar.json": (json.dumps(scalars), "a list of numbers on every row")}
+                 "scalar.json": (json.dumps(scalars), "explanations JSON row 0 'importances' "
+                                                      "must be list[float], not float")}
         for name, (text, message) in files.items():
             expl_path = tmp_path / name
             expl_path.write_text(text)
@@ -169,15 +170,18 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mangle, message", [
         (lambda rows: rows[:3] + [{"datapoint_index": 3, "importance": [1.0, 0.5, 0.0]}]
-         + rows[4:], "row 3 lacks 'importances'"),
+         + rows[4:], "explanations JSON row 3 lacks 'importances'"),
         (lambda rows: [{"importances": r["importances"]} for r in rows],
-         "row 0 lacks 'datapoint_index'"),
-        (lambda rows: rows[:5] + [[5, 1.0, 0.5, 0.0]] + rows[6:], "row 5 is not an object"),
-        (lambda rows: {"rows": rows}, "must be a list of row objects"),
+         "explanations JSON row 0 lacks 'datapoint_index'"),
+        (lambda rows: rows[:5] + [[5, 1.0, 0.5, 0.0]] + rows[6:],
+         "explanations JSON row 5 must be dict, not list"),
+        (lambda rows: {"rows": rows}, "explanations JSON must be list, not dict"),
         (lambda rows: [dict(r, datapoint_index=1.5) if i == 1 else r
-                       for i, r in enumerate(rows)], "datapoint_index 1.5 is not an integer"),
+                       for i, r in enumerate(rows)],
+         "explanations JSON row 1 'datapoint_index' must be int, not float"),
         (lambda rows: [dict(r, datapoint_index=None) if i == 2 else r
-                       for i, r in enumerate(rows)], "datapoint_index None is not an integer"),
+                       for i, r in enumerate(rows)],
+         "explanations JSON row 2 'datapoint_index' must be int, not NoneType"),
     ], ids=["missing-importances", "missing-datapoint-index", "row-not-object",
             "payload-not-list", "fractional-index", "null-index"])
     def test_malformed_json_explanations_exit_2(self, tmp_path, capsys, mangle, message):
@@ -194,11 +198,11 @@ class TestEvaluate:
         assert message in err
 
     @pytest.mark.parametrize("payload, message", [
-        ({"kind": "linear"}, "linear predictor file lacks 'coefficients'"),
+        ({"kind": "linear"}, "linear predictor file lacks 'coefficients', 'intercept'"),
         ({"kind": "mlp", "activation": "tanh", "descriptor": "mlp(2)",
           "weights": [[[0.5, -0.5], [0.1, 0.2], [0.3, 0.4]], [[1.0], [-1.0]]]},
          "mlp predictor file lacks 'biases'"),
-        ([1, 2], "predictor file must hold a JSON object, not a list"),
+        ([1, 2], "predictor file must be dict, not list"),
         ({"kind": "forest"}, "unknown predictor kind 'forest'"),
         (mlp_file(activation="relu"), "mlp activation must be 'tanh' or 'sigmoid', not 'relu'"),
         (mlp_file(weights=[], biases=[]), "mlp needs at least one layer"),
@@ -414,17 +418,16 @@ class TestAttack:
 class TestSchemaFile:
     @pytest.mark.parametrize("command", ["evaluate", "attack"])
     @pytest.mark.parametrize("mangle, message", [
-        (lambda s: [1, 2], "DatasetSchema record must hold a JSON object, not a list"),
+        (lambda s: [1, 2], "DatasetSchema record must be dict, not list"),
         (lambda s: {k: v for k, v in s.items() if k != "name"},
-         "DatasetSchema record lacks field 'name'"),
-        (lambda s: {}, "DatasetSchema record lacks field 'name', 'column_names', "
-                       "'target_column'"),
+         "DatasetSchema record lacks 'name'"),
+        (lambda s: {}, "DatasetSchema record lacks 'name', 'column_names', 'target_column'"),
         (lambda s: {**s, "protected_colum": "prot"},
          "DatasetSchema record has unknown field 'protected_colum'"),
         (lambda s: {**s, "column_names": 5},
-         "DatasetSchema record field 'column_names' must be list[str], not int"),
+         "DatasetSchema record 'column_names' must be list[str], not int"),
         (lambda s: {**s, "drop_columns": "c5"},
-         "DatasetSchema record field 'drop_columns' must be list[str], not str"),
+         "DatasetSchema record 'drop_columns' must be list[str], not str"),
     ], ids=["payload-not-object", "missing-name", "empty-object", "misspelt-key",
             "int-column-names", "str-drop-columns"])
     def test_malformed_schema_exits_2(self, tmp_path, capsys, command, mangle, message):
@@ -536,7 +539,7 @@ class TestPrecedence:
 
 class TestOutsideValues:
     @pytest.mark.parametrize("command, config, env, message", [
-        ("evaluate", [1, 2], {}, "config file must hold a JSON object, not a list"),
+        ("evaluate", [1, 2], {}, "config file must be dict, not list"),
         ("region-grid", {"resolution": "x"}, {},
          "config key 'resolution' must be int, not str"),
         ("evaluate", {"include_self": "no", "k": 3}, {},
@@ -572,10 +575,10 @@ _DATA_MODEL = {"--dataset", "--schema", "--synthetic", "--proxy", "--rows", "--c
                "--model", "--train", "--explainer", "--manual-index"}
 _SYNTHETIC = ["--synthetic", "threshold-rule", "--rows", "40", "--cols", "3",
               "--train", "logistic", "--manual-index", "0"]
-_EVALUATE_KEYS = {"seed", "n", "k", "include_self", "dataset", "schema", "synthetic",
-                  "proxy", "rows", "cols", "model", "train", "explanations", "explainer",
-                  "manual_index", "metric", "e_star", "num_perturbations", "sigma",
-                  "axe_trace"}
+_EXPLAIN_KEYS = {"seed", "dataset", "schema", "synthetic", "proxy", "rows", "cols", "model",
+                 "train", "explainer", "manual_index"}
+_EVALUATE_KEYS = _EXPLAIN_KEYS | {"n", "k", "include_self", "explanations", "metric", "e_star",
+                                  "num_perturbations", "sigma", "axe_trace"}
 
 
 class TestCommandSurface:
@@ -585,7 +588,7 @@ class TestCommandSurface:
                                   "--no-include-self", "--e-star", "--num-perturbations",
                                   "--sigma", "--axe-trace", "--no-axe-trace"},
          _EVALUATE_KEYS),
-        ("explain", lambda tmp: _SYNTHETIC, _COMMON | _DATA_MODEL, _EVALUATE_KEYS),
+        ("explain", lambda tmp: _SYNTHETIC, _COMMON | _DATA_MODEL, _EXPLAIN_KEYS),
         ("attack", lambda tmp: ["--dataset", str(write_attack_csv(tmp, nu=120)[0]),
                                 "--schema", str(tmp / "schema.json"),
                                 "--num-perturbations", "5"],
@@ -644,23 +647,22 @@ class TestReport:
     @pytest.mark.parametrize("name, payload, message", [
         ("verdicts.json", "not json", "error [experiments]: Expecting value"),
         ("verdicts.json", "{}",
-         "error [experiments]: verdict file must hold a JSON list, not a dict"),
+         "error [experiments]: verdict file must be list, not dict"),
         ("verdicts.json", json.dumps([{"dataset_id": "d", "metric_name": "axe",
                                        "hyperparams": {}, "q_protected": 1.0,
                                        "q_foil1": 0.5, "q_foil2": None, "q_other": 0.5,
                                        "passed": True}]),
-         "error [experiments]: DetectionVerdict record lacks field 'model_name'"),
+         "error [experiments]: DetectionVerdict record lacks 'model_name'"),
         ("verdicts.json", json.dumps([{"dataset_id": "d", "model_name": "m",
                                        "metric_name": "axe", "hyperparams": {},
                                        "q_protected": "high", "q_foil1": 0.5,
                                        "q_foil2": None, "q_other": 0.5, "passed": True}]),
-         "error [experiments]: DetectionVerdict record field 'q_protected' must be "
-         "float, not str"),
+         "error [experiments]: DetectionVerdict record 'q_protected' must be float, not str"),
         ("report_fa.json", json.dumps({"schema_version": 1, "metric_name": "fa",
                                        "hyperparams": {}, "aggregate_q": 0.5}),
-         "error [core]: quality report lacks field 'per_point_q'"),
+         "error [core]: quality report lacks 'per_point_q'"),
         ("report_fa.json", "[]",
-         "error [core]: quality report must hold a JSON object, not a list"),
+         "error [core]: quality report must be dict, not list"),
     ], ids=["verdicts-not-json", "verdicts-not-list", "verdict-without-model-name",
             "verdict-with-str-q", "report-without-per-point-q", "report-not-object"])
     def test_malformed_run_file_exits_2(self, tmp_path, capsys, name, payload, message):

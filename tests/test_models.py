@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axebench._trees import BaggedTrees
-from axebench.core import Dataset, ExplanationSet, perturbed_copies
+from axebench.core import Dataset, ExplanationSet, perturbed_copies, write_json
 from axebench.data import SyntheticSpec, generate_synthetic, train_test_split
 from axebench.explainers import ExplainerConfig, explain_kernel_shapley
 from axebench.metrics_sensitivity import PerturbConfig, sensitivity_quality_report
@@ -479,6 +479,19 @@ class TestSerialization:
         for m in models:
             save_predictor(m, tmp_path / "m.json")
             assert load_predictor(tmp_path / "m.json").to_dict() == m.to_dict()
+
+    def test_null_descriptor_loads_like_an_absent_one(self, tmp_path):
+        scaffold = build_scaffold(grid_dataset(seed=13), ScaffoldSpec(
+            biased=RuleModelSpec(0), foils=(RuleModelSpec(3),), seed=14))
+        for m in (make_linear_predictor(LinearModelSpec((0.7, -0.3), 0.2)),
+                  make_rule_predictor(RuleModelSpec(1, 0.5, False)), scaffold):
+            payload = {k: v for k, v in m.to_dict().items() if k != "descriptor"}
+            descriptors = []
+            for extra in ({}, {"descriptor": None}):
+                write_json(tmp_path / "m.json", {**payload, **extra})
+                descriptors.append(load_predictor(tmp_path / "m.json").descriptor)
+            assert descriptors[0] == descriptors[1]
+            assert isinstance(descriptors[0], str)
 
 
 def test_sigmoid_stability():

@@ -331,6 +331,7 @@ def tree_file(**changes):
 class TestMalformedTrees:
     @pytest.mark.parametrize("payload, message", [
         (tree_file(left=(0, 10**6)), "detector tree 1 has a child index outside the tree"),
+        (tree_file(left=(0, 2**64)), "detector tree 1 holds an index beyond 64 bits"),
         (tree_file(left=(0, 0)), "not after its parent"),
         (tree_file(right=(1, 1)), "not after its parent"),
         (tree_file(right=(3, 2)), "not after its parent"),
@@ -351,7 +352,7 @@ class TestMalformedTrees:
          "detector tree 1 lacks 'right'"),
         ({**tree_file(), "trees": [STUMP, [1, 2]]}, "detector 'trees' must be list[dict]"),
         ({**tree_file(), "trees": 3}, "detector 'trees' must be list[dict]"),
-    ], ids=["child-out-of-range", "root-is-its-own-child", "child-is-its-parent",
+    ], ids=["child-out-of-range", "child-beyond-int64", "root-is-its-own-child", "child-is-its-parent",
             "child-before-parent", "two-parents", "leaf-feature", "infinite-threshold",
             "nan-threshold", "leaf-value-above-one", "negative-leaf-value", "nan-leaf-value",
             "fractional-feature", "text-threshold", "unequal-lengths", "empty-tree",
