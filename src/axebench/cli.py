@@ -87,6 +87,8 @@ def _stage(module: str):
         raise
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         raise CliError(module, str(exc)) from exc
+    except MemoryError as exc:
+        raise CliError(module, f"out of memory: {exc}" if str(exc) else "out of memory") from exc
 
 
 def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
@@ -228,21 +230,23 @@ def cmd_evaluate(params: dict) -> int:
                 trace = out / "axe_trace.csv" if params["axe_trace"] else None
                 report = axe_quality(d, y_preds, explanations, cfg,
                                      model_descriptor=model.descriptor, trace_path=trace)
+                report.to_json(out / f"report_{metric}.json")
         elif metric in ("pgi", "pgu"):
             with _stage("metrics_sensitivity"):
                 cfg = PerturbConfig(n=params["n"], seed=params["seed"],
                                     num_perturbations=params["num_perturbations"],
                                     sigma=params["sigma"])
                 report = sensitivity_quality_report(metric, model, d, explanations, cfg)
+                report.to_json(out / f"report_{metric}.json")
         elif metric in REFERENCE_METRICS:
             with _stage("metrics_reference"):
                 e_star = _reference_vector(params, model)
                 report = reference_quality_report(metric, explanations, e_star,
                                                   n=params["n"], dataset_id=d.dataset_id,
                                                   model_descriptor=model.descriptor)
+                report.to_json(out / f"report_{metric}.json")
         else:
             raise CliError("cli", f"unknown metric {metric!r}")
-        report.to_json(out / f"report_{metric}.json")
     _write_run_config(out, "evaluate", params, _EVALUATE_DEFAULTS)
     return 0
 
@@ -255,8 +259,9 @@ def cmd_explain(params: dict) -> int:
     if not params.get("explainer") and params.get("manual_index") is None:
         raise CliError("explainers", "no explainer given: use --explainer or --manual-index")
     explanations = _resolve_explanations(params, d, model)
-    save_explanations_csv(explanations, out / "explanations.csv", d.feature_names)
-    save_explanations_json(explanations, out / "explanations.json")
+    with _stage("explainers"):
+        save_explanations_csv(explanations, out / "explanations.csv", d.feature_names)
+        save_explanations_json(explanations, out / "explanations.json")
     _write_run_config(out, "explain", params, _EXPLAIN_DEFAULTS)
     return 0
 
@@ -296,7 +301,7 @@ def cmd_attack(params: dict) -> int:
             verdicts.extend(run_fairwash_detection(
                 bundle, axe_cfgs=(axe_cfg,), perturb_cfg=perturb,
                 jobs=params.get("jobs") or 1))
-    write_verdicts(verdicts, out / "verdicts.json")
+        write_verdicts(verdicts, out / "verdicts.json")
     _write_run_config(out, "attack", params, _ATTACK_DEFAULTS)
     _print_verdicts(verdicts)
     return 0
@@ -329,7 +334,7 @@ def cmd_principles(params: dict) -> int:
     out = _out_dir(params)
     with _stage("experiments"):
         matrix = principle_matrix(seed=params["seed"])
-    write_json(out / "principles.json", matrix)
+        write_json(out / "principles.json", matrix)
     _write_run_config(out, "principles", params, _PRINCIPLES_DEFAULTS)
     for metric, result in sorted(matrix.items()):
         marks = " ".join(f"{p}={result[p]['verdict']}" for p in PRINCIPLES)
@@ -375,7 +380,8 @@ def _print_verdicts(verdicts) -> None:
 
 def _write_run_config(out: Path, command: str, params: dict, defaults: dict) -> None:
     semantic = {k: params[k] for k in defaults if k not in ("out", "jobs")}
-    write_json(out / "run_config.json", {"command": command, **semantic})
+    with _stage("cli"):
+        write_json(out / "run_config.json", {"command": command, **semantic})
 
 
 _COMMANDS = {

@@ -369,11 +369,18 @@ class QualityReport:
 
 
 def write_json(path, payload) -> None:
-    """Deterministic JSON dump: sorted keys, fixed layout, trailing newline."""
+    """Deterministic JSON dump: sorted keys, fixed layout, trailing newline.
+
+    The one guard against non-JSON output: a NaN or infinity anywhere in
+    ``payload`` raises ``ValueError`` and leaves no file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        try:
+            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            path.unlink()
+            raise ValueError(f"cannot write {path.name}: {exc}") from exc
         fh.write("\n")
 
 

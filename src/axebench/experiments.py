@@ -69,18 +69,27 @@ def run_region_grid(spec: RegionGridSpec) -> RegionGridResult:
 
 
 def write_region_grid(result: RegionGridResult, out_dir) -> list[Path]:
-    """One TSV per metric (i1, i2, metric, q) plus a summary of distinct values."""
+    """One TSV per metric (i1, i2, metric, q) plus a summary of distinct values.
+
+    Each cell is the ``repr`` of Python floats, in grid order. Every string is
+    formatted once: the ``"i1\\ti2\\t"`` cell prefixes once per call, shared by
+    all metrics, and ``"metric\\tq\\n"`` once per distinct q of a metric. The
+    distinct q are keyed by their 64-bit pattern, so ``-0.0`` and ``0.0`` keep
+    their own ``repr``. A file takes one write per grid row."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    axis = result.axis.tolist()  # Python floats: repr gives plain numbers
+    axis = [repr(v) for v in result.axis.tolist()]  # Python floats: repr gives plain numbers
+    prefixes = [[f"{a}\t{b}\t" for b in axis] for a in axis]
     for metric, grid in result.grids.items():
+        flat = np.asarray(grid, dtype=float).ravel()
+        _, first, codes = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+        tails = [f"{metric}\t{q!r}\n" for q in flat[first].tolist()]
         path = out_dir / f"region_{metric}.tsv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("i1\ti2\tmetric\tq\n")
-            for a, row in zip(axis, grid.tolist()):
-                for b, q in zip(axis, row):
-                    fh.write(f"{a!r}\t{b!r}\t{metric}\t{q!r}\n")
+            for row, row_codes in zip(prefixes, codes.reshape(grid.shape).tolist()):
+                fh.write("".join([p + tails[c] for p, c in zip(row, row_codes)]))
         written.append(path)
     summary = {
         "spec": asdict(result.spec),

@@ -8,6 +8,7 @@ because the metric's verdicts depend on it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
@@ -30,6 +31,8 @@ class PerturbConfig:
             raise ValueError("num_perturbations must be >= 1")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, not {self.sigma!r}")
         if self.n < 0:
             raise ValueError("n must be non-negative")
 

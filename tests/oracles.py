@@ -232,3 +232,14 @@ def shapley_exhaustive(value_fn, n):
                 s = frozenset(coalition)
                 phi[i] += weight * (value_fn(s | {i}) - value_fn(s))
     return phi
+
+
+def region_tsv_oracle(axis, metric, grid):
+    """The bytes of one region-grid TSV, one ``repr`` per value and one line per
+    cell: header, then ``i1\\ti2\\tmetric\\tq`` for every (i, j) in grid order."""
+    axis = np.asarray(axis).tolist()
+    lines = ["i1\ti2\tmetric\tq\n"]
+    for a, row in zip(axis, np.asarray(grid).tolist()):
+        for b, q in zip(axis, row):
+            lines.append(f"{a!r}\t{b!r}\t{metric}\t{q!r}\n")
+    return "".join(lines).encode("utf-8")

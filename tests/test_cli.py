@@ -333,6 +333,46 @@ class TestEvaluate:
         assert "e-star" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, sigma):
+        out = tmp_path / "run"
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
+                     "--cols", "3", "--train", "logistic", "--manual-index", "0",
+                     "--metric", "pgi", "--sigma", sigma, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error [metrics_sensitivity]: sigma must be finite, not {float(sigma)!r}\n")
+        assert not (out / "report_pgi.json").exists()
+
+    def test_non_json_number_in_an_output_file_exits_2(self, tmp_path, capsys):
+        # axe never reads --sigma, so only the run config would hold the NaN
+        out = tmp_path / "run"
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
+                     "--cols", "3", "--train", "logistic", "--manual-index", "0",
+                     "--metric", "axe", "--sigma", "nan", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli]: cannot write run_config.json: Out of range float")
+        assert "Traceback" not in err
+        assert not (out / "run_config.json").exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 3.73 GiB for an array with shape (100000000, 5)"),
+         "error [data]: out of memory: Unable to allocate 3.73 GiB for an array with "
+         "shape (100000000, 5)"),
+        (MemoryError(), "error [data]: out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, exc, message):
+        def generate_synthetic(spec):
+            raise exc
+        monkeypatch.setattr(cli, "generate_synthetic", generate_synthetic)
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "100000000",
+                     "--cols", "5", "--train", "logistic", "--manual-index", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+
+
 class TestExplain:
     def test_writes_csv_and_json(self, tmp_path):
         out = tmp_path / "run"

@@ -3,7 +3,7 @@ import pytest
 
 from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, ExplanationSet,
                            QualityReport, aggregate_quality, bottom_n_features, rank_vector,
-                           row_seed, top_n_features)
+                           row_seed, top_n_features, write_json)
 
 from oracles import bottom_n_oracle, rank_oracle, top_n_oracle
 
@@ -187,6 +187,16 @@ class TestQualityReport:
     def test_all_undefined_aggregate_is_nan(self):
         r = QualityReport.build("rc", {}, [float("nan")] * 3)
         assert np.isnan(r.aggregate_q)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_json_floats(tmp_path, value):
+    path = tmp_path / "x.json"
+    write_json(path, {"ok": 1.0, "nested": [0.5, None]})
+    assert path.read_text() == '{\n  "nested": [\n    0.5,\n    null\n  ],\n  "ok": 1.0\n}\n'
+    with pytest.raises(ValueError, match="cannot write x.json: Out of range float values"):
+        write_json(path, {"ok": 1.0, "nested": [0.5, value]})
+    assert not path.exists()  # no half-written file, and not the old one either
 
 
 def test_row_seed_is_xor():

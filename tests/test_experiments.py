@@ -21,6 +21,7 @@ from axebench.metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
 from axebench.models import RuleModelSpec, make_rule_predictor
 
 from conftest import assert_matches_oracle
+from oracles import region_tsv_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,36 @@ class TestRegionGrid:
                 assert name == metric
                 assert [float(i1), float(i2)] == [result.axis[i], result.axis[j]]
                 assert np.array_equal(float(q), grid[i, j], equal_nan=True)
+
+    @pytest.mark.parametrize("resolution,rc_nans", [(3, 5), (4, 6), (81, 107)])
+    def test_written_files_match_the_per_cell_oracle(self, resolution, rc_nans, tmp_path):
+        spec = RegionGridSpec(e_star=(0.7, 0.3), resolution=resolution,
+                              metrics=tuple(REFERENCE_METRICS))
+        result = run_region_grid(spec)
+        assert int(np.isnan(result.grids["rc"]).sum()) == rc_nans
+        write_region_grid(result, tmp_path)
+        for metric, grid in result.grids.items():
+            assert ((tmp_path / f"region_{metric}.tsv").read_bytes()
+                    == region_tsv_oracle(result.axis, metric, grid))
+
+    def test_written_cells_keep_every_float_repr(self, tmp_path):
+        # signed zeros, infinities, NaNs of other bit patterns and 17-digit values
+        # in one grid: each distinct q must keep its own repr
+        axis = np.array([-1.0, -0.0, 0.1, 1 / 3])
+        other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+        grid = np.array([[-0.0, 0.0, np.inf, -np.inf],
+                         [np.nan, -np.nan, other_nan, 0.1 + 0.2],
+                         [2 / 3, 1e-300, 5e-324, -1.7976931348623157e308],
+                         [0.0, -0.0, 0.30000000000000004, 0.3]])
+        spec = RegionGridSpec(resolution=4, metrics=("fa", "rc"))
+        result = experiments.RegionGridResult(
+            spec=spec, axis=axis, grids={"fa": grid, "rc": grid.T},
+            value_sets={"fa": [], "rc": []})
+        write_region_grid(result, tmp_path)
+        for metric, g in result.grids.items():
+            written = (tmp_path / f"region_{metric}.tsv").read_bytes()
+            assert written == region_tsv_oracle(axis, metric, g)
+        assert b"0.3333333333333333\t-0.0\tfa\t-0.0\n" in (tmp_path / "region_fa.tsv").read_bytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -215,5 +215,11 @@ def test_config_validation():
         PerturbConfig(n=1, num_perturbations=0)
     with pytest.raises(ValueError):
         PerturbConfig(n=1, sigma=0.0)
+    for sigma in (-1.0, -float("inf")):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            PerturbConfig(n=1, sigma=sigma)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            PerturbConfig(n=1, sigma=sigma)
     with pytest.raises(ValueError):
         PerturbConfig(n=-1)
