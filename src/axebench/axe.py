@@ -169,7 +169,7 @@ def axe_quality_many(d: Dataset, targets, explanations: ExplanationSet, cfgs,
                 table = _nearest_rows(d, subset, rows, max_k, include_self)
                 for c in at:
                     recovered[c][:, rows] = _recovered(ys, table, cfgs[c].k)
-    return [[QualityReport.build(
+    return [[QualityReport(
                 metric_name="axe",
                 hyperparams=asdict(cfg),
                 per_point_q=(recovered[c, t] == y).astype(float),

@@ -1,12 +1,12 @@
 """Command-line entry point tying ingestion, training, explanation, evaluation,
 and the experiment harnesses into reproducible runs.
 
-Every run writes the resolved semantic configuration to ``run_config.json`` in
-its output directory; re-running with ``--config`` on that file reproduces all
-artifacts byte-identically. Output directory and parallelism degree are
-runtime-only knobs and are never part of the persisted config. Defaults come
-from (lowest to highest precedence) built-ins, ``AXEBENCH_*`` environment
-variables, the ``--config`` file, then explicit flags.
+Every command but ``report`` writes the resolved semantic configuration to
+``run_config.json`` in its output directory, after its other outputs; re-running
+with ``--config`` on that file reproduces all artifacts byte-identically. Output
+directory and parallelism degree are runtime-only knobs and are never part of the
+persisted config. Defaults come from (lowest to highest precedence) built-ins,
+``AXEBENCH_*`` environment variables, the ``--config`` file, then explicit flags.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -137,15 +138,6 @@ def _load_config_file(args: argparse.Namespace):
         return json.load(fh)
 
 
-def _out_dir(params: dict) -> Path:
-    out = params.get("out")
-    if not out:
-        raise CliError("cli", "an output directory is required (--out)")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _resolve_dataset(params: dict):
     with _stage("data"):
         if params.get("dataset"):
@@ -189,9 +181,13 @@ def _resolve_explanations(params: dict, d, model):
                    "no explanations given: use --explanations, --explainer, or --manual-index")
 
 
+def _parse_e_star(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 def _reference_vector(params: dict, model):
-    if params.get("e_star"):
-        return np.array([float(v) for v in str(params["e_star"]).split(",")])
+    if params["e_star"] is not None:  # only an absent --e-star falls back to the model
+        return np.array(_parse_e_star(params["e_star"]))
     spec = getattr(model, "spec", None)
     if spec is not None and hasattr(spec, "coefficients"):
         return np.asarray(spec.coefficients, dtype=float)
@@ -213,47 +209,45 @@ _EVALUATE_DEFAULTS = {
 }
 
 
-def cmd_evaluate(params: dict) -> int:
+def cmd_evaluate(params: dict, out: Path) -> None:
     """Score explanations under one or more metrics."""
-    out = _out_dir(params)
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
     explanations = _resolve_explanations(params, d, model)
     with _stage("models"):
         y_preds = model.predict_batch(d.features)
 
+    # every config is built before any metric is scored: a rejected value writes no report
+    planned = []
     for metric in params["metric"]:
         if metric == "axe":
             with _stage("axe"):
                 cfg = AxeConfig(n=params["n"], k=params["k"],
                                 include_self=params["include_self"])
-                trace = out / "axe_trace.csv" if params["axe_trace"] else None
-                report = axe_quality(d, y_preds, explanations, cfg,
-                                     model_descriptor=model.descriptor, trace_path=trace)
-                report.to_json(out / f"report_{metric}.json")
+            planned.append(("axe", metric, partial(
+                axe_quality, d, y_preds, explanations, cfg, model_descriptor=model.descriptor,
+                trace_path=out / "axe_trace.csv" if params["axe_trace"] else None)))
         elif metric in ("pgi", "pgu"):
             with _stage("metrics_sensitivity"):
-                cfg = PerturbConfig(n=params["n"], seed=params["seed"],
-                                    num_perturbations=params["num_perturbations"],
-                                    sigma=params["sigma"])
-                report = sensitivity_quality_report(metric, model, d, explanations, cfg)
-                report.to_json(out / f"report_{metric}.json")
+                cfg = PerturbConfig(n=params["n"], seed=params["seed"], sigma=params["sigma"],
+                                    num_perturbations=params["num_perturbations"])
+            planned.append(("metrics_sensitivity", metric, partial(
+                sensitivity_quality_report, metric, model, d, explanations, cfg)))
         elif metric in REFERENCE_METRICS:
             with _stage("metrics_reference"):
                 e_star = _reference_vector(params, model)
-                report = reference_quality_report(metric, explanations, e_star,
-                                                  n=params["n"], dataset_id=d.dataset_id,
-                                                  model_descriptor=model.descriptor)
-                report.to_json(out / f"report_{metric}.json")
+            planned.append(("metrics_reference", metric, partial(
+                reference_quality_report, metric, explanations, e_star, n=params["n"],
+                dataset_id=d.dataset_id, model_descriptor=model.descriptor)))
         else:
             raise CliError("cli", f"unknown metric {metric!r}")
-    _write_run_config(out, "evaluate", params, _EVALUATE_DEFAULTS)
-    return 0
+    for stage, metric, score in planned:
+        with _stage(stage):
+            score().to_json(out / f"report_{metric}.json")
 
 
-def cmd_explain(params: dict) -> int:
+def cmd_explain(params: dict, out: Path) -> None:
     """Generate and save explanations."""
-    out = _out_dir(params)
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
     if not params.get("explainer") and params.get("manual_index") is None:
@@ -262,8 +256,6 @@ def cmd_explain(params: dict) -> int:
     with _stage("explainers"):
         save_explanations_csv(explanations, out / "explanations.csv", d.feature_names)
         save_explanations_json(explanations, out / "explanations.json")
-    _write_run_config(out, "explain", params, _EXPLAIN_DEFAULTS)
-    return 0
 
 
 _ATTACK_DEFAULTS = {
@@ -273,9 +265,8 @@ _ATTACK_DEFAULTS = {
 }
 
 
-def cmd_attack(params: dict) -> int:
+def cmd_attack(params: dict, out: Path) -> None:
     """Run the fairwash-detection experiment."""
-    out = _out_dir(params)
     verdicts = []
     d = _resolve_dataset(params) if params.get("dataset") else None
     with _stage("experiments"):
@@ -302,9 +293,7 @@ def cmd_attack(params: dict) -> int:
                 bundle, axe_cfgs=(axe_cfg,), perturb_cfg=perturb,
                 jobs=params.get("jobs") or 1))
         write_verdicts(verdicts, out / "verdicts.json")
-    _write_run_config(out, "attack", params, _ATTACK_DEFAULTS)
     _print_verdicts(verdicts)
-    return 0
 
 
 _REGION_DEFAULTS = {
@@ -312,34 +301,28 @@ _REGION_DEFAULTS = {
 }
 
 
-def cmd_region_grid(params: dict) -> int:
+def cmd_region_grid(params: dict, out: Path) -> None:
     """Map explanation quality over candidate explanations (i1, i2)."""
-    out = _out_dir(params)
     with _stage("experiments"):
-        e_star = tuple(float(v) for v in str(params["e_star"]).split(","))
-        spec = RegionGridSpec(e_star=e_star, resolution=params["resolution"], n=params["n"])
+        spec = RegionGridSpec(e_star=_parse_e_star(params["e_star"]),
+                              resolution=params["resolution"], n=params["n"])
         result = run_region_grid(spec)
         write_region_grid(result, out)
-    _write_run_config(out, "region-grid", params, _REGION_DEFAULTS)
     for metric, values in result.value_sets.items():
         print(f"{metric}: {len(values)} distinct values {values}")
-    return 0
 
 
 _PRINCIPLES_DEFAULTS = {"seed": 0, "out": None, "jobs": 1}
 
 
-def cmd_principles(params: dict) -> int:
+def cmd_principles(params: dict, out: Path) -> None:
     """Audit every metric against the principles."""
-    out = _out_dir(params)
     with _stage("experiments"):
         matrix = principle_matrix(seed=params["seed"])
         write_json(out / "principles.json", matrix)
-    _write_run_config(out, "principles", params, _PRINCIPLES_DEFAULTS)
     for metric, result in sorted(matrix.items()):
         marks = " ".join(f"{p}={result[p]['verdict']}" for p in PRINCIPLES)
         print(f"{metric}: {marks}")
-    return 0
 
 
 def cmd_report(params: dict) -> int:
@@ -378,12 +361,6 @@ def _print_verdicts(verdicts) -> None:
               f"{v.q_other:>10.3f}  {'yes' if v.passed else 'NO'}")
 
 
-def _write_run_config(out: Path, command: str, params: dict, defaults: dict) -> None:
-    semantic = {k: params[k] for k in defaults if k not in ("out", "jobs")}
-    with _stage("cli"):
-        write_json(out / "run_config.json", {"command": command, **semantic})
-
-
 _COMMANDS = {
     "evaluate": (cmd_evaluate, _EVALUATE_DEFAULTS),
     "explain": (cmd_explain, _EXPLAIN_DEFAULTS),
@@ -414,7 +391,18 @@ def main(argv=None) -> int:
     try:
         with _stage("cli"):
             params = _resolve(args, _load_config_file(args), defaults)
-        return handler(params)
+        if args.command == "report":  # reads a finished run and writes nothing
+            return handler(params)
+        if not params["out"]:
+            raise CliError("cli", "an output directory is required (--out)")
+        out = Path(params["out"])
+        with _stage("cli"):
+            out.mkdir(parents=True, exist_ok=True)
+        handler(params, out)
+        with _stage("cli"):
+            semantic = {k: params[k] for k in defaults if k not in ("out", "jobs")}
+            write_json(out / "run_config.json", {"command": args.command, **semantic})
+        return 0
     except CliError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
         return 2

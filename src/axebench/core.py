@@ -287,14 +287,15 @@ class QualityReport:
     """Per-datapoint quality scores for one (dataset, model, explanations, metric) run.
 
     ``per_point_q`` may contain NaN for metrics with an undefined marker (rank
-    correlation on constant rankings); ``aggregate_q`` is the mean of the
-    defined entries and NaN when none are defined.
+    correlation on constant rankings); ``aggregate_q`` is derived, never passed:
+    the mean of the defined entries and NaN when none are defined. A report file
+    must store that same aggregate, and ``undefined_count`` if it holds one.
     """
 
     metric_name: str
     hyperparams: dict
     per_point_q: np.ndarray
-    aggregate_q: float
+    aggregate_q: float = field(init=False)
     dataset_id: str = "dataset"
     model_descriptor: str = "model"
     explainer_tag: str = "manual"
@@ -304,24 +305,9 @@ class QualityReport:
         if q.ndim != 1 or q.size == 0:
             raise ValueError("per_point_q must be a non-empty vector")
         object.__setattr__(self, "per_point_q", q)
-        agg = float(self.aggregate_q)
         defined = q[np.isfinite(q)]
-        if defined.size:
-            if abs(agg - float(defined.mean())) > 1e-12:
-                raise ValueError("aggregate_q must equal the mean of the defined per-point scores")
-        elif not math.isnan(agg):
-            raise ValueError("aggregate_q must be NaN when every per-point score is undefined")
-        object.__setattr__(self, "aggregate_q", agg)
-
-    @classmethod
-    def build(cls, metric_name, hyperparams, per_point_q, dataset_id="dataset",
-              model_descriptor="model", explainer_tag="manual") -> "QualityReport":
-        q = np.asarray(per_point_q, dtype=float)
-        defined = q[np.isfinite(q)]
-        agg = float(defined.mean()) if defined.size else float("nan")
-        return cls(metric_name=metric_name, hyperparams=dict(hyperparams),
-                   per_point_q=q, aggregate_q=agg, dataset_id=dataset_id,
-                   model_descriptor=model_descriptor, explainer_tag=explainer_tag)
+        object.__setattr__(self, "aggregate_q",
+                           float(defined.mean()) if defined.size else float("nan"))
 
     @property
     def undefined_count(self) -> int:
@@ -348,16 +334,25 @@ class QualityReport:
         check_fields("quality report", d, {"metric_name": str, "hyperparams": dict,
                                            "per_point_q": list[float | None],
                                            "aggregate_q": float | None,
-                                           **dict.fromkeys(tags, str)}, optional=tags)
+                                           "undefined_count": int,
+                                           **dict.fromkeys(tags, str)},
+                     optional=(*tags, "undefined_count"))
         version = d.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"report schema_version {version!r} is not supported; "
                              f"this version reads schema_version {SCHEMA_VERSION}")
         per_point = [float("nan") if v is None else float(v) for v in d["per_point_q"]]
-        agg = float("nan") if d["aggregate_q"] is None else float(d["aggregate_q"])
-        return cls(metric_name=d["metric_name"], hyperparams=dict(d["hyperparams"]),
-                   per_point_q=np.asarray(per_point), aggregate_q=agg,
-                   **{tag: d[tag] for tag in tags if tag in d})
+        report = cls(metric_name=d["metric_name"], hyperparams=dict(d["hyperparams"]),
+                     per_point_q=per_point, **{tag: d[tag] for tag in tags if tag in d})
+        stored, agg = d["aggregate_q"], report.aggregate_q
+        if (stored is None) != math.isnan(agg) or (
+                stored is not None and not abs(stored - agg) <= 1e-12):
+            raise ValueError("aggregate_q must be the mean of the defined per-point scores, "
+                             "or null when none is defined")
+        if d.get("undefined_count", report.undefined_count) != report.undefined_count:
+            raise ValueError(f"undefined_count must be {report.undefined_count}, the number "
+                             f"of undefined per-point scores")
+        return report
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())

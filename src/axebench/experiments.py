@@ -164,10 +164,9 @@ class AttackBundle:
     dataset: Dataset
     models: dict[str, object]           # name -> ScaffoldPredictor
     model_foils: dict[str, tuple[int, ...]]
-    protected_index: int
 
     def other_indices(self, model_name: str) -> list[int]:
-        used = {self.protected_index, *self.model_foils[model_name]}
+        used = {self.dataset.protected_index, *self.model_foils[model_name]}
         return [i for i in range(self.dataset.n_features) if i not in used]
 
 
@@ -191,8 +190,7 @@ def build_attack_bundle(d: Dataset, model_cfgs) -> AttackBundle:
             detector_trees=cfg.detector_trees, detector_depth=cfg.detector_depth)
         models[cfg.name] = build_scaffold(d, spec)
         model_foils[cfg.name] = foils
-    return AttackBundle(dataset=d, models=models, model_foils=model_foils,
-                        protected_index=d.protected_index)
+    return AttackBundle(dataset=d, models=models, model_foils=model_foils)
 
 
 def bundle_from_config(cfg: AttackConfig) -> AttackBundle:
@@ -262,7 +260,7 @@ def run_fairwash_detection(bundle: AttackBundle,
         foils = bundle.model_foils[model_name]
         if len(foils) == 0:
             raise ValueError("model has no foil features")
-        sets = {"protected": bundle.protected_index, "foil1": foils[0]}
+        sets = {"protected": d.protected_index, "foil1": foils[0]}
         if len(foils) > 1:
             sets["foil2"] = foils[1]
         others = bundle.other_indices(model_name)
@@ -359,7 +357,7 @@ def _fixtures(seed: int) -> _PrincipleFixtures:
 
 
 def _per_point(metric: str, fx: _PrincipleFixtures, e: np.ndarray, model, y_preds,
-               e_star: np.ndarray, perturb_seed: int = 0) -> np.ndarray:
+               e_star: np.ndarray) -> np.ndarray:
     family = METRIC_FAMILY[metric]
     expls = ExplanationSet(importances=np.tile(e, (fx.d.nu, 1)), explainer_tag="fixture")
     if family == "axe":
@@ -367,8 +365,7 @@ def _per_point(metric: str, fx: _PrincipleFixtures, e: np.ndarray, model, y_pred
     if family == "reference":
         return reference_quality_report(metric, expls, e_star, n=2).per_point_q
     return sensitivity_quality_report(metric, model, fx.d, expls,
-                                      PerturbConfig(n=1, num_perturbations=40,
-                                                    seed=perturb_seed)).per_point_q
+                                      PerturbConfig(n=1, num_perturbations=40)).per_point_q
 
 
 def _check_local_contextualization(metric: str, fx: _PrincipleFixtures) -> dict:
@@ -391,12 +388,11 @@ def _check_model_relativism(metric: str, fx: _PrincipleFixtures) -> dict:
     """Pass iff swapping in the boundary-shifted twin changes the metric output."""
     family = METRIC_FAMILY[metric]
     for name, e in fx.candidates.items():
+        q_a = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star)
         if family == "reference":
             # reference vectors play the role of the two models' coefficient targets
-            q_a = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star)
             q_b = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star_alt)
         else:
-            q_a = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star)
             q_b = _per_point(metric, fx, e, fx.model_b, fx.y_b, fx.e_star)
         if not np.array_equal(q_a, q_b, equal_nan=True):
             row = int(np.flatnonzero(~np.isclose(q_a, q_b, equal_nan=True))[0])

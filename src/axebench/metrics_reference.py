@@ -135,7 +135,7 @@ def reference_quality_report(metric_name: str, explanations: ExplanationSet,
         raise ValueError(f"unknown reference metric {metric_name!r}")
     pair = GroundTruthPair(e=explanations.importances, e_star=e_star, n=n)
     per_point = REFERENCE_METRICS[metric_name](pair)
-    report = QualityReport.build(
+    report = QualityReport(
         metric_name=metric_name,
         hyperparams={"n": n},
         per_point_q=per_point,

@@ -114,7 +114,7 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
     if metric_name == "pgu" and cfg.negate_pgu:
         per_point = 0.0 - per_point  # not -per_point: a zero gap stays +0.0
 
-    return QualityReport.build(
+    return QualityReport(
         metric_name=metric_name,
         hyperparams=asdict(cfg),
         per_point_q=per_point,

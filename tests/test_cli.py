@@ -325,6 +325,11 @@ class TestEvaluate:
         assert code == 2
         assert "output directory" in capsys.readouterr().err
 
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "run").write_text("")
+        assert main(["principles", "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error [cli]: [Errno 17] File exists")
+
     def test_reference_metric_without_reference_vector_exits_2(self, tmp_path, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
                      "--cols", "3", "--train", "mlp", "--manual-index", "0",
@@ -355,6 +360,41 @@ class TestEvaluate:
         assert err.startswith("error [cli]: cannot write run_config.json: Out of range float")
         assert "Traceback" not in err
         assert not (out / "run_config.json").exists()
+
+    def test_rejected_config_of_a_later_metric_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
+                     "--cols", "3", "--train", "logistic", "--manual-index", "0",
+                     "--metric", "axe", "--metric", "pgi", "--sigma", "nan",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error [metrics_sensitivity]: sigma must be finite, not nan\n")
+        assert list(out.iterdir()) == []
+
+    def test_unknown_later_metric_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
+                     "--cols", "3", "--train", "logistic", "--manual-index", "0",
+                     "--metric", "axe", "--metric", "fa", "--e-star", "1,0,0",
+                     "--metric", "bogus", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error [cli]: unknown metric 'bogus'\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, stage", [
+        (["evaluate", "--synthetic", "threshold-rule", "--rows", "60", "--cols", "3",
+          "--train", "logistic", "--manual-index", "0", "--metric", "fa"],
+         "metrics_reference"),
+        (["region-grid", "--resolution", "3"], "experiments"),
+    ], ids=["evaluate", "region-grid"])
+    def test_empty_e_star_exits_2(self, tmp_path, capsys, argv, stage):
+        # only an absent --e-star falls back to the model's coefficients
+        out = tmp_path / "run"
+        assert main([*argv, "--e-star", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [{stage}]: could not convert string to float: ''\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 3.73 GiB for an array with shape (100000000, 5)"),
@@ -676,7 +716,7 @@ class TestReport:
         assert "MISMATCH" in capsys.readouterr().err
 
     def test_report_of_another_schema_version_is_rejected(self, tmp_path, capsys):
-        report = QualityReport.build("fa", {"n": 2}, [1.0, 0.0]).to_dict()
+        report = QualityReport("fa", {"n": 2}, [1.0, 0.0]).to_dict()
         report["schema_version"] = 2
         (tmp_path / "report_fa.json").write_text(json.dumps(report))
         assert main(["report", "--run", str(tmp_path)]) == 2
@@ -723,12 +763,12 @@ class TestReport:
 
 
 class TestInternalError:
-    def test_unexpected_failure_keeps_traceback(self, monkeypatch, capsys):
-        def boom(params):
+    def test_unexpected_failure_keeps_traceback(self, tmp_path, monkeypatch, capsys):
+        def boom(params, out):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(cli._COMMANDS, "principles", (boom, cli._PRINCIPLES_DEFAULTS))
-        assert main(["principles"]) == 1
+        assert main(["principles", "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert "RuntimeError: boom" in err

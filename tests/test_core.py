@@ -158,12 +158,34 @@ class TestExplanationSet:
 
 class TestQualityReport:
     def test_aggregate_must_match_mean(self):
-        with pytest.raises(ValueError, match="aggregate_q"):
-            QualityReport(metric_name="fa", hyperparams={}, per_point_q=np.array([1.0, 0.0]),
-                          aggregate_q=0.9)
+        payload = QualityReport("fa", {}, [1.0, 0.0]).to_dict()
+        for stored in (0.9, 0.5 + 1e-9, None, float("nan")):
+            with pytest.raises(ValueError, match="aggregate_q must be the mean"):
+                QualityReport.from_dict({**payload, "aggregate_q": stored})
+        assert QualityReport.from_dict({**payload, "aggregate_q": 0.5 + 1e-13}).aggregate_q == 0.5
+        undefined = QualityReport("rc", {}, [float("nan")] * 2).to_dict()
+        assert undefined["aggregate_q"] is None
+        assert np.isnan(QualityReport.from_dict(undefined).aggregate_q)
+        for stored in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="or null when none is defined"):
+                QualityReport.from_dict({**undefined, "aggregate_q": stored})
+
+    def test_undefined_count_must_match_rows(self):
+        payload = QualityReport("rc", {}, [1.0, float("nan")]).to_dict()
+        assert payload["undefined_count"] == 1
+        for stored in (0, 2):
+            with pytest.raises(ValueError, match="undefined_count must be 1, the number"):
+                QualityReport.from_dict({**payload, "undefined_count": stored})
+        del payload["undefined_count"]  # optional: the rows alone determine it
+        assert QualityReport.from_dict(payload).undefined_count == 1
+
+    def test_aggregate_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="aggregate_q"):
+            QualityReport(metric_name="fa", hyperparams={}, per_point_q=[1.0, 0.0],
+                          aggregate_q=0.5)
 
     def test_build_and_roundtrip(self, tmp_path):
-        r = QualityReport.build("fa", {"n": 2}, [1.0, 0.0, float("nan")])
+        r = QualityReport("fa", {"n": 2}, [1.0, 0.0, float("nan")])
         assert r.aggregate_q == 0.5
         assert r.undefined_count == 1
         r.to_json(tmp_path / "r.json")
@@ -173,7 +195,7 @@ class TestQualityReport:
         assert back.aggregate_q == 0.5
 
     def test_from_dict_rejects_other_schema_versions(self):
-        payload = QualityReport.build("fa", {"n": 2}, [1.0, 0.0]).to_dict()
+        payload = QualityReport("fa", {"n": 2}, [1.0, 0.0]).to_dict()
         assert QualityReport.from_dict(payload).aggregate_q == 0.5
         for version in (SCHEMA_VERSION + 1, 0, None):
             payload["schema_version"] = version
@@ -185,7 +207,7 @@ class TestQualityReport:
             QualityReport.from_dict(payload)
 
     def test_all_undefined_aggregate_is_nan(self):
-        r = QualityReport.build("rc", {}, [float("nan")] * 3)
+        r = QualityReport("rc", {}, [float("nan")] * 3)
         assert np.isnan(r.aggregate_q)
 
 

@@ -280,7 +280,7 @@ def unmemoised_values(bundle, score):
     for model_name, model in bundle.models.items():
         foils = bundle.model_foils[model_name]
         q = {f: score(model, make_manual_explanations(d, f)) for f in range(d.n_features)}
-        out[model_name] = (q[bundle.protected_index], q[foils[0]],
+        out[model_name] = (q[d.protected_index], q[foils[0]],
                            q[foils[1]] if len(foils) > 1 else None,
                            float(np.mean([q[f] for f in bundle.other_indices(model_name)])))
     return out
@@ -310,7 +310,7 @@ class TestDetectionScoring:
         # a rule on the protected column ignores PGU's columns 0 and 1: zero gaps
         d = small_attack_dataset()
         bundle = AttackBundle(dataset=d, models={"rule": make_rule_predictor(RuleModelSpec(2))},
-                              model_foils={"rule": (3,)}, protected_index=2)
+                              model_foils={"rule": (3,)})
         verdicts = run_fairwash_detection(bundle, perturb_cfg=self.CFG)
         reference = unmemoised_values(bundle, lambda model, expls: (
             sensitivity_quality_report("pgu", model, d, expls, self.CFG).aggregate_q))

@@ -40,7 +40,7 @@ SCHEMA = {"name": "fuzz", "column_names": ["a", "b", "c", "y"], "target_column":
           "protected_column": "c", "categorical_columns": {"b": {"lo": 0, "hi": 1}}}
 DATA_LINES = ["a,b,c,y"] + [f"{(i * 7) % 11 / 3:.3f},{'hi' if i % 3 else 'lo'},{i % 4},"
                             f"{int(i % 5 < 2)}" for i in range(60)]
-REPORT = QualityReport.build("fa", {"n": 2}, [1.0, 0.0]).to_dict()
+REPORT = QualityReport("fa", {"n": 2}, [1.0, 0.0]).to_dict()
 ROWS = [{"datapoint_index": i, "importances": [1.0, 0.0, 0.0]} for i in range(60)]
 
 
@@ -204,6 +204,15 @@ def _rows(**changes):
      "error [core]: quality report 'metric_name' must be str, not list"),
     ({"report_fa.json": {**REPORT, "aggregate_q": "0.5"}}, REPORT_RUN,
      "error [core]: quality report 'aggregate_q' must be float | None, not str"),
+    # stored facts the rows contradict
+    ({"report_fa.json": {**REPORT, "aggregate_q": None}}, REPORT_RUN,
+     "error [core]: aggregate_q must be the mean of the defined per-point scores, "
+     "or null when none is defined"),
+    ({"report_fa.json": {**REPORT, "aggregate_q": 0.75}}, REPORT_RUN,
+     "error [core]: aggregate_q must be the mean of the defined per-point scores, "
+     "or null when none is defined"),
+    ({"report_fa.json": {**REPORT, "undefined_count": 1}}, REPORT_RUN,
+     "error [core]: undefined_count must be 0, the number of undefined per-point scores"),
     ({"e.json": _rows(importances=[True, 0, 0])}, WITH_EXPLANATIONS,
      "error [explainers]: explanations JSON row 0 'importances' must be list[float], not list"),
     ({"e.json": _rows(explainer_tag=5)}, WITH_EXPLANATIONS,
@@ -224,7 +233,8 @@ def _rows(**changes):
      "error [data]: DatasetSchema record 'categorical_columns' must be "
      "dict[str, dict[str, int]], not dict"),
 ], ids=["int-hyperparams", "int-per-point-q", "bool-per-point-q", "int-dataset-id",
-        "list-metric-name", "str-aggregate-q", "bool-importances", "int-explainer-tag",
+        "list-metric-name", "str-aggregate-q", "null-aggregate-q", "wrong-aggregate-q",
+        "wrong-undefined-count", "bool-importances", "int-explainer-tag",
         "blank-csv-line", "huge-report-score", "index-beyond-int64", "infinite-csv-cell",
         "huge-category-code"])
 def test_probed_input_exits_2(tmp_path, files, argv, message):
