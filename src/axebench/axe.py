@@ -181,12 +181,9 @@ def axe_quality_many(d: Dataset, targets, explanations: ExplanationSet, cfgs,
 
 
 def axe_quality(d: Dataset, y_preds, explanations: ExplanationSet, cfg: AxeConfig,
-                model_descriptor: str = "model", trace_path=None) -> QualityReport:
+                model_descriptor: str = "model") -> QualityReport:
     """Score one explanation set: accuracy of per-row top-n k-NN prediction recovery."""
     report, = axe_quality_many(d, [y_preds], explanations, [cfg], [model_descriptor])[0]
-    if trace_path is not None:
-        subsets = _magnitude_order(explanations.importances, cfg.n, largest=True)
-        _write_trace(trace_path, subsets, np.asarray(y_preds, dtype=int), report.per_point_q)
     return report
 
 
@@ -202,8 +199,11 @@ def one_hot_axe_aggregates(d: Dataset, feature: int, y_preds, ks, include_self: 
     return {k: r.aggregate_q for k, r in zip(ks, reports)}
 
 
-def _write_trace(path, subsets, y, per_point) -> None:
-    """One line per row; the recovered vote is the target where the row scored 1."""
+def write_trace(path, report: QualityReport, y_preds, explanations: ExplanationSet) -> None:
+    """One CSV line per row of an :func:`axe_quality` report: its top-n subset (n from
+    the report), recovered vote (the target where the row scored 1), target and score."""
+    subsets = _magnitude_order(explanations.importances, report.hyperparams["n"], largest=True)
+    y, per_point = np.asarray(y_preds, dtype=int), report.per_point_q
     recovered = np.where(per_point == 1.0, y, 1 - y)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:

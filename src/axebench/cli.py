@@ -1,8 +1,9 @@
 """Command-line entry point tying ingestion, training, explanation, evaluation,
 and the experiment harnesses into reproducible runs.
 
-Every command but ``report`` writes the resolved semantic configuration to
-``run_config.json`` in its output directory, after its other outputs; re-running
+Every command but ``report`` computes all its results before it opens its first
+output file, and writes the resolved semantic configuration to
+``run_config.json`` in its output directory after its other outputs; re-running
 with ``--config`` on that file reproduces all artifacts byte-identically. Output
 directory and parallelism degree are runtime-only knobs and are never part of the
 persisted config. Defaults come from (lowest to highest precedence) built-ins,
@@ -16,12 +17,11 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .axe import AxeConfig, axe_quality
+from .axe import AxeConfig, axe_quality, write_trace
 from .core import QualityReport, check_explanations, check_type, write_json
 from .data import (BENCHMARK_PROXIES, DatasetSchema, GENERATOR_KINDS,
                    SyntheticSpec, benchmark_proxy, generate_synthetic, load_csv)
@@ -94,7 +94,8 @@ def _stage(module: str):
 
 def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
     """Merge defaults < environment < config file < explicit flags, checking each
-    environment and config value against its key's entry in ``_FLAGS``."""
+    environment and config value against its key's entry in ``_FLAGS``, and
+    every merged value of a float key for finiteness."""
     merged = dict(defaults)
     for key in _ENV_KEYS:
         raw = os.environ.get(ENV_PREFIX + key.upper())
@@ -125,6 +126,8 @@ def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+        if _FLAGS[key][0] is float and not np.isfinite(merged[key]):
+            raise ValueError(f"{key} must be a finite number, not {merged[key]!r}")
     return merged
 
 
@@ -202,6 +205,10 @@ _EXPLAIN_DEFAULTS = {
     "explainer": None, "manual_index": None,
 }
 
+# The stage each --metric is scored and written in.
+_METRIC_STAGES = {"axe": "axe", "pgi": "metrics_sensitivity", "pgu": "metrics_sensitivity",
+                  **dict.fromkeys(REFERENCE_METRICS, "metrics_reference")}
+
 _EVALUATE_DEFAULTS = {
     **_EXPLAIN_DEFAULTS, "n": 1, "k": 5, "include_self": False, "explanations": None,
     "metric": ["axe"], "e_star": None, "num_perturbations": 100, "sigma": 0.5,
@@ -211,39 +218,35 @@ _EVALUATE_DEFAULTS = {
 
 def cmd_evaluate(params: dict, out: Path) -> None:
     """Score explanations under one or more metrics."""
+    for metric in params["metric"]:
+        if metric not in _METRIC_STAGES:
+            raise CliError("cli", f"unknown metric {metric!r}")
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
     explanations = _resolve_explanations(params, d, model)
     with _stage("models"):
         y_preds = model.predict_batch(d.features)
 
-    # every config is built before any metric is scored: a rejected value writes no report
-    planned = []
+    reports = []
     for metric in params["metric"]:
-        if metric == "axe":
-            with _stage("axe"):
-                cfg = AxeConfig(n=params["n"], k=params["k"],
-                                include_self=params["include_self"])
-            planned.append(("axe", metric, partial(
-                axe_quality, d, y_preds, explanations, cfg, model_descriptor=model.descriptor,
-                trace_path=out / "axe_trace.csv" if params["axe_trace"] else None)))
-        elif metric in ("pgi", "pgu"):
-            with _stage("metrics_sensitivity"):
+        with _stage(_METRIC_STAGES[metric]):
+            if metric == "axe":
+                cfg = AxeConfig(n=params["n"], k=params["k"], include_self=params["include_self"])
+                reports.append(axe_quality(d, y_preds, explanations, cfg, model.descriptor))
+            elif metric in ("pgi", "pgu"):
                 cfg = PerturbConfig(n=params["n"], seed=params["seed"], sigma=params["sigma"],
                                     num_perturbations=params["num_perturbations"])
-            planned.append(("metrics_sensitivity", metric, partial(
-                sensitivity_quality_report, metric, model, d, explanations, cfg)))
-        elif metric in REFERENCE_METRICS:
-            with _stage("metrics_reference"):
-                e_star = _reference_vector(params, model)
-            planned.append(("metrics_reference", metric, partial(
-                reference_quality_report, metric, explanations, e_star, n=params["n"],
-                dataset_id=d.dataset_id, model_descriptor=model.descriptor)))
-        else:
-            raise CliError("cli", f"unknown metric {metric!r}")
-    for stage, metric, score in planned:
-        with _stage(stage):
-            score().to_json(out / f"report_{metric}.json")
+                reports.append(sensitivity_quality_report(metric, model, d, explanations, cfg))
+            else:
+                reports.append(reference_quality_report(
+                    metric, explanations, _reference_vector(params, model), n=params["n"],
+                    dataset_id=d.dataset_id, model_descriptor=model.descriptor))
+    # every metric is scored before the first file is opened: a refused run writes nothing
+    for report in reports:
+        with _stage(_METRIC_STAGES[report.metric_name]):
+            report.to_json(out / f"report_{report.metric_name}.json")
+            if report.metric_name == "axe" and params["axe_trace"]:
+                write_trace(out / "axe_trace.csv", report, y_preds, explanations)
 
 
 def cmd_explain(params: dict, out: Path) -> None:
@@ -267,7 +270,6 @@ _ATTACK_DEFAULTS = {
 
 def cmd_attack(params: dict, out: Path) -> None:
     """Run the fairwash-detection experiment."""
-    verdicts = []
     d = _resolve_dataset(params) if params.get("dataset") else None
     with _stage("experiments"):
         axe_cfg = AxeConfig(n=params["n"], k=params["k"], include_self=params["include_self"])
@@ -286,12 +288,12 @@ def cmd_attack(params: dict, out: Path) -> None:
                 if name not in configs:
                     raise CliError("experiments", f"unknown benchmark proxy {name!r}")
                 bundles[name] = bundle_from_config(configs[name])
+        verdicts = [v for bundle in bundles.values() for v in run_fairwash_detection(
+            bundle, axe_cfgs=(axe_cfg,), perturb_cfg=perturb, jobs=params.get("jobs") or 1)]
+        # every bundle is scored before the first file is opened: a refused run writes nothing
         for name, bundle in bundles.items():
             for model_name, model in bundle.models.items():
                 save_predictor(model, out / "models" / f"{name}_{model_name}.json")
-            verdicts.extend(run_fairwash_detection(
-                bundle, axe_cfgs=(axe_cfg,), perturb_cfg=perturb,
-                jobs=params.get("jobs") or 1))
         write_verdicts(verdicts, out / "verdicts.json")
     _print_verdicts(verdicts)
 

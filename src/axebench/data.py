@@ -11,6 +11,7 @@ import numpy as np
 from .core import Dataset, record_from_dict, write_json
 
 GENERATOR_KINDS = ("gaussian-blobs", "threshold-rule", "correlated-foil")
+_BLOBS_SEPARATION = 2.0  # distance between the gaussian-blobs class centres
 
 
 @dataclass
@@ -163,7 +164,6 @@ class SyntheticSpec:
     n_features: int
     seed: int
     generator_kind: str = "threshold-rule"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.nu < 2 or self.n_features < 2:
@@ -177,17 +177,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     nu, nf = spec.nu, spec.n_features
     names = tuple(f"f{i}" for i in range(nf))
-    metadata = {"generator_kind": spec.generator_kind, "seed": spec.seed,
-                "params": dict(spec.params)}
+    metadata = {"generator_kind": spec.generator_kind, "seed": spec.seed}
     foil_indices: tuple[int, ...] = ()
 
     if spec.generator_kind == "threshold-rule":
         X = rng.standard_normal((nu, nf))
         labels = (X[:, 0] > 0).astype(int)
     elif spec.generator_kind == "gaussian-blobs":
-        separation = float(spec.params.get("separation", 2.0))
         labels = rng.integers(0, 2, size=nu)
-        centers = np.where(labels[:, None] == 1, separation / 2.0, -separation / 2.0)
+        centers = np.where(labels[:, None] == 1, _BLOBS_SEPARATION / 2.0, -_BLOBS_SEPARATION / 2.0)
         X = centers + rng.standard_normal((nu, nf))
     else:  # correlated-foil
         X = rng.standard_normal((nu, nf))

@@ -19,6 +19,8 @@ import numpy as np
 from .core import (Dataset, Explanation, ExplanationSet, Predictor, check_fields, check_type,
                    one_row, row_seed, write_json)
 
+_LOADED_TAG = "loaded"  # the explainer_tag of every CSV row, and of a JSON row naming none
+
 
 @dataclass
 class ExplainerConfig:
@@ -255,7 +257,7 @@ def save_explanations_csv(explanations: ExplanationSet, path, feature_names=None
             writer.writerow([i] + [repr(v) for v in row])
 
 
-def load_explanations_csv(path, explainer_tag: str = "loaded") -> ExplanationSet:
+def load_explanations_csv(path) -> ExplanationSet:
     with open(path, newline="", encoding="utf-8") as fh:
         body = list(csv.reader(fh))[1:]
     try:
@@ -263,7 +265,7 @@ def load_explanations_csv(path, explainer_tag: str = "loaded") -> ExplanationSet
     except IndexError:  # only a blank line has no first cell
         blank = next(i for i, row in enumerate(body) if not row)
         raise ValueError(f"explanations CSV line {blank + 2} is blank") from None
-    return _stack(indices, [[float(v) for v in row[1:]] for row in body], [explainer_tag])
+    return _stack(indices, [[float(v) for v in row[1:]] for row in body], [_LOADED_TAG])
 
 
 def save_explanations_json(explanations: ExplanationSet, path) -> None:
@@ -282,4 +284,4 @@ def load_explanations_json(path) -> ExplanationSet:
                      optional=("explainer_tag",))
     return _stack([item["datapoint_index"] for item in payload],
                   [item["importances"] for item in payload],
-                  [item.get("explainer_tag", "loaded") for item in payload])
+                  [item.get("explainer_tag", _LOADED_TAG) for item in payload])

@@ -135,13 +135,10 @@ def reference_quality_report(metric_name: str, explanations: ExplanationSet,
         raise ValueError(f"unknown reference metric {metric_name!r}")
     pair = GroundTruthPair(e=explanations.importances, e_star=e_star, n=n)
     per_point = REFERENCE_METRICS[metric_name](pair)
-    report = QualityReport(
+    return QualityReport(
         metric_name=metric_name,
         hyperparams={"n": n},
         per_point_q=per_point,
         dataset_id=dataset_id,
         model_descriptor=model_descriptor,
         explainer_tag=explanations.explainer_tag)
-    if report.undefined_count:
-        report.hyperparams["undefined_count"] = report.undefined_count
-    return report

@@ -133,6 +133,8 @@ class RuleModelSpec:
         object.__setattr__(self, "threshold", float(self.threshold))
         if self.feature_index < 0:
             raise ValueError("feature_index must be non-negative")
+        if not np.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
 
 
 class RulePredictor(Predictor):
@@ -166,8 +168,7 @@ def make_rule_predictor(spec: RuleModelSpec, n_features: int | None = None) -> R
     return RulePredictor(spec)
 
 
-def train_logistic(d: Dataset, l2: float = 0.0, seed: int = 0,
-                   epochs: int = 400, learning_rate: float = 0.5) -> LinearPredictor:
+def train_logistic(d: Dataset, seed: int = 0) -> LinearPredictor:
     """Full-batch gradient-descent logistic regression on the working features.
 
     Zero-initialized, so training is fully deterministic; the seed is recorded
@@ -181,13 +182,13 @@ def train_logistic(d: Dataset, l2: float = 0.0, seed: int = 0,
     X = d.features
     w = np.zeros(d.n_features)
     b = 0.0
-    for _ in range(epochs):
+    for _ in range(_LOGISTIC_EPOCHS):
         p = sigmoid(X @ w + b)
         err = p - y
-        w -= learning_rate * (X.T @ err / d.nu + l2 * w)
-        b -= learning_rate * float(err.mean())
+        w -= _LOGISTIC_LEARNING_RATE * (X.T @ err / d.nu + _LOGISTIC_L2 * w)
+        b -= _LOGISTIC_LEARNING_RATE * float(err.mean())
     spec = LinearModelSpec(coefficients=tuple(w), intercept=b)
-    return LinearPredictor(spec, descriptor=f"logistic(d={d.n_features},l2={l2:g},seed={seed})")
+    return LinearPredictor(spec, descriptor=f"logistic(d={d.n_features},l2={_LOGISTIC_L2:g},seed={seed})")
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,7 @@ class MlpSpec:
 
     hidden_sizes: tuple[int, ...]
     activation: str = "tanh"
-    l2: float = 0.0
     epochs: int = 300
-    learning_rate: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -221,6 +220,9 @@ def _act_grad(name, a):
 
 
 _BLOCK_ROWS = 2048
+_LOGISTIC_L2, _LOGISTIC_EPOCHS, _LOGISTIC_LEARNING_RATE = 0.0, 400, 0.5
+_MLP_L2, _MLP_LEARNING_RATE = 0.0, 0.1
+_DETECTOR_HOLDOUT_FRACTION, _DETECTOR_FULL_NOISE_FRACTION = 0.25, 0.25
 
 
 class MlpPredictor(Predictor):
@@ -341,12 +343,12 @@ def train_mlp(d: Dataset, spec: MlpSpec) -> MlpPredictor:
         acts = model._forward(X)
         delta = (acts[-1] - y) / d.nu  # BCE gradient through the output sigmoid
         for i in range(len(model.weights) - 1, -1, -1):
-            gw = acts[i].T @ delta + spec.l2 * model.weights[i]
+            gw = acts[i].T @ delta + _MLP_L2 * model.weights[i]
             gb = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ model.weights[i].T) * _act_grad(spec.activation, acts[i])
-            model.weights[i] -= spec.learning_rate * gw
-            model.biases[i] -= spec.learning_rate * gb
+            model.weights[i] -= _MLP_LEARNING_RATE * gw
+            model.biases[i] -= _MLP_LEARNING_RATE * gb
     return model
 
 
@@ -426,21 +428,19 @@ def _perturbation_mask(rng, nu: int, n_features: int, full_fraction: float) -> n
 
 
 def train_ood_detector(d: Dataset, sigma_ood: float, seed: int,
-                       n_trees: int = 12, max_depth: int = 12,
-                       holdout_fraction: float = 0.25,
-                       full_noise_fraction: float = 0.25) -> OodDetector:
+                       n_trees: int = 12, max_depth: int = 12) -> OodDetector:
     """Fit bagged trees on {real rows -> 0} vs {noised rows -> 1}, balanced."""
     if d.nu < 50:
         raise ValueError("need at least 50 rows to train the detector")
     rng = np.random.default_rng(seed)
     X = d.features
     noise = rng.normal(0.0, sigma_ood, X.shape)
-    noise *= _perturbation_mask(rng, d.nu, d.n_features, full_noise_fraction)
+    noise *= _perturbation_mask(rng, d.nu, d.n_features, _DETECTOR_FULL_NOISE_FRACTION)
     perturbed = X + noise
     # hold out real/perturbed twins together so near-duplicates never leak
     # between the sides, which would bias the accuracy estimate
     perm = rng.permutation(d.nu)
-    n_hold = max(1, int(holdout_fraction * d.nu))
+    n_hold = max(1, int(_DETECTOR_HOLDOUT_FRACTION * d.nu))
     hold_rows, train_rows = perm[:n_hold], perm[n_hold:]
     Z_train = np.vstack([X[train_rows], perturbed[train_rows]])
     y_train = np.concatenate([np.zeros(train_rows.size, dtype=int),

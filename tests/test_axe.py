@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from axebench import axe
-from axebench.axe import AxeConfig, axe_quality, axe_quality_many, one_hot_axe_aggregates
+from axebench.axe import (AxeConfig, axe_quality, axe_quality_many, one_hot_axe_aggregates,
+                          write_trace)
 from axebench.core import Dataset, ExplanationSet
 from axebench.explainers import make_manual_explanations
 
@@ -180,8 +181,9 @@ class TestAxeQuality:
     def test_trace_file(self, small_threshold_data, tmp_path):
         d = small_threshold_data
         path = tmp_path / "trace.csv"
-        axe_quality(d, d.labels, make_manual_explanations(d, 0), AxeConfig(n=1, k=3),
-                    trace_path=path)
+        explanations = make_manual_explanations(d, 0)
+        report = axe_quality(d, d.labels, explanations, AxeConfig(n=1, k=3))
+        write_trace(path, report, d.labels, explanations)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "row,chosen_features,recovered,target,q"
         assert len(lines) == d.nu + 1

@@ -346,30 +346,34 @@ class TestEvaluate:
                      "--metric", "pgi", "--sigma", sigma, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error [metrics_sensitivity]: sigma must be finite, not {float(sigma)!r}\n")
+            f"error [cli]: sigma must be a finite number, not {float(sigma)!r}\n")
         assert not (out / "report_pgi.json").exists()
 
     def test_non_json_number_in_an_output_file_exits_2(self, tmp_path, capsys):
-        # axe never reads --sigma, so only the run config would hold the NaN
+        # axe never reads --sigma, so only the run config could hold the NaN; it is
+        # refused where it enters, before any file is written
         out = tmp_path / "run"
+        out.mkdir()
         code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
                      "--cols", "3", "--train", "logistic", "--manual-index", "0",
                      "--metric", "axe", "--sigma", "nan", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error [cli]: cannot write run_config.json: Out of range float")
+        assert err == "error [cli]: sigma must be a finite number, not nan\n"
         assert "Traceback" not in err
         assert not (out / "run_config.json").exists()
+        assert list(out.iterdir()) == []
 
     def test_rejected_config_of_a_later_metric_writes_no_report(self, tmp_path, capsys):
         out = tmp_path / "run"
+        out.mkdir()
         code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60",
                      "--cols", "3", "--train", "logistic", "--manual-index", "0",
                      "--metric", "axe", "--metric", "pgi", "--sigma", "nan",
                      "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error [metrics_sensitivity]: sigma must be finite, not nan\n")
+            "error [cli]: sigma must be a finite number, not nan\n")
         assert list(out.iterdir()) == []
 
     def test_unknown_later_metric_writes_no_report(self, tmp_path, capsys):
@@ -493,6 +497,44 @@ class TestAttack:
     def test_out_of_range_hyperparameter_exits_2(self, tmp_path, capsys, flags, message):
         assert main(["attack", "--proxy", "compas", *flags, "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == message + "\n"
+
+
+_THRESHOLD_RUN = ["evaluate", "--synthetic", "threshold-rule", "--rows", "60", "--cols", "3",
+                  "--train", "logistic", "--manual-index", "0"]
+
+
+class TestRefusedRunWritesNothing:
+    """A command that exits 2 has opened no output file: everything is checked and
+    computed first, including what depends on the data (k against the row count,
+    the length of --e-star)."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        ([*_THRESHOLD_RUN, "--metric", "pgi", "--metric", "axe", "--k", "60"], None,
+         "error [axe]: k out of range: exceeds candidate count"),
+        ([*_THRESHOLD_RUN, "--metric", "pgi", "--metric", "fa", "--e-star", "1,0"], None,
+         "error [metrics_reference]: length mismatch between explanation and reference"),
+        (["attack", "--dataset", "{csv}", "--schema", "{schema}", "--k", "200",
+          "--num-perturbations", "5"], None,
+         "error [experiments]: k out of range: exceeds candidate count"),
+        ([*_THRESHOLD_RUN, "--metric", "axe", "--sigma", "nan"], None,
+         "error [cli]: sigma must be a finite number, not nan"),
+        ([*_THRESHOLD_RUN, "--metric", "axe"], '{"sigma": NaN}',
+         "error [cli]: sigma must be a finite number, not nan"),
+        ([*_THRESHOLD_RUN, "--metric", "axe", "--metric", "fa", "--e-star", "1,0,0",
+          "--metric", "bogus"], None, "error [cli]: unknown metric 'bogus'"),
+    ], ids=["axe-k-above-rows", "e-star-too-short", "attack-k-above-rows", "nan-sigma-flag",
+            "nan-sigma-config", "unknown-later-metric"])
+    def test_exit_2_leaves_out_empty(self, tmp_path, capsys, argv, config, message):
+        csv_path, schema_path = write_attack_csv(tmp_path, nu=120)
+        argv = [a.format(csv=csv_path, schema=schema_path) for a in argv]
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert list(out.iterdir()) == []
 
 
 class TestSchemaFile:

@@ -232,10 +232,14 @@ def _rows(**changes):
       "data.csv": "\n".join(DATA_LINES)}, FROM_CSV,
      "error [data]: DatasetSchema record 'categorical_columns' must be "
      "dict[str, dict[str, int]], not dict"),
+    # a constant model: every row falls on the same side of a NaN threshold
+    ({"rule.json": {"kind": "rule", "feature_index": 0, "threshold": math.nan,
+                    "positive_above": True}}, WITH_MODEL,
+     "error [models]: threshold must be finite"),
 ], ids=["int-hyperparams", "int-per-point-q", "bool-per-point-q", "int-dataset-id",
         "list-metric-name", "str-aggregate-q", "null-aggregate-q", "wrong-aggregate-q",
         "wrong-undefined-count", "bool-importances", "int-explainer-tag",
         "blank-csv-line", "huge-report-score", "index-beyond-int64", "infinite-csv-cell",
-        "huge-category-code"])
+        "huge-category-code", "nan-rule-threshold"])
 def test_probed_input_exits_2(tmp_path, files, argv, message):
     assert run_on(tmp_path, files, argv) == (2, message + "\n")

@@ -118,7 +118,7 @@ class TestRulePredictor:
 
 class TestTrainLogistic:
     def test_separable_data_fits_well(self, threshold_data):
-        m = train_logistic(threshold_data, l2=0.0, seed=0)
+        m = train_logistic(threshold_data, seed=0)
         acc = (m.predict_batch(threshold_data.features) == threshold_data.labels).mean()
         assert acc >= 0.95
 
