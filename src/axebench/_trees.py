@@ -3,10 +3,20 @@
 Axis-aligned gini splits, deterministic per seed, JSON-serializable. Built for
 desk-scale tabular data, not as a general-purpose forest.
 
-A node's split search is one vectorised pass over its (rows, candidate
-features) block: a stable sort per column, cumulative positive counts and the
-gini of every cut, with the float operations per element of a per-feature
-loop, so the grown trees are bit-identical to that loop's.
+``fit`` grows all trees of a forest together. The forest generator only seeds
+one generator per tree, and a tree's own generator draws its bootstrap rows and
+then, node by node in preorder, its candidate features. No tree reads another's
+generator, so advancing every tree one preorder node per step keeps each tree's
+draws in the order a recursive build makes them. The trees' bootstrap rows
+share one row space; each tree's rows are sorted once per feature, with a
+stable sort (the presorted attribute lists of SLIQ, Mehta et al., EDBT 1996).
+A node holds its rows as one span of every feature's order, and a split
+partitions every span stably, so no node sorts. A step scans the candidate
+columns of every tree's next node in one segmented gini pass: a cumulative
+positive count restarted at each node, the gini of every cut with the float
+operations per element of a per-feature loop, inf between equal values, then
+per node the first minimal candidate and its first minimal cut. The trees are
+therefore bit-identical to a recursive build's.
 
 Inference walks every tree at once (the tree-traversal strategy of
 Hummingbird, Nakandala et al., OSDI 2020). ``fit`` and ``from_dict`` merge the
@@ -46,30 +56,56 @@ import numpy as np
 from .core import check_fields
 
 
-def _best_split(X, y, feature_ids):
-    """Gini scan of all candidate features in one pass; returns (score, feature, threshold).
+def _ranges(starts, lengths):
+    """The index ranges [starts[i], starts[i] + lengths[i]) laid end to end."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
-    The first minimal cut of the first minimal feature in ``feature_ids`` order
-    wins. None when every candidate is constant.
+
+def _best_cuts(v, y, sizes):
+    """Gini scan of many nodes' candidate columns in one pass.
+
+    Row j of ``v`` holds, node after node, each node's j-th candidate column in
+    ascending order (ties in row order); ``y`` holds the 0/1 labels of the same
+    rows as floats and is overwritten. Node k has ``sizes[k]`` >= 2 rows. Returns
+    per node the gini of its first minimal cut of its first minimal candidate
+    (inf when every candidate is constant), that candidate's row in ``v`` and
+    the cut's threshold.
     """
-    n = y.size
-    cols = X[:, feature_ids]
-    order = np.argsort(cols, axis=0, kind="stable")
-    v = np.take_along_axis(cols, order, axis=0)
-    distinct = v[1:] != v[:-1]
-    if not distinct.any():
-        return None
-    pos_left = np.cumsum(y[order], axis=0)[:-1].astype(float)
-    n_left = np.arange(1, n, dtype=float)[:, None]
+    total = v.shape[1]
+    offset = np.cumsum(sizes) - sizes
+    # cut i lies between columns i and i + 1; the one after a node's last row
+    # splits nothing and scores inf. The positive count restarts at each node,
+    # whose first label takes back the previous node's total, so every running
+    # sum is a small integer and exact.
+    n_left = np.arange(1.0, total) - np.repeat(offset.astype(float), sizes)[:-1]
+    n = np.repeat(sizes.astype(float), sizes)[:-1]
     n_right = n - n_left
-    pos_right = float(y.sum()) - pos_left
-    p_l = pos_left / n_left
-    p_r = pos_right / n_right
-    gini = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
-    gini[~distinct] = np.inf
-    j = int(np.argmin(gini.min(axis=0)))  # constant columns hold inf, so never win
-    i = int(np.argmin(gini[:, j]))
-    return float(gini[i, j]), int(feature_ids[j]), float((v[i, j] + v[i + 1, j]) / 2.0)
+    positives = np.add.reduceat(y, offset, axis=1)
+    y[:, offset[1:]] -= positives[:, :-1]
+    p_l = np.cumsum(y, axis=1)[:, :-1]  # positives left of each cut, then their share
+    p_r = np.repeat(positives, sizes, axis=1)[:, :-1]
+    p_r -= p_l
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 after a node's last row
+        p_l /= n_left
+        p_r /= n_right
+    # n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r), then / n,
+    # one operation at a time in that order
+    gini = n_left * 2 * p_l
+    gini *= np.subtract(1, p_l, out=p_l)
+    right = np.multiply(n_right * 2, p_r, out=p_l)
+    right *= np.subtract(1, p_r, out=p_r)
+    gini += right
+    gini /= n
+    np.putmask(gini, v[:, 1:] == v[:, :-1], np.inf)
+    gini[:, offset[1:] - 1] = np.inf
+    least = np.minimum.reduceat(gini, offset, axis=1)  # per (candidate, node)
+    best = least.min(axis=0)
+    j = np.argmax(least == best, axis=0)
+    winner = gini[np.repeat(j, sizes)[:-1], np.arange(total - 1)]
+    hits = np.flatnonzero(winner == np.repeat(best, sizes)[:-1])
+    i = hits[np.searchsorted(hits, offset)]  # every node has a hit
+    return best, j, (v[j, i] + v[j, i + 1]) / 2.0
 
 
 class _Tree:
@@ -81,41 +117,6 @@ class _Tree:
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
-
-    @classmethod
-    def grow(cls, X, y, rng, max_depth, min_leaf, max_features) -> "_Tree":
-        feature, threshold, left, right, value = [], [], [], [], []
-
-        def add_node():
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            return len(feature) - 1
-
-        def build(idx, depth):
-            node = add_node()
-            sub_y = y[idx]
-            value[node] = float(sub_y.mean())
-            if depth >= max_depth or idx.size < 2 * min_leaf or sub_y.min() == sub_y.max():
-                return node
-            cand = rng.permutation(X.shape[1])[:max_features]
-            split = _best_split(X[idx], sub_y, cand)
-            if split is None:
-                return node
-            _, f, t = split
-            mask = X[idx, f] <= t
-            if mask.sum() < min_leaf or (~mask).sum() < min_leaf:
-                return node
-            feature[node] = f
-            threshold[node] = t
-            left[node] = build(idx[mask], depth + 1)
-            right[node] = build(idx[~mask], depth + 1)
-            return node
-
-        build(np.arange(X.shape[0]), 0)
-        return cls(feature, threshold, left, right, value)
 
     def to_dict(self) -> dict:
         return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
@@ -147,7 +148,107 @@ class _Tree:
         leaf_values = tree.value[tree.feature < 0]
         if not np.all((leaf_values >= 0.0) & (leaf_values <= 1.0)):
             raise ValueError(f"{label} leaf values must lie in [0, 1]")
+        if not np.all(np.isfinite(tree.value)):
+            raise ValueError(f"{label} node values must be finite")
         return tree
+
+
+# (row, candidate) cells scanned in one pass, at most, plus one node's: bounds
+# the scan's temporaries in a forest's first steps, where every tree's node
+# holds all its rows
+_SCAN_CELLS = 1 << 13
+
+
+def _grow_forest(X, y, rngs, boots, max_depth, min_leaf, max_features) -> list[_Tree]:
+    """One tree per generator in ``rngs``, grown on the rows ``boots`` names (one
+    row of ``boots`` per tree), all trees one preorder node per step."""
+    n_trees, n = boots.shape
+    width = X.shape[1]
+    span = n_trees * n  # the trees' rows side by side: one shared row space
+    values = X.T.take(boots.ravel(), axis=1)  # (feature, shared row)
+    labels = y[boots.ravel()].astype(float)
+    # a node's rows sit at order[f, start:start + size] for every feature f, sorted
+    # by that feature: each tree's rows are sorted once, and a split partitions
+    # every feature's span stably
+    order = np.argsort(values.reshape(width, n_trees, n), axis=2, kind="stable")
+    order = (order + np.arange(0, span, n)[:, None]).reshape(width, span)
+    flat_order, flat_values = order.reshape(-1), values.reshape(-1)  # views
+    went_left = np.zeros(span, dtype=bool)
+    trees = [([], [], [], [], []) for _ in range(n_trees)]  # feature, threshold, left, right, value
+    # pending nodes: (start, size, depth, positives, parent, is left child); the left
+    # child is pushed last, so nodes pop in the preorder of a recursive build
+    stacks = [[(t * n, n, 0, int(y[boots[t]].sum()), -1, True)]
+              for t in range(n_trees)]
+
+    def split(batch):
+        """Scan the candidates of ``batch``'s nodes in one pass, then split each
+        node whose best cut leaves ``min_leaf`` rows on both sides."""
+        tree, node, start, size, depth, pos, cand = zip(*batch)
+        sizes = np.array(size)
+        # (candidate, node row) blocks: the shared rows of each candidate's span
+        # in sorted order, then their values
+        cells = np.repeat(np.array(cand).T * span, sizes, axis=1)
+        at = flat_order.take(cells + _ranges(np.array(start), sizes))
+        v = flat_values.take(cells + at)
+        score, j, cut = _best_cuts(v, labels.take(at), sizes)
+        # the winning column's rows, tested as the recursion tests them
+        win = np.repeat(j, sizes), np.arange(sizes.sum())
+        rows = at[win]
+        goes = v[win] <= np.repeat(cut, sizes)
+        went_left[rows] = goes
+        offset = np.cumsum(sizes) - sizes
+        n_left = np.add.reduceat(goes, offset).tolist()
+        pos_left = np.add.reduceat(goes * labels.take(rows), offset).astype(int).tolist()
+        split_at, split_size, split_left = [], [], []
+        for k, (found, nl, pl) in enumerate(zip((score < np.inf).tolist(), n_left, pos_left)):
+            if not found or nl < min_leaf or size[k] - nl < min_leaf:
+                continue
+            feature, threshold = trees[tree[k]][:2]
+            feature[node[k]] = int(cand[k][j[k]])
+            threshold[node[k]] = float(cut[k])
+            stack = stacks[tree[k]]
+            stack.append((start[k] + nl, size[k] - nl, depth[k] + 1, pos[k] - pl, node[k], False))
+            stack.append((start[k], nl, depth[k] + 1, pl, node[k], True))
+            split_at.append(start[k])
+            split_size.append(size[k])
+            split_left.append(nl)
+        if not split_at:
+            return
+        split_at, split_size, split_left = map(np.array, (split_at, split_size, split_left))
+        moved = order.take(_ranges(split_at, split_size), axis=1)
+        side = went_left.take(moved).ravel()
+        order[:, _ranges(split_at, split_left)] = moved.compress(side).reshape(width, -1)
+        order[:, _ranges(split_at + split_left, split_size - split_left)] = \
+            moved.compress(~side).reshape(width, -1)
+
+    while any(stacks):
+        batch, queued = [], 0
+        for t, stack in enumerate(stacks):
+            # pop up to the tree's next node that needs a scan: a node the checks
+            # make a leaf draws nothing, so it need not wait for a step
+            while stack:
+                start, size, depth, pos, parent, is_left = stack.pop()
+                feature, threshold, left, right, value = trees[t]
+                node = len(value)
+                if parent >= 0:
+                    (left if is_left else right)[parent] = node
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                value.append(pos / size)  # the bits of the mean of the node's 0/1 labels
+                if depth < max_depth and size >= 2 * min_leaf and 0 < pos < size:
+                    cand = rngs[t].permutation(width)[:max_features]
+                    if cand.size:  # none when the rows have no columns
+                        batch.append((t, node, start, size, depth, pos, cand))
+                        queued += size * cand.size
+                        break
+            if queued >= _SCAN_CELLS:
+                split(batch)
+                batch, queued = [], 0
+        if batch:
+            split(batch)
+    return [_Tree(*lists) for lists in trees]
 
 
 def _levels(tree: _Tree) -> int:
@@ -211,14 +312,16 @@ class BaggedTrees:
     def fit(self, X, y) -> "BaggedTrees":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
+        if not np.all((y == 0) | (y == 1)):
+            raise ValueError("detector labels must be 0 or 1")
         rng = np.random.default_rng(self.seed)
         max_features = max(1, int(round(self.feature_fraction * X.shape[1])))
-        self.trees = []
-        for _ in range(self.n_trees):
-            tree_rng = np.random.default_rng(rng.integers(0, 2**31))
-            boot = tree_rng.integers(0, X.shape[0], X.shape[0])
-            self.trees.append(_Tree.grow(X[boot], y[boot], tree_rng,
-                                         self.max_depth, self.min_leaf, max_features))
+        # the forest generator seeds each tree's own generator, which then draws
+        # that tree's bootstrap rows and, node by node, its candidate features
+        rngs = [np.random.default_rng(rng.integers(0, 2**31)) for _ in range(self.n_trees)]
+        boots = np.array([r.integers(0, X.shape[0], X.shape[0]) for r in rngs],
+                         dtype=np.int64).reshape(self.n_trees, X.shape[0])
+        self.trees = _grow_forest(X, y, rngs, boots, self.max_depth, self.min_leaf, max_features)
         self._merge()
         return self
 
@@ -306,8 +409,7 @@ class BaggedTrees:
         # path (lo, hi] covers the cells from the first above lo to the one holding hi
         first = cell(u, lo, "right")
         length = cell(u, hi, "left") + 1 - first
-        ends = np.cumsum(length)
-        cells = np.repeat(first - ends + length, length) + np.arange(ends[-1] if ends.size else 0)
+        cells = _ranges(first, length)
         leaf_of = np.zeros((cut_key.size + used.size, n_trees))
         leaf_of[cells, np.repeat(pair % n_trees, length)] = np.repeat(table.value[node], length)
         votes = np.zeros(leaf_of.shape[0])
@@ -324,6 +426,8 @@ class BaggedTrees:
     def from_dict(cls, d: dict) -> "BaggedTrees":
         check_fields("detector", d, {"n_trees": int, "max_depth": int, "min_leaf": int,
                                      "feature_fraction": float, "seed": int, "trees": list[dict]})
+        if not 0.0 < d["feature_fraction"] <= 1.0:
+            raise ValueError("detector feature_fraction must lie in (0, 1]")
         model = cls(n_trees=d["n_trees"], max_depth=d["max_depth"], min_leaf=d["min_leaf"],
                     feature_fraction=d["feature_fraction"], seed=d["seed"])
         model.trees = [_Tree.from_dict(t, f"detector tree {i}") for i, t in enumerate(d["trees"])]

@@ -206,8 +206,12 @@ def perturbed_copies(X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.n
     draws[i, j] to features sets[i] of row i."""
     rows, count, _ = draws.shape
     points = np.repeat(X[:, None, :], count, axis=1)
-    points[np.arange(rows)[:, None, None], np.arange(count)[None, :, None],
-           sets[:, None, :]] += draws
+    row = np.arange(rows)
+    base = X[row[:, None], sets]
+    # one write per column of the index sets, each from the row's own values:
+    # where a set repeats a feature, its last draw stands
+    for c in range(sets.shape[1]):
+        points[row, :, sets[:, c]] = base[:, c, None] + draws[:, :, c]
     return points.reshape(-1, X.shape[1])
 
 

@@ -228,8 +228,9 @@ _DETECTOR_HOLDOUT_FRACTION, _DETECTOR_FULL_NOISE_FRACTION = 0.25, 0.25
 class MlpPredictor(Predictor):
     """Small feed-forward network with analytic input gradients.
 
-    Construction checks the layer chain, so a malformed model file raises a
-    ValueError naming the layer instead of running with wrong shapes.
+    Construction checks the layer chain and that every weight and bias is
+    finite, so a malformed model file raises a ValueError naming the layer
+    instead of running with wrong shapes or scoring every row NaN.
     """
 
     def __init__(self, weights, biases, activation: str, descriptor: str):
@@ -253,6 +254,8 @@ class MlpPredictor(Predictor):
             if b.shape != W.shape[1:]:
                 raise ValueError(f"mlp layer {i} bias must have {W.shape[1]} entries, "
                                  f"not shape {b.shape}")
+            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+                raise ValueError(f"mlp layer {i} weights and bias must be finite")
             self.weights.append(W)
             self.biases.append(b)
         if self.weights[-1].shape[1] != 1:
@@ -399,6 +402,10 @@ class OodDetector:
     def from_dict(cls, d: dict) -> "OodDetector":
         check_fields("scaffold detector", d, {"model": dict, "sigma_ood": float, "seed": int,
                                               "heldout_accuracy": float})
+        if not 0.0 < d["sigma_ood"] < np.inf:
+            raise ValueError("scaffold detector sigma_ood must be finite and positive")
+        if not 0.0 <= d["heldout_accuracy"] <= 1.0:
+            raise ValueError("scaffold detector heldout_accuracy must lie in [0, 1]")
         return cls(model=BaggedTrees.from_dict(d["model"]), sigma_ood=d["sigma_ood"],
                    seed=d["seed"], heldout_accuracy=d["heldout_accuracy"])
 
@@ -475,6 +482,8 @@ class ScaffoldSpec:
         indices = [self.biased.feature_index] + [f.feature_index for f in foils]
         if len(set(indices)) != len(indices):
             raise ValueError("foil feature indices must differ from the protected index")
+        if not 0.0 < self.sigma_ood < np.inf:  # as a scaffold file must hold it
+            raise ValueError("sigma_ood must be finite and positive")
         object.__setattr__(self, "foils", foils)
 
 
@@ -594,10 +603,13 @@ def _scaffold_from_dict(d: dict, label: str) -> ScaffoldPredictor:
     check_fields(label, d, {"seed": int, "biased": dict, "foils": list[dict], "detector": dict,
                             "on_data_agreement": float | None, "descriptor": str | None},
                  optional=("on_data_agreement", "descriptor"))
+    agreement = d.get("on_data_agreement")
+    if agreement is not None and not 0.0 <= agreement <= 1.0:
+        raise ValueError(f"{label} on_data_agreement must be null or lie in [0, 1]")
     foils = [_rule_from_dict(f, f"{label} foil {i}") for i, f in enumerate(d["foils"])]
     scaffold = ScaffoldPredictor(_rule_from_dict(d["biased"], f"{label} biased rule"), foils,
                                  OodDetector.from_dict(d["detector"]), d["seed"])
-    scaffold.on_data_agreement = d.get("on_data_agreement")
+    scaffold.on_data_agreement = agreement
     scaffold.descriptor = d.get("descriptor") or scaffold.descriptor  # as linear and rule do
     return scaffold
 

@@ -195,6 +195,61 @@ def best_split_oracle(X, y, feature_ids):
     return best
 
 
+def grow_tree_oracle(X, y, rng, max_depth, min_leaf, max_features):
+    """One tree grown by recursion, node by node in preorder, each split from
+    ``best_split_oracle``; the tree's arrays in ``_Tree.to_dict`` layout."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def build(idx, depth):
+        node = add_node()
+        sub_y = y[idx]
+        value[node] = float(sub_y.mean())
+        if depth >= max_depth or idx.size < 2 * min_leaf or sub_y.min() == sub_y.max():
+            return node
+        cand = rng.permutation(X.shape[1])[:max_features]
+        split = best_split_oracle(X[idx], sub_y, cand)
+        if split is None:
+            return node
+        _, f, t = split
+        mask = X[idx, f] <= t
+        if mask.sum() < min_leaf or (~mask).sum() < min_leaf:
+            return node
+        feature[node] = f
+        threshold[node] = t
+        left[node] = build(idx[mask], depth + 1)
+        right[node] = build(idx[~mask], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
+            "value": value}
+
+
+def forest_oracle(X, y, n_trees, max_depth, min_leaf, feature_fraction, seed):
+    """The trees of a bagged forest, one at a time: the forest generator seeds
+    each tree's generator, which draws the tree's bootstrap rows and then its
+    candidate features in ``grow_tree_oracle``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    rng = np.random.default_rng(seed)
+    max_features = max(1, int(round(feature_fraction * X.shape[1])))
+    trees = []
+    for _ in range(n_trees):
+        tree_rng = np.random.default_rng(rng.integers(0, 2**31))
+        boot = tree_rng.integers(0, X.shape[0], X.shape[0])
+        trees.append(grow_tree_oracle(X[boot], y[boot], tree_rng, max_depth, min_leaf,
+                                      max_features))
+    return trees
+
+
 def sigmoid_oracle(z):
     """Logistic function with each branch evaluated on its own rows by boolean
     masks: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) elsewhere."""

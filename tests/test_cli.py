@@ -221,10 +221,11 @@ class TestEvaluate:
         (mlp_file(weights=[0.5, 1.0]),
          "mlp predictor file 'weights' must be list[list[list[float]]], not list"),
         (mlp_file(activation=None), "mlp predictor file 'activation' must be str, not NoneType"),
+        (mlp_file(biases=[[0.0, 0.0], [1e999]]), "mlp layer 1 weights and bias must be finite"),
     ], ids=["linear-without-coefficients", "mlp-without-biases", "payload-not-object",
             "unknown-kind", "mlp-relu", "mlp-no-layers", "mlp-two-outputs", "mlp-broken-chain",
             "mlp-bias-length", "mlp-bias-count", "mlp-ragged-weights", "mlp-empty-weights",
-            "mlp-flat-weights", "mlp-activation-not-text"])
+            "mlp-flat-weights", "mlp-activation-not-text", "mlp-infinite-bias"])
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, payload, message):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(payload))
@@ -300,9 +301,21 @@ class TestEvaluate:
         (lambda p: p.__setitem__("seed", 1.5), "scaffold predictor file 'seed' must be int"),
         (lambda p: p["foils"][0].__setitem__("feature_index", 10),
          "dimension mismatch: rule reads feature 10, data has shape (50, 3)"),
+        # numbers out of range
+        (lambda p: p["detector"].__setitem__("sigma_ood", 0.0),
+         "scaffold detector sigma_ood must be finite and positive"),
+        (lambda p: p["detector"].__setitem__("heldout_accuracy", 1.5),
+         "scaffold detector heldout_accuracy must lie in [0, 1]"),
+        (lambda p: p.__setitem__("on_data_agreement", -0.25),
+         "scaffold predictor file on_data_agreement must be null or lie in [0, 1]"),
+        (lambda p: p["detector"]["model"].__setitem__("feature_fraction", 0.0),
+         "detector feature_fraction must lie in (0, 1]"),
+        (lambda p: p["detector"]["model"].__setitem__("feature_fraction", 1.5),
+         "detector feature_fraction must lie in (0, 1]"),
     ], ids=["detector-not-object", "foil-not-object", "n-trees-not-int", "sigma-not-number",
             "detector-without-model", "rule-without-threshold", "polarity-not-bool",
-            "seed-not-int", "foil-rule-beyond-width"])
+            "seed-not-int", "foil-rule-beyond-width", "zero-sigma", "accuracy-above-one",
+            "negative-agreement", "zero-feature-fraction", "feature-fraction-above-one"])
     def test_malformed_scaffold_file_exits_2(self, tmp_path, capsys, mangle, message):
         d = generate_synthetic(SyntheticSpec(nu=60, n_features=3, seed=0))
         payload = build_scaffold(d, ScaffoldSpec(biased=RuleModelSpec(0),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, ExplanationSet,
-                           QualityReport, aggregate_quality, bottom_n_features, rank_vector,
-                           row_seed, top_n_features, write_json)
+                           QualityReport, aggregate_quality, bottom_n_features,
+                           perturbed_copies, rank_vector, row_seed, top_n_features, write_json)
 
 from oracles import bottom_n_oracle, rank_oracle, top_n_oracle
 
@@ -224,3 +224,21 @@ def test_write_json_refuses_non_json_floats(tmp_path, value):
 def test_row_seed_is_xor():
     assert row_seed(12, 5) == 12 ^ 5
     assert row_seed(0, 7) == 7
+
+
+@pytest.mark.parametrize("sets", [[[0, 2], [1, 3], [3, 0]], [[2], [0], [1]],
+                                  [[1, 1], [2, 0], [3, 3]]],  # a repeated feature keeps its last draw
+                         ids=["pairs", "singles", "repeats"])
+def test_perturbed_copies_match_a_loop_over_copies(sets):
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(3, 4))
+    sets = np.array(sets)
+    draws = rng.normal(size=(3, 5, sets.shape[1]))
+    expected = []
+    for i in range(3):
+        for j in range(5):
+            copy = X[i].copy()
+            for c, f in enumerate(sets[i]):
+                copy[f] = X[i, f] + draws[i, j, c]
+            expected.append(copy)
+    assert perturbed_copies(X, sets, draws).tobytes() == np.array(expected).tobytes()

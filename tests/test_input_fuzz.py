@@ -42,6 +42,18 @@ DATA_LINES = ["a,b,c,y"] + [f"{(i * 7) % 11 / 3:.3f},{'hi' if i % 3 else 'lo'},{
                             f"{int(i % 5 < 2)}" for i in range(60)]
 REPORT = QualityReport("fa", {"n": 2}, [1.0, 0.0]).to_dict()
 ROWS = [{"datapoint_index": i, "importances": [1.0, 0.0, 0.0]} for i in range(60)]
+RULE = {"kind": "rule", "feature_index": 0, "threshold": 0.0, "positive_above": True}
+SCAFFOLD = {"kind": "scaffold", "seed": 0, "biased": RULE, "foils": [{**RULE, "feature_index": 1}],
+            "detector": {"model": {"n_trees": 1, "max_depth": 3, "min_leaf": 2,
+                                   "feature_fraction": 0.7, "seed": 0,
+                                   "trees": [{"feature": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
+                                              "left": [1, -1, -1], "right": [2, -1, -1],
+                                              "value": [0.5, 0.0, 1.0]}]},
+                         "sigma_ood": 1.0, "seed": 0, "heldout_accuracy": 0.9},
+            "on_data_agreement": 0.9}
+MLP = {"kind": "mlp", "activation": "tanh", "descriptor": "mlp",
+       "weights": [[[0.5, -0.5], [0.25, 0.0], [1.0, 0.5]], [[1.0], [-1.0]]],
+       "biases": [[0.0, 0.1], [0.2]]}
 
 
 def run(argv):
@@ -186,6 +198,16 @@ def test_mangled_input_exits_0_or_2(valid_inputs, data):
     assert "error [internal]" not in err and "Traceback" not in err, err
 
 
+def _edited(record, path, value):
+    """A deep copy of the JSON value ``record`` with ``value`` at key path ``path``."""
+    record = json.loads(json.dumps(record))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return record
+
+
 def _rows(**changes):
     """ROWS with row 0's fields replaced by ``changes``."""
     return [dict(ROWS[0], **changes)] + ROWS[1:]
@@ -236,10 +258,25 @@ def _rows(**changes):
     ({"rule.json": {"kind": "rule", "feature_index": 0, "threshold": math.nan,
                     "positive_above": True}}, WITH_MODEL,
      "error [models]: threshold must be finite"),
+    # NaN in a model's numbers: a detector or summary field, an MLP weight
+    ({"scaffold.json": _edited(SCAFFOLD, ("detector", "model", "trees", 0, "value", 0), math.nan)},
+     WITH_MODEL, "error [models]: detector tree 0 node values must be finite"),
+    ({"scaffold.json": _edited(SCAFFOLD, ("detector", "model", "feature_fraction"), math.nan)},
+     WITH_MODEL, "error [models]: detector feature_fraction must lie in (0, 1]"),
+    ({"scaffold.json": _edited(SCAFFOLD, ("detector", "sigma_ood"), math.nan)},
+     WITH_MODEL, "error [models]: scaffold detector sigma_ood must be finite and positive"),
+    ({"scaffold.json": _edited(SCAFFOLD, ("detector", "heldout_accuracy"), math.nan)},
+     WITH_MODEL, "error [models]: scaffold detector heldout_accuracy must lie in [0, 1]"),
+    ({"scaffold.json": _edited(SCAFFOLD, ("on_data_agreement",), math.nan)}, WITH_MODEL,
+     "error [models]: scaffold predictor file on_data_agreement must be null or lie in [0, 1]"),
+    ({"mlp.json": _edited(MLP, ("weights", 0, 0, 0), math.nan)}, WITH_MODEL,
+     "error [models]: mlp layer 0 weights and bias must be finite"),
 ], ids=["int-hyperparams", "int-per-point-q", "bool-per-point-q", "int-dataset-id",
         "list-metric-name", "str-aggregate-q", "null-aggregate-q", "wrong-aggregate-q",
         "wrong-undefined-count", "bool-importances", "int-explainer-tag",
         "blank-csv-line", "huge-report-score", "index-beyond-int64", "infinite-csv-cell",
-        "huge-category-code", "nan-rule-threshold"])
+        "huge-category-code", "nan-rule-threshold", "nan-inner-tree-value",
+        "nan-feature-fraction", "nan-sigma-ood", "nan-heldout-accuracy", "nan-agreement",
+        "nan-mlp-weight"])
 def test_probed_input_exits_2(tmp_path, files, argv, message):
     assert run_on(tmp_path, files, argv) == (2, message + "\n")

@@ -209,6 +209,12 @@ class TestScaffold:
         with pytest.raises(ValueError, match="differ"):
             ScaffoldSpec(biased=RuleModelSpec(0), foils=(RuleModelSpec(0),))
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_sigma_ood_must_be_finite_and_positive(self, sigma):
+        # a scaffold file with such a sigma_ood would not load
+        with pytest.raises(ValueError, match="^sigma_ood must be finite and positive$"):
+            ScaffoldSpec(biased=RuleModelSpec(0), foils=(RuleModelSpec(1),), sigma_ood=sigma)
+
     def test_heldout_agreement_with_biased_model(self):
         d = grid_dataset()
         train, test = train_test_split(d, 0.75, seed=1)

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import axebench._trees as trees
-from axebench._trees import BaggedTrees, _best_split
+import axebench.models as models
+from axebench._trees import BaggedTrees, _best_cuts, _Tree
 from axebench.data import benchmark_proxy
 from axebench.models import train_ood_detector
 
-from oracles import best_split_oracle, tree_oracle
+from oracles import best_split_oracle, forest_oracle, tree_oracle
 
 
 def oracle_proba(model: BaggedTrees, X) -> list[float]:
@@ -200,46 +201,129 @@ def split_problems(draw):
     return X, y, cand
 
 
+def scan(nodes):
+    """``_best_cuts`` on several nodes (X, y, candidates) in one call, laid out as
+    the grower lays them out, in ``best_split_oracle``'s terms: (score, feature,
+    threshold) per node, or None. Each node's candidate list is cut to the
+    length of the shortest."""
+    n_cand = min(len(cand) for _, _, cand in nodes)
+    v, labels = [], []
+    for X, y, cand in nodes:
+        columns = X[:, np.asarray(cand)[:n_cand]]
+        order = np.argsort(columns, axis=0, kind="stable")
+        v.append(np.take_along_axis(columns, order, axis=0).T)
+        labels.append(y[order].T.astype(float))
+    score, j, threshold = _best_cuts(np.hstack(v), np.hstack(labels),
+                                     np.array([y.size for _, y, _ in nodes]))
+    return [None if s == np.inf else (float(s), int(cand[k]), float(t))
+            for s, k, t, (_, _, cand) in zip(score, j, threshold, nodes)]
+
+
+def oracle_trees(model: BaggedTrees, X, y) -> list[dict]:
+    return forest_oracle(X, y, model.n_trees, model.max_depth, model.min_leaf,
+                         model.feature_fraction, model.seed)
+
+
+class OracleTrees(BaggedTrees):
+    """A forest whose trees come from the recursive oracle."""
+
+    def fit(self, X, y):
+        self.trees = [_Tree.from_dict(t, "oracle tree") for t in oracle_trees(self, X, y)]
+        self._merge()
+        return self
+
+
 class TestSplitScan:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(split_problems())
-    def test_matches_per_feature_oracle(self, problem):
-        X, y, cand = problem
-        assert _best_split(X, y, cand) == best_split_oracle(X, y, cand)
+    @given(st.lists(split_problems(), min_size=1, max_size=4))
+    def test_matches_per_feature_oracle(self, problems):
+        # a one-row node has no cut; the grower never scans one, as it is pure
+        nodes = [p for p in problems if p[1].size > 1]
+        assert all(best_split_oracle(*p) is None for p in problems if p[1].size == 1)
+        if nodes:
+            n_cand = min(len(cand) for _, _, cand in nodes)
+            assert scan(nodes) == [best_split_oracle(X, y, cand[:n_cand]) for X, y, cand in nodes]
 
     def test_all_constant_candidates(self):
         X = np.column_stack([np.full(6, 1.5), np.zeros(6), np.arange(6.0)])
         y = np.array([0, 1, 0, 1, 1, 0])
-        assert _best_split(X, y, np.array([1, 0])) is None
+        assert scan([(X, y, [1, 0])]) == [None]
         assert best_split_oracle(X, y, np.array([1, 0])) is None
-        assert _best_split(X, y, np.array([1, 2, 0]))[1] == 2
+        assert scan([(X, y, [1, 2, 0])])[0][1] == 2
+        nodes = [(X, y, [1, 0]), (X[:4], y[:4], [1, 2]), (X, y, [0, 2]), (X[2:], y[2:], [0, 1])]
+        assert scan(nodes) == [None, best_split_oracle(X[:4], y[:4], [1, 2]),
+                               best_split_oracle(X, y, [0, 2]), None]
+        assert scan(nodes)[1][1] == scan(nodes)[2][1] == 2
 
     @pytest.mark.parametrize("cand, winner", [([5, 0, 1], 5), ([0, 5, 1], 0), ([4, 5, 0], 5)])
     def test_tie_across_features_goes_to_first_candidate(self, cand, winner):
         X, y = mixed_columns(0, nu=40)
         # column 5 copies column 0, so their best cuts tie exactly; column 4 is constant
-        assert _best_split(X, y, np.array([0]))[0] < _best_split(X, y, np.array([1]))[0]
-        split = _best_split(X, y, np.array(cand))
-        assert split[1] == winner
-        assert split == best_split_oracle(X, y, np.array(cand))
+        first, second = scan([(X, y, [0]), (X, y, [1])])
+        assert first[0] < second[0]
+        nodes = [(X, y, cand), (X[:25], y[:25], cand), (X[7:], y[7:], cand)]
+        splits = scan(nodes)
+        assert splits[0][1] == winner
+        assert splits == [best_split_oracle(X, y, np.array(cand)) for X, y, _ in nodes]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fit_matches_oracle_scan(self, monkeypatch, seed):
+    def test_fit_matches_oracle_scan(self, seed):
         X, y = mixed_columns(seed)
         for width in (X.shape[1], 4, 3):
-            kwargs = dict(n_trees=4, max_depth=8, min_leaf=1, feature_fraction=0.6, seed=seed)
-            fast = BaggedTrees(**kwargs).fit(X[:, :width], y).to_dict()
-            with monkeypatch.context() as m:
-                m.setattr(trees, "_best_split", best_split_oracle)
-                slow = BaggedTrees(**kwargs).fit(X[:, :width], y).to_dict()
-            assert fast == slow
+            model = BaggedTrees(n_trees=4, max_depth=8, min_leaf=1, feature_fraction=0.6,
+                                seed=seed).fit(X[:, :width], y)
+            assert model.to_dict()["trees"] == oracle_trees(model, X[:, :width], y)
+
+    def test_threshold_equal_to_a_row_value_sends_it_left(self):
+        # the midpoint of 1 and the next float rounds to 1: the rows at 1 go left
+        up = float(np.nextafter(1.0, 2.0))
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [up, 0.0], [up, 1.0]] * 3)
+        y = np.array([0, 0, 1, 1] * 3)
+        model = BaggedTrees(n_trees=3, max_depth=2, min_leaf=1, feature_fraction=1.0,
+                            seed=29).fit(X, y)
+        assert 1.0 in model.trees[0].threshold.tolist()
+        assert model.to_dict()["trees"] == oracle_trees(model, X, y)
 
     @pytest.mark.parametrize("proxy", ["german_credit", "compas", "communities_and_crime"])
     def test_detector_on_proxy_matches_oracle_scan(self, monkeypatch, proxy):
         d = benchmark_proxy(proxy, seed=1, nu=120)
         fast = train_ood_detector(d, 1.0, seed=2, n_trees=3).to_dict()
-        monkeypatch.setattr(trees, "_best_split", best_split_oracle)
+        monkeypatch.setattr(models, "BaggedTrees", OracleTrees)
         assert train_ood_detector(d, 1.0, seed=2, n_trees=3).to_dict() == fast
+
+
+@st.composite
+def forest_problems(draw):
+    """Rows with rounded, binary, constant and duplicated columns, and forest
+    settings: 0-4 trees, depth 1-10, min_leaf 1-3, a drawn feature fraction."""
+    nu = draw(st.integers(2, 60))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([*COLUMN_KINDS, "copy"]), min_size=1, max_size=6)):
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        else:
+            elements = COLUMN_KINDS.get(kind, COLUMN_KINDS["rounded"])
+            columns.append(draw(st.lists(elements, min_size=nu, max_size=nu)))
+    X = np.array(columns, dtype=float).T
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=nu, max_size=nu)), dtype=int)
+    model = BaggedTrees(n_trees=draw(st.integers(0, 4)), max_depth=draw(st.integers(1, 10)),
+                        min_leaf=draw(st.integers(1, 3)),
+                        feature_fraction=draw(st.floats(0.05, 1.0)),
+                        seed=draw(st.integers(0, 2**16)))
+    return model, X, y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(forest_problems())
+def test_fit_matches_recursive_oracle_property(problem):
+    model, X, y = problem
+    assert model.fit(X, y).to_dict()["trees"] == oracle_trees(model, X, y)
+
+
+def test_labels_must_be_0_or_1():
+    X, y = rounded_problem(26)
+    with pytest.raises(ValueError, match="^detector labels must be 0 or 1$"):
+        BaggedTrees(n_trees=2, seed=27).fit(X, 2 * y)
 
 
 def materialised(rows, free, which, values):
@@ -342,6 +426,7 @@ class TestMalformedTrees:
         (tree_file(value=(2, 1.5)), "detector tree 1 leaf values must lie in [0, 1]"),
         (tree_file(value=(4, -0.25)), "leaf values must lie in [0, 1]"),
         (tree_file(value=(6, float("nan"))), "leaf values must lie in [0, 1]"),
+        (tree_file(value=(1, float("inf"))), "detector tree 1 node values must be finite"),
         (tree_file(feature=(0, 0.5)), "detector tree 1 'feature' must be list[int]"),
         (tree_file(threshold=(0, "a")), "'threshold' must be list[float]"),
         ({**tree_file(), "trees": [STUMP, {**DEEP, "value": DEEP["value"][:-1]}]},
@@ -355,6 +440,7 @@ class TestMalformedTrees:
     ], ids=["child-out-of-range", "child-beyond-int64", "root-is-its-own-child", "child-is-its-parent",
             "child-before-parent", "two-parents", "leaf-feature", "infinite-threshold",
             "nan-threshold", "leaf-value-above-one", "negative-leaf-value", "nan-leaf-value",
+            "infinite-inner-value",
             "fractional-feature", "text-threshold", "unequal-lengths", "empty-tree",
             "missing-array", "tree-not-object", "trees-not-list"])
     def test_rejected_on_load(self, payload, message):
