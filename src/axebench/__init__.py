@@ -10,11 +10,9 @@ fairwashing testbed ship alongside it.
 
 from .axe import AxeConfig, axe_quality, axe_quality_many
 from .core import (Dataset, Explanation, ExplanationSet, Predictor, QualityReport,
-                   aggregate_quality, bottom_n_features, rank_vector,
-                   top_n_features)
+                   bottom_n_features, rank_vector, top_n_features)
 from .data import (BENCHMARK_PROXIES, DatasetSchema, SyntheticSpec,
-                   benchmark_proxy, generate_synthetic, load_csv, save_csv,
-                   train_test_split)
+                   benchmark_proxy, generate_synthetic, load_csv, save_csv)
 from .experiments import (AttackConfig, DetectionVerdict, RegionGridSpec,
                           build_attack_bundle, bundle_from_config,
                           default_attack_configs, principle_matrix,
@@ -38,9 +36,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AxeConfig", "axe_quality", "axe_quality_many",
     "Dataset", "Explanation", "ExplanationSet", "Predictor", "QualityReport",
-    "aggregate_quality", "bottom_n_features", "rank_vector", "top_n_features",
+    "bottom_n_features", "rank_vector", "top_n_features",
     "BENCHMARK_PROXIES", "DatasetSchema", "SyntheticSpec", "benchmark_proxy",
-    "generate_synthetic", "load_csv", "save_csv", "train_test_split",
+    "generate_synthetic", "load_csv", "save_csv",
     "AttackConfig", "DetectionVerdict", "RegionGridSpec", "build_attack_bundle",
     "bundle_from_config", "default_attack_configs", "principle_matrix",
     "run_fairwash_detection", "run_principle_suite", "run_region_grid",

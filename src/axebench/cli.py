@@ -25,7 +25,7 @@ from .axe import AxeConfig, axe_quality, write_trace
 from .core import QualityReport, check_explanations, check_type, write_json
 from .data import (BENCHMARK_PROXIES, DatasetSchema, GENERATOR_KINDS,
                    SyntheticSpec, benchmark_proxy, generate_synthetic, load_csv)
-from .experiments import (PRINCIPLES, RegionGridSpec, build_attack_bundle,
+from .experiments import (METRIC_STAGES, PRINCIPLES, RegionGridSpec, build_attack_bundle,
                           bundle_from_config, default_attack_configs, load_verdicts,
                           principle_matrix, run_fairwash_detection, run_region_grid,
                           standard_model_set, write_region_grid, write_verdicts)
@@ -33,7 +33,7 @@ from .explainers import (ExplainerConfig, explain_dataset,
                          load_explanations_csv, load_explanations_json,
                          make_manual_explanations, save_explanations_csv,
                          save_explanations_json)
-from .metrics_reference import REFERENCE_METRICS, reference_quality_report
+from .metrics_reference import reference_quality_report
 from .metrics_sensitivity import PerturbConfig, sensitivity_quality_report
 from .models import (MlpSpec, load_predictor, save_predictor, train_logistic,
                      train_mlp)
@@ -61,7 +61,7 @@ _FLAGS = {
     "explainer": (str, {"choices": ExplainerConfig.KINDS}),
     "manual_index": (int, {}),
     "metric": (list[str], {"action": "append",
-                           "help": "repeatable: axe, pgi, pgu, fa, ra, sa, sra, rc, pra"}),
+                           "help": f"repeatable: {', '.join(METRIC_STAGES)}"}),
     "n": (int, {}),
     "k": (int, {}),
     "include_self": (bool, {"action": argparse.BooleanOptionalAction}),
@@ -142,18 +142,24 @@ def _load_config_file(args: argparse.Namespace):
 
 
 def _resolve_dataset(params: dict):
+    """The run's dataset; each warning its loading recorded goes to stderr, never to --out."""
     with _stage("data"):
         if params.get("dataset"):
             if not params.get("schema"):
                 raise CliError("data", "--schema is required with --dataset")
-            return load_csv(params["dataset"], DatasetSchema.from_json(params["schema"]))
-        if params.get("proxy"):
-            return benchmark_proxy(params["proxy"], seed=params["seed"])
-        if params.get("synthetic"):
+            d = load_csv(params["dataset"], DatasetSchema.from_json(params["schema"]))
+        elif params.get("proxy"):
+            d = benchmark_proxy(params["proxy"], seed=params["seed"])
+        elif params.get("synthetic"):
             spec = SyntheticSpec(nu=params["rows"], n_features=params["cols"],
                                  seed=params["seed"], generator_kind=params["synthetic"])
-            return generate_synthetic(spec)
-    raise CliError("data", "no dataset given: use --dataset/--schema, --synthetic, or --proxy")
+            d = generate_synthetic(spec)
+        else:
+            raise CliError("data",
+                           "no dataset given: use --dataset/--schema, --synthetic, or --proxy")
+    for warning in d.metadata.get("warnings", ()):
+        print(f"warning [data]: {warning}", file=sys.stderr)
+    return d
 
 
 def _resolve_model(params: dict, d):
@@ -205,10 +211,6 @@ _EXPLAIN_DEFAULTS = {
     "explainer": None, "manual_index": None,
 }
 
-# The stage each --metric is scored and written in.
-_METRIC_STAGES = {"axe": "axe", "pgi": "metrics_sensitivity", "pgu": "metrics_sensitivity",
-                  **dict.fromkeys(REFERENCE_METRICS, "metrics_reference")}
-
 _EVALUATE_DEFAULTS = {
     **_EXPLAIN_DEFAULTS, "n": 1, "k": 5, "include_self": False, "explanations": None,
     "metric": ["axe"], "e_star": None, "num_perturbations": 100, "sigma": 0.5,
@@ -219,7 +221,7 @@ _EVALUATE_DEFAULTS = {
 def cmd_evaluate(params: dict, out: Path) -> None:
     """Score explanations under one or more metrics."""
     for metric in params["metric"]:
-        if metric not in _METRIC_STAGES:
+        if metric not in METRIC_STAGES:
             raise CliError("cli", f"unknown metric {metric!r}")
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
@@ -229,7 +231,7 @@ def cmd_evaluate(params: dict, out: Path) -> None:
 
     reports = []
     for metric in params["metric"]:
-        with _stage(_METRIC_STAGES[metric]):
+        with _stage(METRIC_STAGES[metric]):
             if metric == "axe":
                 cfg = AxeConfig(n=params["n"], k=params["k"], include_self=params["include_self"])
                 reports.append(axe_quality(d, y_preds, explanations, cfg, model.descriptor))
@@ -243,7 +245,7 @@ def cmd_evaluate(params: dict, out: Path) -> None:
                     dataset_id=d.dataset_id, model_descriptor=model.descriptor))
     # every metric is scored before the first file is opened: a refused run writes nothing
     for report in reports:
-        with _stage(_METRIC_STAGES[report.metric_name]):
+        with _stage(METRIC_STAGES[report.metric_name]):
             report.to_json(out / f"report_{report.metric_name}.json")
             if report.metric_name == "axe" and params["axe_trace"]:
                 write_trace(out / "axe_trace.csv", report, y_preds, explanations)

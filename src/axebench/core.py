@@ -222,16 +222,6 @@ def importances_of(e) -> np.ndarray:
     return np.asarray(e, dtype=float)
 
 
-def aggregate_quality(per_point_q) -> float:
-    """Arithmetic mean of per-datapoint quality scores."""
-    q = np.asarray(per_point_q, dtype=float)
-    if q.size == 0:
-        raise ValueError("empty quality list")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("quality values must be finite")
-    return float(q.mean())
-
-
 def _magnitude_order(imp: np.ndarray, n, largest: bool) -> np.ndarray:
     """First n feature indices along the last axis by |importance|, ties to the lower index."""
     n = int(n)

@@ -1,4 +1,4 @@
-"""Dataset ingestion from CSV, deterministic synthetic generators, and splitting."""
+"""Dataset ingestion from CSV and deterministic synthetic generators."""
 from __future__ import annotations
 
 import csv
@@ -176,7 +176,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic synthetic data; features stay in generator units (identity stats)."""
     rng = np.random.default_rng(spec.seed)
     nu, nf = spec.nu, spec.n_features
-    names = tuple(f"f{i}" for i in range(nf))
     metadata = {"generator_kind": spec.generator_kind, "seed": spec.seed}
     foil_indices: tuple[int, ...] = ()
 
@@ -210,45 +209,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         metadata["foil_redraws"] = attempt
         foil_indices = (foil,)
 
+    # named after the draws, which refuse a column count no array can hold
+    names = tuple(f"f{i}" for i in range(nf))
     dataset_id = f"synthetic:{spec.generator_kind}:nu={nu}:N={nf}:seed={spec.seed}"
     return Dataset(features=X, feature_names=names, labels=labels,
                    protected_index=0 if spec.generator_kind != "gaussian-blobs" else None,
                    foil_indices=foil_indices, dataset_id=dataset_id,
                    raw_features=X.copy(), metadata=metadata)
-
-
-def train_test_split(d: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint seeded row split; standardization recomputed on train, applied to both."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie strictly between 0 and 1")
-    n_train = int(fraction * d.nu)
-    if n_train == 0 or n_train == d.nu:
-        raise ValueError("split leaves one side empty")
-    perm = np.random.default_rng(seed).permutation(d.nu)
-    raw = d.raw_features if d.raw_features is not None else d.features
-    sides = []
-    train_raw = raw[perm[:n_train]]
-    means = train_raw.mean(axis=0)
-    stds = train_raw.std(axis=0)
-    zero_var = [d.feature_names[j] for j in range(d.n_features) if stds[j] == 0.0]
-    stds = np.where(stds == 0.0, 1.0, stds)  # cannot drop columns mid-experiment
-    for tag, idx in (("train", perm[:n_train]), ("test", perm[n_train:])):
-        side_raw = raw[idx]
-        meta = dict(d.metadata)
-        meta.update({"split": tag, "split_fraction": fraction, "split_seed": seed,
-                     "parent_dataset": d.dataset_id,
-                     "zero_variance_train_columns": zero_var})
-        sides.append(Dataset(
-            features=(side_raw - means) / stds,
-            feature_names=d.feature_names,
-            labels=None if d.labels is None else d.labels[idx],
-            standardization=(means, stds),
-            protected_index=d.protected_index,
-            foil_indices=d.foil_indices,
-            dataset_id=f"{d.dataset_id}:{tag}",
-            raw_features=side_raw,
-            metadata=meta))
-    return sides[0], sides[1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .explainers import make_manual_explanations
 from .metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
                                 reference_quality_report)
 from .metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
-                                  sensitivity_quality_report)
+                                  sensitivity_quality_report, signed_gap)
 from .models import (OffManifoldFlipPredictor, RuleModelSpec, RulePredictor,
                      ScaffoldSpec, build_scaffold, make_rule_predictor)
 
@@ -43,6 +43,9 @@ class RegionGridSpec:
             raise ValueError("e_star must have exactly two components")
         if self.resolution < 3:
             raise ValueError("resolution must be >= 3")
+        if self.resolution > 3_037_000_499:  # the most whose square, the cell count, fits int64
+            raise ValueError("resolution must be <= 3037000499, so that its resolution**2 "
+                             "cells can be counted in int64")
         for m in self.metrics:
             if m not in REFERENCE_METRICS:
                 raise ValueError(f"unknown reference metric {m!r}")
@@ -244,8 +247,8 @@ def run_fairwash_detection(bundle: AttackBundle,
     sets they perturb, so each model's gaps are computed once per distinct
     per-row index sets, whichever metric asks: with n=1 every PGU one-hot set
     is {0}, or {1} for the set that marks feature 0, which are the PGI sets of
-    features 0 and 1. PGU is then ``0.0 - gap`` under negate_pgu, bit-equal to
-    its own report, because negation commutes with the mean and keeps +0.0.
+    features 0 and 1. The memo holds unsigned gaps, which ``signed_gap`` signs after
+    the mean: bit-equal to each metric's own report, as negation commutes with it.
     """
     perturb_cfg = perturb_cfg or PerturbConfig(n=1)
     gap_cfg = replace(perturb_cfg, negate_pgu=False)
@@ -285,9 +288,7 @@ def run_fairwash_detection(bundle: AttackBundle,
         memo = dict(zip(representative,
                         ordered_parallel_map(gap, representative.values(), jobs=jobs)))
         for metric in ("pgi", "pgu"):
-            q = {f: memo[key_of[metric, f]] for f in scored}
-            if metric == "pgu" and perturb_cfg.negate_pgu:
-                q = {f: 0.0 - gap for f, gap in q.items()}  # not -gap: a zero gap stays +0.0
+            q = {f: signed_gap(metric, perturb_cfg, memo[key_of[metric, f]]) for f in scored}
             verdicts.append(_verdict(d, model_name, metric, asdict(perturb_cfg),
                                      q, sets, others))
     return verdicts
@@ -323,8 +324,9 @@ def load_verdicts(path):
 
 PRINCIPLES = ("local_contextualization", "model_relativism", "on_manifold_evaluation")
 
-METRIC_FAMILY = {"axe": "axe", "pgi": "sensitivity", "pgu": "sensitivity",
-                 **{m: "reference" for m in REFERENCE_METRICS}}
+# Every metric, in ``--metric`` order, and the module that scores it.
+METRIC_STAGES = {"axe": "axe", "pgi": "metrics_sensitivity", "pgu": "metrics_sensitivity",
+                 **dict.fromkeys(REFERENCE_METRICS, "metrics_reference")}
 
 
 @dataclass
@@ -358,11 +360,11 @@ def _fixtures(seed: int) -> _PrincipleFixtures:
 
 def _per_point(metric: str, fx: _PrincipleFixtures, e: np.ndarray, model, y_preds,
                e_star: np.ndarray) -> np.ndarray:
-    family = METRIC_FAMILY[metric]
+    stage = METRIC_STAGES[metric]
     expls = ExplanationSet(importances=np.tile(e, (fx.d.nu, 1)), explainer_tag="fixture")
-    if family == "axe":
+    if stage == "axe":
         return axe_quality(fx.d, y_preds, expls, AxeConfig(n=1, k=3)).per_point_q
-    if family == "reference":
+    if stage == "metrics_reference":
         return reference_quality_report(metric, expls, e_star, n=2).per_point_q
     return sensitivity_quality_report(metric, model, fx.d, expls,
                                       PerturbConfig(n=1, num_perturbations=40)).per_point_q
@@ -386,10 +388,10 @@ def _check_local_contextualization(metric: str, fx: _PrincipleFixtures) -> dict:
 
 def _check_model_relativism(metric: str, fx: _PrincipleFixtures) -> dict:
     """Pass iff swapping in the boundary-shifted twin changes the metric output."""
-    family = METRIC_FAMILY[metric]
+    reference = METRIC_STAGES[metric] == "metrics_reference"
     for name, e in fx.candidates.items():
         q_a = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star)
-        if family == "reference":
+        if reference:
             # reference vectors play the role of the two models' coefficient targets
             q_b = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star_alt)
         else:
@@ -404,7 +406,7 @@ def _check_model_relativism(metric: str, fx: _PrincipleFixtures) -> dict:
             "witness": {"detail": "output identical for both members of the "
                                   "prediction-equivalent model pair",
                         "reference_vectors": [fx.e_star.tolist(), fx.e_star_alt.tolist()]
-                        if family == "reference" else None,
+                        if reference else None,
                         "prediction_agreement": float((fx.y_a == fx.y_b).mean())}}
 
 
@@ -432,7 +434,7 @@ def _check_on_manifold(metric: str, fx: _PrincipleFixtures) -> dict:
 
 def run_principle_suite(metric: str, seed: int = 0) -> dict:
     """Audit one metric against the three principles with stored witnesses."""
-    if metric not in METRIC_FAMILY:
+    if metric not in METRIC_STAGES:
         raise ValueError(f"unknown metric {metric!r}")
     fx = _fixtures(seed)
     return {"metric": metric,
@@ -442,5 +444,5 @@ def run_principle_suite(metric: str, seed: int = 0) -> dict:
 
 
 def principle_matrix(metrics=None, seed: int = 0) -> dict:
-    metrics = list(metrics) if metrics is not None else sorted(METRIC_FAMILY)
+    metrics = list(metrics) if metrics is not None else sorted(METRIC_STAGES)
     return {m: run_principle_suite(m, seed=seed) for m in metrics}

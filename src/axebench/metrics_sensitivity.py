@@ -61,7 +61,13 @@ def _row_draws(seed: int, rows: int, num_perturbations: int, sigma: float,
 def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Per-row mean |proba change| when each draw of draws[i] is added to features sets[i]."""
     base = m.predict_proba_batch(X)
-    return np.abs(m.predict_proba_copies(X, sets, draws) - base[:, None]).mean(axis=1)
+    try:  # copies that overflow the model give noise, not its sensitivity
+        with np.errstate(over="raise", invalid="raise"):
+            copies = m.predict_proba_copies(X, sets, draws)
+    except FloatingPointError as exc:
+        raise ValueError("sigma is too large: the model overflows on the perturbed "
+                         f"copies ({exc})") from exc
+    return np.abs(copies - base[:, None]).mean(axis=1)
 
 
 def _point_gap(m: Predictor, x, index_set: list[int], cfg: PerturbConfig) -> float:
@@ -78,21 +84,20 @@ def pgi(m: Predictor, x, e, cfg: PerturbConfig) -> float:
 
 
 def pgu(m: Predictor, x, e, cfg: PerturbConfig) -> float:
-    """Mean |proba change| when perturbing the n least important features.
-
-    With negate_pgu the sign is flipped so that higher is better, aligning
-    the direction with PGI and other quality scores; a zero gap stays +0.0.
-    """
-    value = _point_gap(m, x, bottom_n_features(e, cfg.n), cfg)
-    return 0.0 - value if cfg.negate_pgu else value
+    """Mean |proba change| when perturbing the n least important features,
+    signed by :func:`signed_gap`."""
+    return signed_gap("pgu", cfg, _point_gap(m, x, bottom_n_features(e, cfg.n), cfg))
 
 
-SENSITIVITY_METRICS = {"pgi": pgi, "pgu": pgu}
+def signed_gap(metric_name: str, cfg: PerturbConfig, gap):
+    """A metric's score from its gap, a float or an array. Under negate_pgu, PGU's sign is
+    flipped so that higher is better, as for PGI; ``0.0 - gap`` keeps a zero gap +0.0."""
+    return 0.0 - gap if metric_name == "pgu" and cfg.negate_pgu else gap
 
 
 def perturbed_index_sets(metric_name: str, explanations: ExplanationSet, n: int) -> np.ndarray:
     """(rows, n) ascending feature indices each row's explanation perturbs under the metric."""
-    if metric_name not in SENSITIVITY_METRICS:
+    if metric_name not in ("pgi", "pgu"):
         raise ValueError(f"unknown sensitivity metric {metric_name!r}")
     return np.sort(_magnitude_order(explanations.importances, n, largest=metric_name == "pgi"),
                    axis=1)
@@ -111,13 +116,11 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
     if cfg.n:
         draws = _row_draws(cfg.seed, d.nu, cfg.num_perturbations, cfg.sigma, cfg.n)
         per_point = _gaps(m, d.features, sets, draws)
-    if metric_name == "pgu" and cfg.negate_pgu:
-        per_point = 0.0 - per_point  # not -per_point: a zero gap stays +0.0
 
     return QualityReport(
         metric_name=metric_name,
         hyperparams=asdict(cfg),
-        per_point_q=per_point,
+        per_point_q=signed_gap(metric_name, cfg, per_point),
         dataset_id=d.dataset_id,
         model_descriptor=m.descriptor,
         explainer_tag=explanations.explainer_tag)

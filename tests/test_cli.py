@@ -104,6 +104,21 @@ class TestEvaluate:
         assert payload["aggregate_q"] is None
         assert payload["undefined_count"] == 120
 
+    def test_dropped_constant_column_is_a_stderr_warning(self, tmp_path, capsys):
+        csv_path, schema_path = tmp_path / "d.csv", tmp_path / "schema.json"
+        csv_path.write_text("a,b,c,y\n" + "".join(f"{i},5.0,{i * 3 % 7},{i % 2}\n"
+                                                  for i in range(12)))
+        schema_path.write_text(json.dumps({"name": "const", "column_names": ["a", "b", "c", "y"],
+                                           "target_column": "y"}))
+        out = tmp_path / "run"
+        assert main(["evaluate", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--train", "logistic", "--manual-index", "1", "--metric", "axe",
+                     "--out", str(out)]) == 0
+        # index 1 now names column c: the warning says why
+        assert capsys.readouterr().err == "warning [data]: dropped constant column 'b'\n"
+        assert read_json(out / "report_axe.json")["explainer_tag"] == "manual[c]"
+        assert not any(b"dropped constant column" in data for data in dir_bytes(out).values())
+
     def test_explanation_length_mismatch_exits_2(self, tmp_path, capsys):
         expl_path = tmp_path / "short.csv"
         expl_path.write_text("datapoint_index,f0,f1,f2\n0,1.0,0.0,0.0\n")

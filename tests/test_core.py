@@ -2,36 +2,36 @@ import numpy as np
 import pytest
 
 from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, ExplanationSet,
-                           QualityReport, aggregate_quality, bottom_n_features,
-                           perturbed_copies, rank_vector, row_seed, top_n_features, write_json)
+                           QualityReport, bottom_n_features, perturbed_copies, rank_vector,
+                           row_seed, top_n_features, write_json)
 
 from oracles import bottom_n_oracle, rank_oracle, top_n_oracle
 
 
+def aggregate(per_point_q) -> float:
+    return QualityReport("m", {}, per_point_q).aggregate_q
+
+
 class TestAggregateQuality:
     def test_mean_of_two(self):
-        assert aggregate_quality([1.0, 0.0]) == 0.5
+        assert aggregate([1.0, 0.0]) == 0.5
 
     def test_singleton(self):
-        assert aggregate_quality([0.7]) == 0.7
+        assert aggregate([0.7]) == 0.7
 
     def test_perfect_explanation_set_aggregates_to_one(self):
         # an all-correct per-point vector over a thousand rows averages to 1.000
-        assert aggregate_quality([1.0] * 1000) == 1.0
+        assert aggregate([1.0] * 1000) == 1.0
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="empty quality list"):
-            aggregate_quality([])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_quality([0.5, float("nan")])
+        with pytest.raises(ValueError, match="non-empty vector"):
+            aggregate([])
 
     def test_constant_list_returns_constant(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             c = float(rng.uniform(-5, 5))
-            assert aggregate_quality([c] * int(rng.integers(1, 9))) == pytest.approx(c)
+            assert aggregate([c] * int(rng.integers(1, 9))) == pytest.approx(c)
 
 
 class TestTopN:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from axebench.data import (BENCHMARK_PROXIES, DatasetSchema, SyntheticSpec,
-                           benchmark_proxy, generate_synthetic, load_csv,
-                           save_csv, train_test_split)
+                           benchmark_proxy, generate_synthetic, load_csv, save_csv)
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "axebench" / "schemas"
 
@@ -77,14 +76,13 @@ class TestLoadCsv:
         path = tmp_path / "round.csv"
         path.write_text("a,b,y\n0.1,2.25,0\n-3.7,4.5,1\n5.125,6.875,0\n")
         d = load_csv(path, tiny_schema())
-        train, test = train_test_split(d, 0.67, seed=5)
-        out = tmp_path / "train.csv"
-        save_csv(train, out)
+        out = tmp_path / "saved.csv"
+        save_csv(d, out)
         schema = DatasetSchema(name="round2", column_names=["a", "b", "label"],
                                target_column="label")
         reloaded = load_csv(out, schema)
-        assert np.array_equal(reloaded.raw_features, train.raw_features)
-        assert np.array_equal(reloaded.labels, train.labels)
+        assert np.array_equal(reloaded.raw_features, d.raw_features)
+        assert np.array_equal(reloaded.labels, d.labels)
 
     def test_dropped_protected_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -184,47 +182,6 @@ class TestSynthetic:
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
             SyntheticSpec(nu=1, n_features=2, seed=0)
-
-
-class TestSplit:
-    def test_sizes(self):
-        d = generate_synthetic(SyntheticSpec(nu=10, n_features=3, seed=4))
-        train, test = train_test_split(d, 0.8, seed=0)
-        assert (train.nu, test.nu) == (8, 2)
-
-    def test_two_rows_split_one_one(self):
-        # floor rule, checked by hand for the smallest admissible dataset
-        d = generate_synthetic(SyntheticSpec(nu=2, n_features=2, seed=5))
-        train, test = train_test_split(d, 0.9, seed=0)
-        assert (train.nu, test.nu) == (1, 1)
-
-    def test_same_seed_same_partition(self):
-        d = generate_synthetic(SyntheticSpec(nu=30, n_features=3, seed=6))
-        a1, b1 = train_test_split(d, 0.5, seed=9)
-        a2, b2 = train_test_split(d, 0.5, seed=9)
-        assert np.array_equal(a1.features, a2.features)
-        assert np.array_equal(b1.features, b2.features)
-
-    def test_partition_is_disjoint_and_complete(self):
-        d = generate_synthetic(SyntheticSpec(nu=25, n_features=3, seed=7))
-        train, test = train_test_split(d, 0.6, seed=1)
-        combined = np.vstack([train.raw_features, test.raw_features])
-        assert sorted(map(tuple, combined)) == sorted(map(tuple, d.raw_features))
-
-    def test_empty_side_rejected(self):
-        d = generate_synthetic(SyntheticSpec(nu=5, n_features=2, seed=8))
-        with pytest.raises(ValueError, match="empty"):
-            train_test_split(d, 0.05, seed=0)
-
-    def test_train_columns_standardized(self):
-        d = generate_synthetic(SyntheticSpec(nu=40, n_features=4, seed=9))
-        train, test = train_test_split(d, 0.7, seed=2)
-        assert np.all(np.abs(train.features.mean(axis=0)) < 1e-9)
-        assert np.all(np.abs(train.features.std(axis=0) - 1.0) < 1e-9)
-        # test side standardized with the train stats, not its own
-        means, stds = train.standardization
-        tmeans, tstds = test.standardization
-        assert np.array_equal(means, tmeans) and np.array_equal(stds, tstds)
 
 
 class TestBenchmarkProxies:

@@ -1,6 +1,6 @@
-"""Every file the CLI reads, mangled: the reading command exits 0 or 2 (or 1 for a
-verdict ``report`` finds inconsistent), never ``error [internal]`` and never with a
-traceback.
+"""Every file the CLI reads, mangled, and every flag at its boundary values: the
+command exits 0 or 2 (or 1 for a verdict ``report`` finds inconsistent), never
+``error [internal]`` and never with a traceback.
 
 One valid file of each kind is built once; each example applies one mutation to
 one of them (drop a key or cell, retype a value, wrap it in a list, put NaN or a
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axebench import cli
 from axebench.cli import main
 from axebench.core import QualityReport
 from axebench.data import SyntheticSpec, generate_synthetic
@@ -60,7 +61,10 @@ def run(argv):
     """Exit code and stderr of one CLI call."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse refuses a value outside a flag's choices
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -280,3 +284,75 @@ def _rows(**changes):
         "nan-mlp-weight"])
 def test_probed_input_exits_2(tmp_path, files, argv, message):
     assert run_on(tmp_path, files, argv) == (2, message + "\n")
+
+
+# Boundary values of each flag type. "{missing}" is a path that does not exist and
+# "{dir}" an empty directory. No count is mid-sized: a row, column or resolution
+# value is either tiny or beyond any array, so no example really allocates.
+BOUNDARY = {
+    int: [0, -1, 1, 2, 2 ** 63, 2 ** 63 - 1],
+    float: [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308],
+    str: ["", "{missing}", "{dir}"],
+    list[str]: ["", "{missing}", "{dir}"],
+}
+JOBS = [0, -1, 1, 2]  # --jobs starts that many threads where it is read
+# a valid run of each command; attack is left out, as it takes seconds
+FLAG_RUNS = {
+    "evaluate": [*SYNTHETIC, "--train", "logistic", "--manual-index", "0", "--metric", "pgi",
+                 "--num-perturbations", "5"],
+    "explain": [*SYNTHETIC, "--train", "logistic", "--explainer", "gradient"],
+    "region-grid": ["--resolution", "5"],
+    "principles": [],
+}
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_flags_at_their_boundaries_exit_0_or_2(data):
+    command = data.draw(st.sampled_from(sorted(FLAG_RUNS)), label="command")
+    defaults = cli._COMMANDS[command][1]
+    keys = [key for key, (tp, _) in cli._FLAGS.items()
+            if tp is not bool and (key in defaults or key == "config")]
+    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True),
+                       label="flags")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "dir").mkdir()
+        argv = [command, *FLAG_RUNS[command], f"--out={tmp / 'out'}"]
+        for key in chosen:
+            tp, flag = cli._FLAGS[key]
+            values = JOBS if key == "jobs" else [*BOUNDARY[tp], *flag.get("choices", ())]
+            value = str(data.draw(st.sampled_from(values), label=key))
+            argv.append(f"--{key.replace('_', '-')}="
+                        + value.format(missing=tmp / "missing", dir=tmp / "dir"))
+        code, err = run(argv)
+        assert code in (0, 2), err
+        assert "error [internal]" not in err and "Traceback" not in err, err
+        out = next(a for a in reversed(argv) if a.startswith("--out=")).removeprefix("--out=")
+        written = list(Path(out).rglob("*")) if out and Path(out).is_dir() else []
+        if code == 2:
+            assert written == [], err
+        for path in written:
+            if path.suffix == ".json":
+                json.loads(path.read_text(encoding="utf-8"), parse_constant=_not_json)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", *FLAG_RUNS["evaluate"], "--sigma", "1e308"],
+     "error [metrics_sensitivity]: sigma is too large: "),
+    (["evaluate", "--synthetic", "threshold-rule", "--rows", "60", "--cols", str(2 ** 63),
+      "--train", "logistic", "--manual-index", "0"], "error [data]: "),
+    (["region-grid", "--resolution", str(2 ** 63 - 1)],
+     "error [experiments]: resolution must be <= 3037000499, "),
+], ids=["huge-sigma", "cols-beyond-int64", "resolution-beyond-int64"])
+def test_probed_flag_exits_2_leaving_out_empty(tmp_path, argv, message):
+    # a message's prefix only: numpy words the rest of the sigma and cols messages
+    out = tmp_path / "run"
+    out.mkdir()
+    code, err = run([*argv, "--out", out])
+    assert code == 2 and err.startswith(message) and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
