@@ -312,8 +312,12 @@ class BaggedTrees:
     def fit(self, X, y) -> "BaggedTrees":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
+        if self.n_trees < 1:
+            raise ValueError("a detector needs at least one tree")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("detector labels must be 0 or 1")
+        if not np.isfinite(X).all():
+            raise ValueError("detector rows must be finite")
         rng = np.random.default_rng(self.seed)
         max_features = max(1, int(round(self.feature_fraction * X.shape[1])))
         # the forest generator seeds each tree's own generator, which then draws
@@ -326,7 +330,7 @@ class BaggedTrees:
         return self
 
     def _merge(self) -> None:
-        self._table = _NodeTable(self.trees) if self.trees else None
+        self._table = _NodeTable(self.trees)
 
     def _checked(self, X) -> tuple[_NodeTable, np.ndarray]:
         table = self._table
@@ -428,6 +432,9 @@ class BaggedTrees:
                                      "feature_fraction": float, "seed": int, "trees": list[dict]})
         if not 0.0 < d["feature_fraction"] <= 1.0:
             raise ValueError("detector feature_fraction must lie in (0, 1]")
+        if not d["n_trees"] == len(d["trees"]) >= 1:
+            raise ValueError(f"detector n_trees must equal the number of its trees, at least 1: "
+                             f"n_trees is {d['n_trees']}, trees holds {len(d['trees'])}")
         model = cls(n_trees=d["n_trees"], max_depth=d["max_depth"], min_leaf=d["min_leaf"],
                     feature_fraction=d["feature_fraction"], seed=d["seed"])
         model.trees = [_Tree.from_dict(t, f"detector tree {i}") for i, t in enumerate(d["trees"])]

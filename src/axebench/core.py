@@ -414,8 +414,9 @@ def check_fields(label: str, d, types: dict, optional=()) -> None:
 
 def record_from_dict(cls, d):
     """Dataclass ``cls`` from a dict of exactly its fields, each of its annotated type;
-    a non-object, a missing required field, an unknown key (a misspelt one too) or a
-    mistyped value raises ValueError naming it."""
+    a non-object, a missing required field, an unknown key (a misspelt one too), a
+    mistyped value, or a derived (``init=False``) field other than the value the
+    record's other fields give raises ValueError naming it."""
     kind = f"{cls.__name__} record"
     hints = typing.get_type_hints(cls)
     check_fields(kind, d, {f.name: hints[f.name] for f in fields(cls)},
@@ -424,7 +425,12 @@ def record_from_dict(cls, d):
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{kind} has unknown field {', '.join(map(repr, unknown))}")
-    return cls(**d)
+    record = cls(**{f.name: d[f.name] for f in fields(cls) if f.init and f.name in d})
+    for f in fields(cls):
+        if not f.init and d[f.name] != getattr(record, f.name):
+            raise ValueError(f"{kind} {f.name!r} must be {getattr(record, f.name)!r}, "
+                             "as its other fields give")
+    return record
 
 
 def row_seed(base_seed: int, row_index: int) -> int:

@@ -8,7 +8,7 @@ dataclasses that serialize to JSON/TSV for downstream tooling.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +182,9 @@ def build_attack_bundle(d: Dataset, model_cfgs) -> AttackBundle:
     if len(d.foil_indices) < needed:
         raise ValueError(f"dataset provides {len(d.foil_indices)} foil columns, "
                          f"but a model needs {needed}")
+    if d.n_features <= 1 + needed:  # q_other would be the mean of no feature
+        raise ValueError(f"dataset has {d.n_features} features, but a model with {needed} "
+                         "foils needs one that is neither protected nor a foil")
     biased_spec = RuleModelSpec(d.protected_index, 0.0, True)
     models, model_foils = {}, {}
     for cfg in model_cfgs:
@@ -201,9 +204,13 @@ def bundle_from_config(cfg: AttackConfig) -> AttackBundle:
     return build_attack_bundle(d, cfg.models)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionVerdict:
-    """q-bar values for one (dataset, model, metric) row plus the ordering flag."""
+    """q-bar values for one (dataset, model, metric) row plus the ordering flag.
+
+    ``passed`` is derived, never passed: the protected explanation's q-bar is
+    strictly above every foil's. A verdict file must store that same flag.
+    """
 
     dataset_id: str
     model_name: str
@@ -213,17 +220,11 @@ class DetectionVerdict:
     q_foil1: float
     q_foil2: float | None
     q_other: float
-    passed: bool
+    passed: bool = field(init=False)
 
-    @staticmethod
-    def compute_pass(q_protected: float, q_foil1: float, q_foil2: float | None) -> bool:
-        ok = q_protected > q_foil1
-        if q_foil2 is not None:
-            ok = ok and q_protected > q_foil2
-        return bool(ok)
-
-    def recomputed_pass(self) -> bool:
-        return self.compute_pass(self.q_protected, self.q_foil1, self.q_foil2)
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.q_protected > self.q_foil1 and (
+            self.q_foil2 is None or self.q_protected > self.q_foil2)))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -298,13 +299,11 @@ def _verdict(d: Dataset, model_name: str, metric: str, hyperparams: dict,
              q: dict[int, float], sets: dict[str, int], others: list[int]) -> DetectionVerdict:
     """Verdict row from the aggregate of every scored feature's one-hot set."""
     qbar = {key: float(q[f]) for key, f in sets.items()}
-    q_foil2 = qbar.get("foil2")
     return DetectionVerdict(
         dataset_id=d.dataset_id, model_name=model_name, metric_name=metric,
         hyperparams=hyperparams,
-        q_protected=qbar["protected"], q_foil1=qbar["foil1"], q_foil2=q_foil2,
-        q_other=float(np.mean([q[f] for f in others])),
-        passed=DetectionVerdict.compute_pass(qbar["protected"], qbar["foil1"], q_foil2))
+        q_protected=qbar["protected"], q_foil1=qbar["foil1"], q_foil2=qbar.get("foil2"),
+        q_other=float(np.mean([q[f] for f in others])))
 
 
 def write_verdicts(verdicts: list[DetectionVerdict], path) -> None:

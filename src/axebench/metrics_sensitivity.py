@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (Dataset, ExplanationSet, Predictor, QualityReport, _magnitude_order,
-                   bottom_n_features, check_explanations, one_row, row_seed, top_n_features)
+                   check_explanations, importances_of, one_row, row_seed)
 
 
 @dataclass
@@ -40,20 +40,17 @@ class PerturbConfig:
         return replace(self, seed=seed)
 
 
-def _draws(seed: int, num_perturbations: int, sigma: float, size: int) -> np.ndarray:
-    """The one noise source: (num_perturbations, size) Gaussian draws of one seed."""
-    return np.random.default_rng(seed).normal(0.0, sigma, (num_perturbations, size))
-
-
 @lru_cache(maxsize=4)
 def _row_draws(seed: int, rows: int, num_perturbations: int, sigma: float,
                size: int) -> np.ndarray:
-    """Read-only (rows, num_perturbations, size) draws of row seeds 0..rows-1 of ``seed``.
-
-    Reports on one dataset under one config share them, whatever their index sets.
-    """
-    draws = np.stack([_draws(row_seed(seed, i), num_perturbations, sigma, size)
-                      for i in range(rows)])
+    """The one noise source: read-only (rows, num_perturbations, size) Gaussian draws,
+    row i from seed ``row_seed(seed, i)``. Reports on one dataset under one config share
+    them, whatever their index sets. An infinite draw is refused: a model that only
+    compares would score an infinite feature as if it were finite."""
+    draws = np.stack([np.random.default_rng(row_seed(seed, i)).normal(
+        0.0, sigma, (num_perturbations, size)) for i in range(rows)])
+    if not np.isfinite(draws).all():
+        raise ValueError(f"sigma is too large: {sigma!r} draws infinite perturbations")
     draws.flags.writeable = False
     return draws
 
@@ -61,7 +58,7 @@ def _row_draws(seed: int, rows: int, num_perturbations: int, sigma: float,
 def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Per-row mean |proba change| when each draw of draws[i] is added to features sets[i]."""
     base = m.predict_proba_batch(X)
-    try:  # copies that overflow the model give noise, not its sensitivity
+    try:  # finite copies that overflow the model give noise, not its sensitivity
         with np.errstate(over="raise", invalid="raise"):
             copies = m.predict_proba_copies(X, sets, draws)
     except FloatingPointError as exc:
@@ -70,23 +67,23 @@ def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> n
     return np.abs(copies - base[:, None]).mean(axis=1)
 
 
-def _point_gap(m: Predictor, x, index_set: list[int], cfg: PerturbConfig) -> float:
-    """The gap of one datapoint under the draws of cfg.seed itself."""
-    if not index_set:
-        return 0.0
-    draws = _draws(cfg.seed, cfg.num_perturbations, cfg.sigma, len(index_set))
-    return float(_gaps(m, one_row(x), np.sort(index_set)[None], draws[None])[0])
+def _point_score(metric_name: str, m: Predictor, x, e, cfg: PerturbConfig) -> float:
+    """Row 0 of the one-row report on x: its seed is ``row_seed(cfg.seed, 0) == cfg.seed``."""
+    x = one_row(x)
+    d = Dataset(features=x, feature_names=[str(j) for j in range(x.shape[1])])
+    explanations = ExplanationSet(importances_of(e)[None])
+    return float(sensitivity_quality_report(metric_name, m, d, explanations, cfg).per_point_q[0])
 
 
 def pgi(m: Predictor, x, e, cfg: PerturbConfig) -> float:
     """Mean |proba change| when perturbing the top-n most important features."""
-    return _point_gap(m, x, top_n_features(e, cfg.n), cfg)
+    return _point_score("pgi", m, x, e, cfg)
 
 
 def pgu(m: Predictor, x, e, cfg: PerturbConfig) -> float:
     """Mean |proba change| when perturbing the n least important features,
     signed by :func:`signed_gap`."""
-    return signed_gap("pgu", cfg, _point_gap(m, x, bottom_n_features(e, cfg.n), cfg))
+    return _point_score("pgu", m, x, e, cfg)
 
 
 def signed_gap(metric_name: str, cfg: PerturbConfig, gap):
@@ -107,8 +104,8 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
                                explanations: ExplanationSet, cfg: PerturbConfig) -> QualityReport:
     """Dataset-level report; per-row seeds are cfg.seed XOR row index.
 
-    Every row is perturbed exactly as the single-point functions would do it,
-    and all rows' perturbed copies go through one batched model call.
+    All rows' perturbed copies go through one batched model call. The
+    single-point :func:`pgi` and :func:`pgu` are one-row reports.
     """
     check_explanations(d, explanations)
     sets = perturbed_index_sets(metric_name, explanations, cfg.n)

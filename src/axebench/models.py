@@ -442,6 +442,8 @@ def train_ood_detector(d: Dataset, sigma_ood: float, seed: int,
     rng = np.random.default_rng(seed)
     X = d.features
     noise = rng.normal(0.0, sigma_ood, X.shape)
+    if not np.isfinite(noise).all():  # masking inf noise would give NaN rows
+        raise ValueError(f"sigma_ood is too large: {sigma_ood!r} draws infinite noise")
     noise *= _perturbation_mask(rng, d.nu, d.n_features, _DETECTOR_FULL_NOISE_FRACTION)
     perturbed = X + noise
     # hold out real/perturbed twins together so near-duplicates never leak

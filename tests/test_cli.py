@@ -779,11 +779,14 @@ class TestReport:
         assert main(["attack", "--dataset", str(csv_path), "--schema", str(schema_path),
                      "--num-perturbations", "10", "--seed", "2", "--out", str(out)]) == 0
         verdicts = read_json(out / "verdicts.json")
-        verdicts[0]["passed"] = not verdicts[0]["passed"]
+        stored = verdicts[0]["passed"]
+        verdicts[0]["passed"] = not stored
         (out / "verdicts.json").write_text(json.dumps(verdicts))
         capsys.readouterr()
-        assert main(["report", "--run", str(out)]) == 1
-        assert "MISMATCH" in capsys.readouterr().err
+        assert main(["report", "--run", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [experiments]: DetectionVerdict record 'passed' must be {stored}, "
+            "as its other fields give\n")
 
     def test_report_of_another_schema_version_is_rejected(self, tmp_path, capsys):
         report = QualityReport("fa", {"n": 2}, [1.0, 0.0]).to_dict()

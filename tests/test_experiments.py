@@ -215,7 +215,9 @@ class TestDetection:
 
     def test_pass_flags_recomputable(self, small_verdicts):
         for v in small_verdicts:
-            assert v.recomputed_pass() == v.passed
+            foils = [v.q_foil1] + ([] if v.q_foil2 is None else [v.q_foil2])
+            assert v.passed is all(v.q_protected > q for q in foils)
+            assert DetectionVerdict.from_dict(v.to_dict()).passed is v.passed
 
     def test_verdict_file_roundtrip(self, small_verdicts, tmp_path):
         write_verdicts(small_verdicts, tmp_path / "v.json")
@@ -251,10 +253,15 @@ class TestDetection:
         assert [v.to_dict() for v in again] == [v.to_dict() for v in small_verdicts]
 
     def test_compute_pass_semantics(self):
-        assert DetectionVerdict.compute_pass(0.9, 0.5, None)
-        assert DetectionVerdict.compute_pass(0.9, 0.5, 0.8)
-        assert not DetectionVerdict.compute_pass(0.9, 0.9, None)  # strict inequality
-        assert not DetectionVerdict.compute_pass(0.9, 0.5, 0.9)
+        def passed(q_protected, q_foil1, q_foil2):
+            return DetectionVerdict("d", "m", "axe", {}, q_protected, q_foil1, q_foil2,
+                                    0.0).passed
+
+        assert passed(0.9, 0.5, None)
+        assert passed(0.9, 0.5, 0.8)
+        assert not passed(0.9, 0.9, None)  # strict inequality
+        assert not passed(0.9, 0.5, 0.9)
+        assert not passed(0.9, 0.95, 0.5)
 
     def test_seed_sweep_shifts_values_keeps_ordering(self, small_verdicts):
         # fresh detectors from another seed: q values move, detection holds

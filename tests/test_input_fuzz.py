@@ -1,6 +1,7 @@
-"""Every file the CLI reads, mangled, and every flag at its boundary values: the
-command exits 0 or 2 (or 1 for a verdict ``report`` finds inconsistent), never
-``error [internal]`` and never with a traceback.
+"""Every file the CLI reads, mangled, and every flag of every command at its
+boundary values: the command exits 0 or 2, never ``error [internal]`` and never
+with a traceback. A verdict file whose stored pass flag its q values contradict
+is refused on load, so ``report`` exits 2 on it too.
 
 One valid file of each kind is built once; each example applies one mutation to
 one of them (drop a key or cell, retype a value, wrap it in a list, put NaN or a
@@ -96,8 +97,8 @@ def valid_inputs(tmp_path_factory):
                 "--out", root])[0] == 0
     assert run(["evaluate", *SYNTHETIC, "--train", "logistic", "--manual-index", "0",
                 "--metric", "axe", "--metric", "fa", "--out", root / "evaluate"])[0] == 0
-    write_verdicts([DetectionVerdict("d", "m", "axe", {"n": 1}, 0.9, 0.5, None, 0.4, True),
-                    DetectionVerdict("d", "m", "pgi", {"n": 1}, 0.1, 0.5, 0.2, 0.3, False)],
+    write_verdicts([DetectionVerdict("d", "m", "axe", {"n": 1}, 0.9, 0.5, None, 0.4),
+                    DetectionVerdict("d", "m", "pgi", {"n": 1}, 0.1, 0.5, 0.2, 0.3)],
                    root / "verdicts.json")
     data = "\n".join(DATA_LINES) + "\n"
 
@@ -197,8 +198,7 @@ def test_mangled_input_exits_0_or_2(valid_inputs, data):
         text = _mutate_json(text, data)
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run_on(Path(tmp), {name: text, **beside}, argv)
-    # report exits 1 when a verdict's stored pass flag disagrees with its q values
-    assert code in (0, 2) or (code == 1 and "MISMATCH" in err), err
+    assert code in (0, 2), err
     assert "error [internal]" not in err and "Traceback" not in err, err
 
 
@@ -275,13 +275,26 @@ def _rows(**changes):
      "error [models]: scaffold predictor file on_data_agreement must be null or lie in [0, 1]"),
     ({"mlp.json": _edited(MLP, ("weights", 0, 0, 0), math.nan)}, WITH_MODEL,
      "error [models]: mlp layer 0 weights and bias must be finite"),
+    # an attack dataset whose two-foil models would leave no other feature to score
+    ({"schema.json": {**SCHEMA, "foil_columns": ["a", "b"]}, "data.csv": "\n".join(DATA_LINES)},
+     ["attack", "--dataset", "{dir}/data.csv", "--schema", "{file}", "--out", "{dir}/out"],
+     "error [experiments]: dataset has 3 features, but a model with 2 foils needs one "
+     "that is neither protected nor a foil"),
+    # a forest without trees, or with another count than it holds
+    ({"scaffold.json": _edited(SCAFFOLD, ("detector", "model", "trees"), [])}, WITH_MODEL,
+     "error [models]: detector n_trees must equal the number of its trees, at least 1: "
+     "n_trees is 1, trees holds 0"),
+    ({"scaffold.json": _edited(SCAFFOLD, ("detector", "model", "n_trees"), 2)}, WITH_MODEL,
+     "error [models]: detector n_trees must equal the number of its trees, at least 1: "
+     "n_trees is 2, trees holds 1"),
 ], ids=["int-hyperparams", "int-per-point-q", "bool-per-point-q", "int-dataset-id",
         "list-metric-name", "str-aggregate-q", "null-aggregate-q", "wrong-aggregate-q",
         "wrong-undefined-count", "bool-importances", "int-explainer-tag",
         "blank-csv-line", "huge-report-score", "index-beyond-int64", "infinite-csv-cell",
         "huge-category-code", "nan-rule-threshold", "nan-inner-tree-value",
         "nan-feature-fraction", "nan-sigma-ood", "nan-heldout-accuracy", "nan-agreement",
-        "nan-mlp-weight"])
+        "nan-mlp-weight", "attack-without-other-feature", "no-detector-trees",
+        "n-trees-not-tree-count"])
 def test_probed_input_exits_2(tmp_path, files, argv, message):
     assert run_on(tmp_path, files, argv) == (2, message + "\n")
 
@@ -296,14 +309,17 @@ BOUNDARY = {
     list[str]: ["", "{missing}", "{dir}"],
 }
 JOBS = [0, -1, 1, 2]  # --jobs starts that many threads where it is read
-# a valid run of each command; attack is left out, as it takes seconds
+# a valid run of each command; {tmp} holds the attack's 60-row CSV and its schema
 FLAG_RUNS = {
     "evaluate": [*SYNTHETIC, "--train", "logistic", "--manual-index", "0", "--metric", "pgi",
                  "--num-perturbations", "5"],
     "explain": [*SYNTHETIC, "--train", "logistic", "--explainer", "gradient"],
     "region-grid": ["--resolution", "5"],
     "principles": [],
+    "attack": ["--dataset", "{tmp}/data.csv", "--schema", "{tmp}/schema.json",
+               "--num-perturbations", "2"],
 }
+ATTACK_SCHEMA = {**SCHEMA, "foil_columns": ["a"]}
 
 
 def _not_json(token):
@@ -315,14 +331,20 @@ def _not_json(token):
 def test_flags_at_their_boundaries_exit_0_or_2(data):
     command = data.draw(st.sampled_from(sorted(FLAG_RUNS)), label="command")
     defaults = cli._COMMANDS[command][1]
+    # attack's --dataset is not drawn: an empty one falls back to the 800-row
+    # proxies, seconds a run
     keys = [key for key, (tp, _) in cli._FLAGS.items()
-            if tp is not bool and (key in defaults or key == "config")]
+            if tp is not bool and (key in defaults or key == "config")
+            and (command, key) != ("attack", "dataset")]
     chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True),
                        label="flags")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "dir").mkdir()
-        argv = [command, *FLAG_RUNS[command], f"--out={tmp / 'out'}"]
+        (tmp / "data.csv").write_text("\n".join(DATA_LINES) + "\n")
+        (tmp / "schema.json").write_text(json.dumps(ATTACK_SCHEMA))
+        argv = [command, *(a.format(tmp=tmp) for a in FLAG_RUNS[command]),
+                f"--out={tmp / 'out'}"]
         for key in chosen:
             tp, flag = cli._FLAGS[key]
             values = JOBS if key == "jobs" else [*BOUNDARY[tp], *flag.get("choices", ())]
@@ -344,11 +366,13 @@ def test_flags_at_their_boundaries_exit_0_or_2(data):
 @pytest.mark.parametrize("argv, message", [
     (["evaluate", *FLAG_RUNS["evaluate"], "--sigma", "1e308"],
      "error [metrics_sensitivity]: sigma is too large: "),
+    (["attack", "--proxy", "compas", "--num-perturbations", "10", "--sigma", "1e308"],
+     "error [experiments]: sigma is too large: "),
     (["evaluate", "--synthetic", "threshold-rule", "--rows", "60", "--cols", str(2 ** 63),
       "--train", "logistic", "--manual-index", "0"], "error [data]: "),
     (["region-grid", "--resolution", str(2 ** 63 - 1)],
      "error [experiments]: resolution must be <= 3037000499, "),
-], ids=["huge-sigma", "cols-beyond-int64", "resolution-beyond-int64"])
+], ids=["huge-sigma", "attack-huge-sigma", "cols-beyond-int64", "resolution-beyond-int64"])
 def test_probed_flag_exits_2_leaving_out_empty(tmp_path, argv, message):
     # a message's prefix only: numpy words the rest of the sigma and cols messages
     out = tmp_path / "run"

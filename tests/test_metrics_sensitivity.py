@@ -210,6 +210,41 @@ class TestAgainstOracle:
                 pgu_oracle(m.predict_proba, x, e, n, 12, 0.5, trial), abs=1e-12)
 
 
+class TestScalarInputs:
+    """The single-point metrics are one-row reports, so they check their inputs as one."""
+
+    @pytest.mark.parametrize("metric", [pgi, pgu])
+    @pytest.mark.parametrize("x, e", [
+        ([0.2, -0.4, 1.0], [0.9, 0.1, 0.0, 0.5]),
+        ([0.2, -0.4, 1.0], [0.9, 0.1]),
+        ([0.2, -0.4, 1.0], [0.9, math.nan, 0.0]),
+        ([0.2, math.nan, 1.0], [0.9, 0.1, 0.0]),
+    ], ids=["wider-e", "narrower-e", "nan-importance", "nan-x"])
+    def test_refuses_what_a_report_refuses(self, metric, x, e):
+        m = make_linear_predictor(LinearModelSpec((0.9, -0.5, 0.3)))
+        with pytest.raises(ValueError):
+            metric(m, np.array(x), e, PerturbConfig(n=1, num_perturbations=5))
+
+
+class TestHugeSigma:
+    def test_infinite_draws_are_refused(self, setup):
+        # a rule only compares, so infinite copies would score as finite ones
+        d, m = setup
+        cfg = PerturbConfig(n=1, num_perturbations=10, sigma=1e308)
+        with pytest.raises(ValueError, match=r"^sigma is too large: 1e\+308 draws infinite"):
+            sensitivity_quality_report("pgi", m, d, make_manual_explanations(d, 0), cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_copies_that_overflow_the_model_are_refused(self):
+        # base rows stay in range; copies pushed past 3.6 overflow the product
+        d = generate_synthetic(SyntheticSpec(nu=60, n_features=3, seed=0,
+                                             generator_kind="threshold-rule"))
+        m = make_linear_predictor(LinearModelSpec((5e307, 0.0, 0.0)))
+        with pytest.raises(ValueError, match="^sigma is too large: the model overflows"):
+            sensitivity_quality_report("pgi", m, d, make_manual_explanations(d, 0),
+                                       PerturbConfig(n=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PerturbConfig(n=1, num_perturbations=0)

@@ -188,6 +188,11 @@ class TestOodDetector:
         with pytest.raises(ValueError, match="at least 50"):
             train_ood_detector(d, 1.0, seed=0)
 
+    def test_infinite_noise_is_refused(self, small_threshold_data):
+        # masking inf noise computes inf * 0 = NaN, a row no detector can train on
+        with pytest.raises(ValueError, match=r"^sigma_ood is too large: 1e\+308 draws infinite"):
+            train_ood_detector(small_threshold_data, 1e308, seed=0)
+
 
 def grid_dataset(nu=400, seed=0):
     """Categorical-style columns so the detector has a crisp manifold to learn."""

@@ -147,11 +147,11 @@ class TestStackedTraversal:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             BaggedTrees().predict_proba(np.zeros((2, 3)))
-        with pytest.raises(RuntimeError, match="not fitted"):
-            BaggedTrees(n_trees=0).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1])).predict(
-                np.zeros((1, 2)))
-        with pytest.raises(RuntimeError, match="not fitted"):
-            ensemble([]).predict_proba(np.zeros((1, 3)))
+        # a forest without trees is refused where it would be made
+        with pytest.raises(ValueError, match="^a detector needs at least one tree$"):
+            BaggedTrees(n_trees=0).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match="number of its trees, at least 1"):
+            ensemble([])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -295,7 +295,7 @@ class TestSplitScan:
 @st.composite
 def forest_problems(draw):
     """Rows with rounded, binary, constant and duplicated columns, and forest
-    settings: 0-4 trees, depth 1-10, min_leaf 1-3, a drawn feature fraction."""
+    settings: 1-4 trees, depth 1-10, min_leaf 1-3, a drawn feature fraction."""
     nu = draw(st.integers(2, 60))
     columns = []
     for kind in draw(st.lists(st.sampled_from([*COLUMN_KINDS, "copy"]), min_size=1, max_size=6)):
@@ -306,7 +306,7 @@ def forest_problems(draw):
             columns.append(draw(st.lists(elements, min_size=nu, max_size=nu)))
     X = np.array(columns, dtype=float).T
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=nu, max_size=nu)), dtype=int)
-    model = BaggedTrees(n_trees=draw(st.integers(0, 4)), max_depth=draw(st.integers(1, 10)),
+    model = BaggedTrees(n_trees=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 10)),
                         min_leaf=draw(st.integers(1, 3)),
                         feature_fraction=draw(st.floats(0.05, 1.0)),
                         seed=draw(st.integers(0, 2**16)))
@@ -324,6 +324,14 @@ def test_labels_must_be_0_or_1():
     X, y = rounded_problem(26)
     with pytest.raises(ValueError, match="^detector labels must be 0 or 1$"):
         BaggedTrees(n_trees=2, seed=27).fit(X, 2 * y)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rows_must_be_finite(value):
+    X, y = rounded_problem(28)
+    X[3, 1] = value
+    with pytest.raises(ValueError, match="^detector rows must be finite$"):
+        BaggedTrees(n_trees=2, seed=29).fit(X, y)
 
 
 def materialised(rows, free, which, values):
@@ -437,12 +445,17 @@ class TestMalformedTrees:
          "detector tree 1 lacks 'right'"),
         ({**tree_file(), "trees": [STUMP, [1, 2]]}, "detector 'trees' must be list[dict]"),
         ({**tree_file(), "trees": 3}, "detector 'trees' must be list[dict]"),
+        ({**tree_file(), "n_trees": 0, "trees": []},
+         "detector n_trees must equal the number of its trees, at least 1: "
+         "n_trees is 0, trees holds 0"),
+        ({**tree_file(), "n_trees": 3}, "n_trees is 3, trees holds 2"),
     ], ids=["child-out-of-range", "child-beyond-int64", "root-is-its-own-child", "child-is-its-parent",
             "child-before-parent", "two-parents", "leaf-feature", "infinite-threshold",
             "nan-threshold", "leaf-value-above-one", "negative-leaf-value", "nan-leaf-value",
             "infinite-inner-value",
             "fractional-feature", "text-threshold", "unequal-lengths", "empty-tree",
-            "missing-array", "tree-not-object", "trees-not-list"])
+            "missing-array", "tree-not-object", "trees-not-list", "no-trees",
+            "n-trees-not-tree-count"])
     def test_rejected_on_load(self, payload, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             BaggedTrees.from_dict(payload)
