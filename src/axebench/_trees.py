@@ -8,8 +8,11 @@ one generator per tree, and a tree's own generator draws its bootstrap rows and
 then, node by node in preorder, its candidate features. No tree reads another's
 generator, so advancing every tree one preorder node per step keeps each tree's
 draws in the order a recursive build makes them. The trees' bootstrap rows
-share one row space; each tree's rows are sorted once per feature, with a
-stable sort (the presorted attribute lists of SLIQ, Mehta et al., EDBT 1996).
+share one row space; each tree's rows are sorted once per feature (the
+presorted attribute lists of SLIQ, Mehta et al., EDBT 1996). The sort need not
+be stable: ``fit`` takes finite rows only, a cut falls only between unequal
+values, and labels are counted exactly, so the order of equal values within a
+feature never reaches a tree.
 A node holds its rows as one span of every feature's order, and a split
 partitions every span stably, so no node sorts. A step scans the candidate
 columns of every tree's next node in one segmented gini pass: a cumulative
@@ -66,11 +69,11 @@ def _best_cuts(v, y, sizes):
     """Gini scan of many nodes' candidate columns in one pass.
 
     Row j of ``v`` holds, node after node, each node's j-th candidate column in
-    ascending order (ties in row order); ``y`` holds the 0/1 labels of the same
-    rows as floats and is overwritten. Node k has ``sizes[k]`` >= 2 rows. Returns
-    per node the gini of its first minimal cut of its first minimal candidate
-    (inf when every candidate is constant), that candidate's row in ``v`` and
-    the cut's threshold.
+    ascending order; ``y`` holds the 0/1 labels of the same rows as floats and
+    is overwritten. Node k has ``sizes[k]`` >= 2 rows. Returns per node the gini
+    of its first minimal cut of its first minimal candidate (inf when every
+    candidate is constant), that candidate's row in ``v`` and the cut's
+    threshold.
     """
     total = v.shape[1]
     offset = np.cumsum(sizes) - sizes
@@ -170,7 +173,7 @@ def _grow_forest(X, y, rngs, boots, max_depth, min_leaf, max_features) -> list[_
     # a node's rows sit at order[f, start:start + size] for every feature f, sorted
     # by that feature: each tree's rows are sorted once, and a split partitions
     # every feature's span stably
-    order = np.argsort(values.reshape(width, n_trees, n), axis=2, kind="stable")
+    order = np.argsort(values.reshape(width, n_trees, n), axis=2)
     order = (order + np.arange(0, span, n)[:, None]).reshape(width, span)
     flat_order, flat_values = order.reshape(-1), values.reshape(-1)  # views
     went_left = np.zeros(span, dtype=bool)

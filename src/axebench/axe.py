@@ -16,34 +16,60 @@ built at the widest k; each (target, k) votes on the table's first k columns,
 which equal the k table. :func:`axe_quality` is its one-target, one-config
 call.
 
-One kernel, :func:`_nearest_rows`, serves every search. It takes the query
-rows in blocks of a fixed element budget. A block's squared Euclidean
-distances to all rows start as the first subset column's ``(c - q) * (c - q)``
-and each further column's square is added in place, in subset order: the
-order the oracle sums in, and below 8 columns the same bits as numpy's sum
-over the subset axis (which adds pairwise from 8 terms on). Per query row
-``np.argpartition`` then takes the ``width`` nearest rows, which are put in
-index order and then stably sorted by distance, so the table is in (distance,
-row index) order, exactly as a full stable sort would give, at O(nu)
-selection cost per row. Only where an unselected row ties the distance at the
-last kept place is the selection redone: every row strictly closer is kept,
-and the slots left over go to the lowest-index rows tied at that distance. In
-leave-one-out mode the query row itself is then dropped. The k nearest rows
-vote; an even split votes 0.
+One kernel, :func:`_nearest_rows`, serves every search. A query row's squared
+Euclidean distances to its candidate rows start as the first subset column's
+``(c - q) * (c - q)`` and each further column's square is added in place, in
+subset order: the order the oracle sums in, and below 8 columns the same bits
+as numpy's sum over the subset axis (which adds pairwise from 8 terms on).
+``np.argpartition`` then takes the ``width`` nearest candidates (k, plus one
+for the query row in leave-one-out mode), which are put in (distance, row
+index) order, exactly as a full stable sort would give. In leave-one-out mode
+the query row itself is then dropped. The k nearest rows vote; an even split
+votes 0.
+
+The search runs in stages (the projection search of Friedman, Baskett and
+Shustek, IEEE Trans. Computers 1975). The rows are sorted stably on one key
+column of the subset, the one with the most distinct values, and a query
+row's candidates are a window: the ``span`` rows around its own place in key
+order, clipped to the ends. A window's table is certified, and final, when no
+unselected row of the window lies at or below the cut (the largest kept
+distance) and each row just outside the window has a key term
+``(v - q) * (v - q)`` strictly above the cut. That is exact at any subset
+width: the key term only grows as the key moves away from the query in sorted
+order, and adding a non-negative term never lowers a rounded float sum, so
+every row beyond the window lies strictly beyond the cut. The first window
+holds ``nu * (width / nu) ** (1 / |subset|)`` rows each side, rounded up: the
+share of the key order that a cube holding ``width`` of nu evenly spread rows
+spans. A row a stage does not certify is retried on a window 4 times as wide;
+a row whose key value is shared by at least ``span`` rows skips the window.
+The last stage takes every row as a candidate, in index order, and certifies
+every query row: where an unselected row ties the cut there, every row
+strictly closer is kept and the slots left over go to the lowest-index rows
+tied at the cut. A window opens only when it spans at most a quarter of the
+rows and the search exceeds one block of a fixed element budget; smaller
+searches run as that last stage alone, because on them a stage's fixed cost
+outweighs what a window saves. Every stage takes its query rows in blocks of
+that budget.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Dataset, ExplanationSet, QualityReport, _magnitude_order, check_explanations
 from .explainers import make_manual_explanations
 
 # Query rows per block are sized so that rows x nu x |subset| is about this many.
 _BLOCK_ELEMENTS = 1 << 20
+# A window spans at most 1/_WINDOW_SHARE of the rows; a row a window does not
+# certify is retried on one _WIDEN times as wide.
+_WINDOW_SHARE = 4
+_WIDEN = 4
 
 
 @dataclass(frozen=True)
@@ -71,44 +97,99 @@ def _nearest_rows(d: Dataset, subset, rows: np.ndarray, max_k: int,
     """(len(rows), max_k) indices of each query row's nearest dataset rows on
     ``subset``, in stable (distance, row index) order.
 
-    Distances are added column by column in subset order. Per row, the
-    ``width`` nearest (max_k, plus one for the query row in leave-one-out
-    mode) are picked by ``np.argpartition`` and stably sorted by distance
-    from index order. Rows where a row left out ties the cut-off distance are
-    re-selected: rows below it, then the lowest-index rows tied at it."""
+    Stages of widening windows in key order, then one stage over every row in
+    index order; each query row takes its table from the first stage that
+    certifies it (see the module docstring)."""
     cols = [np.ascontiguousarray(d.features[:, j]) for j in subset]
     width = max_k if include_self else max_k + 1
     out = np.empty((rows.size, max_k), dtype=int)
-    step = max(1, _BLOCK_ELEMENTS // (d.nu * len(cols)))
-    for start in range(0, rows.size, step):
-        block = rows[start:start + step]
-        d2 = np.subtract(cols[0], cols[0][block, None])
-        np.multiply(d2, d2, out=d2)
-        term = np.empty_like(d2)
-        for col in cols[1:]:
-            np.subtract(col, col[block, None], out=term)
-            np.multiply(term, term, out=term)
-            d2 += term
-        kept = np.argpartition(d2, width - 1, axis=1)[:, :width]
-        kept.sort(axis=1)
-        near = np.take_along_axis(d2, kept, axis=1)
-        cut = near.max(axis=1, keepdims=True)
-        redo = np.flatnonzero(np.count_nonzero(d2 <= cut, axis=1) != width)
+    pending = np.ones(rows.size, dtype=bool)
+    half = math.ceil(d.nu * (width / d.nu) ** (1 / len(cols)))
+    if rows.size * d.nu * len(cols) <= _BLOCK_ELEMENTS:
+        half = d.nu  # a search within one block runs as the last stage alone
+    if (2 * half + 1) * _WINDOW_SHARE <= d.nu:
+        key = max(range(len(cols)), key=lambda j: _distinct(cols[j]))
+        order = np.argsort(cols[key], kind="stable")
+        position = np.empty(d.nu, dtype=int)
+        position[order] = np.arange(d.nu)
+        ordered = [col[order] for col in cols]
+        line = ordered[key]
+        run = np.diff(np.flatnonzero(np.r_[True, line[1:] != line[:-1], True]))
+        tie_group = np.repeat(run, run)[position]
+    while pending.any():
+        todo = np.flatnonzero(pending)
+        span = 2 * half + 1
+        if span * _WINDOW_SHARE > d.nu:  # the last stage: every row, in index order
+            span, order, ordered, key = d.nu, None, cols, None
+            at, lo = todo, np.zeros(todo.size, dtype=int)
+        else:  # a row whose key value fills the window skips it
+            at = todo[tie_group[rows[todo]] < span]
+            lo = np.clip(position[rows[at]] - half, 0, d.nu - span)
+        step = max(1, _BLOCK_ELEMENTS // (span * len(cols)))
+        for start in range(0, at.size, step):
+            block = at[start:start + step]
+            ok, head = _search(cols, ordered, order, key, rows[block], lo[start:start + step],
+                               span, width, include_self)
+            out[block[ok]] = head
+            pending[block[ok]] = False
+        half *= _WIDEN
+    return out
+
+
+def _search(cols, ordered, order, key, query, lo, span, width, include_self):
+    """One stage for the ``query`` rows: each one's candidates are the ``span``
+    rows from ``lo`` on in ``order`` (``ordered`` holds the columns in that
+    order). Returns which query rows are certified, and their tables.
+
+    ``key`` indexes the column ``order`` sorts; it is None in the stage that
+    spans every row in index order, which certifies every query row."""
+    d2 = np.subtract(_window(ordered[0], lo, span), cols[0][query, None])
+    np.multiply(d2, d2, out=d2)
+    term = np.empty_like(d2)
+    for line, col in zip(ordered[1:], cols[1:]):
+        np.subtract(_window(line, lo, span), col[query, None], out=term)
+        np.multiply(term, term, out=term)
+        d2 += term
+    kept = np.argpartition(d2, width - 1, axis=1)[:, :width]
+    near = np.take_along_axis(d2, kept, axis=1)
+    cut = near.max(axis=1)
+    ok = np.count_nonzero(d2 <= cut[:, None], axis=1) == width
+    if key is None:  # every row is a candidate, in index order
+        redo = np.flatnonzero(~ok)
         if redo.size:  # a row left out ties the cut: keep the lowest-index tied rows
-            part, at = d2[redo], cut[redo]
+            part, at = d2[redo], cut[redo, None]
             below, tied = part < at, part == at
             fill = width - below.sum(axis=1, keepdims=True)
             take = below | (tied & (np.cumsum(tied, axis=1) <= fill))
             kept[redo] = np.nonzero(take)[1].reshape(redo.size, width)
             near[redo] = np.take_along_axis(part, kept[redo], axis=1)
-        order = np.argsort(near, axis=1, kind="stable")
-        head = np.take_along_axis(kept, order, axis=1)
-        if not include_self:
-            keep = head != block[:, None]
-            keep[keep.all(axis=1), -1] = False
-            head = head[keep].reshape(block.size, max_k)
-        out[start:start + block.size] = head
-    return out
+        ok[:], found = True, kept
+    else:  # the rows just outside the window must lie beyond the cut on the key alone
+        line = ordered[key]
+        for edge in (lo - 1, lo + span):
+            gap = line[np.clip(edge, 0, line.size - 1)] - cols[key][query]
+            ok &= (edge < 0) | (edge >= line.size) | (gap * gap > cut)
+        near, query = near[ok], query[ok]
+        found = order[lo[ok, None] + kept[ok]]
+    head = np.take_along_axis(found, np.lexsort((found, near), axis=1), axis=1)
+    if not include_self:
+        keep = head != query[:, None]
+        keep[keep.all(axis=1), -1] = False
+        head = head[keep].reshape(query.size, width - 1)
+    return ok, head
+
+
+def _distinct(values) -> int:
+    """How many distinct values a column holds. Not np.unique: on a float column
+    it imports numpy.ma under numpy 2.4, 15 ms on its first call."""
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _window(line, lo, span):
+    """The ``span`` entries of ``line`` from each ``lo`` on, one row per ``lo``;
+    a window over all of ``line`` is the line itself, broadcast."""
+    return line if span == line.size else sliding_window_view(line, span)[lo]
 
 
 def _recovered(y: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:

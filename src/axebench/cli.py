@@ -94,8 +94,8 @@ def _stage(module: str):
 
 def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
     """Merge defaults < environment < config file < explicit flags, checking each
-    environment and config value against its key's entry in ``_FLAGS``, and
-    every merged value of a float key for finiteness."""
+    environment and config value against its key's entry in ``_FLAGS``, every
+    merged value of a float key for finiteness, and the merged seed for sign."""
     merged = dict(defaults)
     for key in _ENV_KEYS:
         raw = os.environ.get(ENV_PREFIX + key.upper())
@@ -128,6 +128,8 @@ def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
             merged[key] = flag
         if _FLAGS[key][0] is float and not np.isfinite(merged[key]):
             raise ValueError(f"{key} must be a finite number, not {merged[key]!r}")
+        if key == "seed" and merged[key] < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {merged[key]!r}")
     return merged
 
 

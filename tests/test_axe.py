@@ -401,6 +401,101 @@ def test_table_matches_full_sort_property(instance):
         assert np.array_equal(table, table_by_sort(summed, rows, k, include_self))
 
 
+def record_stages(monkeypatch):
+    """Wrap axe._search; each call appends (span, key, queried rows, certified
+    rows), key None for the stage that spans every row."""
+    stages, search = [], axe._search
+
+    def recording(cols, ordered, order, key, query, lo, span, width, include_self):
+        ok, head = search(cols, ordered, order, key, query, lo, span, width, include_self)
+        stages.append((span, key, set(query.tolist()), set(query[ok].tolist())))
+        return ok, head
+
+    monkeypatch.setattr(axe, "_search", recording)
+    return stages
+
+
+class TestStagedSearch:
+    """Windows opened on 120 rows by a small block budget, windows up to every
+    row and a doubling widen: each stage certifies rows, and every table equals
+    the oracle's at every k. Column 0 is binary, column 1 has the most distinct
+    values and a tie group of 48 rows at 0.0, column 2 is rounded to a tenth."""
+
+    @staticmethod
+    def features():
+        rng = np.random.default_rng(9)
+        features = np.column_stack([rng.integers(0, 2, 120), np.round(rng.normal(size=120), 2),
+                                    np.round(rng.normal(size=120), 1)])
+        features[rng.permutation(120)[:48], 1] = 0.0
+        return features
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_every_stage_matches_oracle_at_every_k(self, include_self, monkeypatch):
+        features = self.features()
+        d = Dataset(features=features, feature_names=("a", "b", "c"))
+        tied = set(np.flatnonzero(features[:, 1] == 0.0).tolist())
+        monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 4096)
+        monkeypatch.setattr(axe, "_WINDOW_SHARE", 1)
+        monkeypatch.setattr(axe, "_WIDEN", 2)
+        stages = record_stages(monkeypatch)
+        certified = {"first": 0, "widened": 0, "full": 0}
+        skipped_tie_group = False
+        for subset in ((1,), (0, 1), (2, 1), (0, 2, 1)):
+            ranked = [knn_table_oracle(features, subset, i, d.nu - (not include_self),
+                                       include_self) for i in range(d.nu)]
+            for k in range(1, d.nu if include_self else d.nu - 1):
+                stages.clear()
+                table = axe._nearest_rows(d, subset, np.arange(d.nu), k, include_self)
+                assert table.tolist() == [row[:k] for row in ranked], (subset, k)
+                windows = [stage for stage in stages if stage[1] is not None]
+                assert {key for _, key, _, _ in windows} <= {subset.index(1)}
+                first = min((span for span, *_ in windows), default=None)
+                for span, key, queried, done in stages:
+                    kind = "full" if key is None else "first" if span == first else "widened"
+                    certified[kind] += len(done)
+                    if key is not None and span == first and span <= len(tied):
+                        assert not queried & tied
+                        skipped_tie_group = True
+        assert min(certified.values()) > 0, certified
+        assert skipped_tie_group
+
+
+@st.composite
+def staged_instances(draw):
+    """Tables over 24-90 rows with rounded, binary or free features and
+    duplicate rows, under a block budget that opens windows, windows up to
+    every row and a widen of 2-4."""
+    nu = draw(st.integers(24, 90))
+    nf = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([st.integers(-30, 30).map(lambda v: v / 10),
+                                  st.integers(0, 1).map(float),
+                                  st.floats(-3, 3, allow_nan=False, allow_subnormal=False)]))
+    features = draw(arrays(float, (nu, nf), elements=value))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, nu - 1), st.integers(0, nu - 1)),
+                                  max_size=nu // 2)):
+        features[dst] = features[src]
+    subset = tuple(draw(st.permutations(range(nf)))[:draw(st.integers(1, nf))])
+    include_self = draw(st.booleans())
+    k = draw(st.integers(1, min(12, nu if include_self else nu - 1)))
+    return (features, subset, k, include_self, draw(st.integers(1, 8)),
+            draw(st.integers(2, 4)), draw(st.integers(1, 4000)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(staged_instances())
+def test_staged_table_matches_full_sort_property(instance):
+    features, subset, k, include_self, share, widen, block_elements = instance
+    d = Dataset(features=features, feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
+    rows = np.arange(d.nu)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(axe, "_WINDOW_SHARE", share)
+        mp.setattr(axe, "_WIDEN", widen)
+        mp.setattr(axe, "_BLOCK_ELEMENTS", block_elements)
+        table = axe._nearest_rows(d, subset, rows, k, include_self)
+    expected = table_by_sort(ordered_distances(features, subset, rows), rows, k, include_self)
+    assert np.array_equal(table, expected)
+
+
 class TestSharedTables:
     """axe_quality_many: one table per (row group, include_self) at the widest k."""
 

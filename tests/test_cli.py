@@ -719,6 +719,24 @@ class TestOutsideValues:
         assert capsys.readouterr().err == f"error [cli]: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("command", ["evaluate", "explain", "attack", "region-grid",
+                                         "principles"])
+    def test_negative_seed_exits_2_before_the_command_runs(
+            self, tmp_path, capsys, monkeypatch, command, source):
+        argv = [command, "--out", str(tmp_path / "run")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("AXEBENCH_SEED", "-1")
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 2
+        assert (capsys.readouterr().err
+                == "error [cli]: seed must be a non-negative integer, not -1\n")
+        assert not (tmp_path / "run").exists()
+
 
 _COMMON = {"--config", "--seed", "--out", "--jobs"}
 _DATA_MODEL = {"--dataset", "--schema", "--synthetic", "--proxy", "--rows", "--cols",
