@@ -198,11 +198,6 @@ def _recovered(y: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     return (y[..., table[:, :k]].sum(axis=-1) * 2 > k).astype(int)
 
 
-def _check_candidates(nu: int, k: int, include_self: bool) -> None:
-    if k > (nu if include_self else nu - 1):
-        raise ValueError("k out of range: exceeds candidate count")
-
-
 def _validate_target(d: Dataset, y_preds) -> np.ndarray:
     y = np.asarray(y_preds, dtype=int)
     if y.shape != (d.nu,):
@@ -215,7 +210,8 @@ def _validate_target(d: Dataset, y_preds) -> np.ndarray:
 def _validate_config(d: Dataset, cfg: AxeConfig) -> None:
     if cfg.n > d.n_features:
         raise ValueError("n out of range: exceeds feature count")
-    _check_candidates(d.nu, cfg.k, cfg.include_self)
+    if cfg.k > (d.nu if cfg.include_self else d.nu - 1):
+        raise ValueError("k out of range: exceeds candidate count")
 
 
 def axe_quality_many(d: Dataset, targets, explanations: ExplanationSet, cfgs,

@@ -86,7 +86,7 @@ def _stage(module: str):
         yield
     except CliError:
         raise
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         raise CliError(module, str(exc)) from exc
     except MemoryError as exc:
         raise CliError(module, f"out of memory: {exc}" if str(exc) else "out of memory") from exc

@@ -235,8 +235,8 @@ class DetectionVerdict:
 
 
 def run_fairwash_detection(bundle: AttackBundle,
-                           axe_cfgs=(AxeConfig(n=1, k=5),),
-                           perturb_cfg: PerturbConfig | None = None,
+                           axe_cfgs=(AxeConfig(),),
+                           perturb_cfg: PerturbConfig = PerturbConfig(),
                            jobs: int = 1) -> list[DetectionVerdict]:
     """Score the protected / foil / other explanation sets per model and metric.
 
@@ -251,7 +251,6 @@ def run_fairwash_detection(bundle: AttackBundle,
     features 0 and 1. The memo holds unsigned gaps, which ``signed_gap`` signs after
     the mean: bit-equal to each metric's own report, as negation commutes with it.
     """
-    perturb_cfg = perturb_cfg or PerturbConfig(n=1)
     gap_cfg = replace(perturb_cfg, negate_pgu=False)
     d = bundle.dataset
     verdicts: list[DetectionVerdict] = []

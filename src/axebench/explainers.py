@@ -117,6 +117,14 @@ def _kernel_weight(n: int, s: int) -> float:
     return (n - 1) / (comb(n, s) * s * (n - s))
 
 
+def _coalition_sizes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes 1..n-1 and their chance: (n-1) / (s(n-s)), the kernel weight summed
+    over the coalitions of each size, normalised."""
+    sizes = np.arange(1, n)
+    p = (n - 1) / (sizes * (n - sizes))
+    return sizes, p / p.sum()
+
+
 @lru_cache(maxsize=None)
 def _all_coalitions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every non-trivial coalition of n features as read-only 0/1 mask rows,
@@ -137,9 +145,7 @@ def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """
     if 2**n - 2 <= budget:
         return _all_coalitions(n)
-    sizes = np.arange(1, n)
-    p = (n - 1) / (sizes * (n - sizes))  # kernel weight summed over coalitions of each size
-    p = p / p.sum()
+    sizes, p = _coalition_sizes(n)
     masks = np.zeros((budget, n))
     drawn = rng.choice(sizes, size=budget, p=p)
     for i, s in enumerate(drawn):
@@ -165,7 +171,9 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
     full on every call, into an array held by ``workspace``: the caller owns
     that dict and may pass the same one to every row it explains, one thread
     at a time. Without one, the call makes its own array. The output does not
-    depend on which it is.
+    depend on which it is. Sharing pays from N = 42 at the default settings:
+    the composite then exceeds glibc's 32 MiB ceiling on its mmap threshold, so
+    a fresh one per row faults its pages in anew (README "Explain cost").
     """
     x = np.asarray(x, dtype=float)
     n = x.size

@@ -86,7 +86,7 @@ def knn_oracle(train, targets, subset, x, k, include_self, self_index):
     for idx in range(len(train)):
         if not include_self and self_index is not None and idx == self_index:
             continue
-        dist = sum((train[idx][f] - x[f]) ** 2 for f in subset)
+        dist = sum(d * d for d in (train[idx][f] - x[f] for f in subset))
         scored.append((dist, idx))
     scored.sort()
     if k > len(scored):
@@ -102,7 +102,7 @@ def knn_table_oracle(train, subset, query, k, include_self):
     for idx in range(len(train)):
         if not include_self and idx == query:
             continue
-        dist = sum((train[idx][f] - train[query][f]) ** 2 for f in subset)
+        dist = sum(d * d for d in (train[idx][f] - train[query][f] for f in subset))
         scored.append((dist, idx))
     scored.sort()
     if k > len(scored):

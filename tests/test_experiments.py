@@ -160,11 +160,31 @@ def small_bundle():
                                standard_model_set(100, 1.0, 0.8, two_foils=True))
 
 
+def configs_at(n):
+    """The AXE and perturbation configs of the sweep tests, both at top-n ``n``."""
+    return AxeConfig(n=n, k=5), PerturbConfig(n=n, num_perturbations=25, seed=0)
+
+
+def sweep_at(bundle, n, jobs=1):
+    axe_cfg, perturb_cfg = configs_at(n)
+    return run_fairwash_detection(bundle, axe_cfgs=(axe_cfg,), perturb_cfg=perturb_cfg, jobs=jobs)
+
+
 @pytest.fixture(scope="module")
 def small_verdicts(small_bundle):
-    return run_fairwash_detection(
-        small_bundle, axe_cfgs=(AxeConfig(n=1, k=5),),
-        perturb_cfg=PerturbConfig(n=1, num_perturbations=25, seed=0))
+    return sweep_at(small_bundle, 1)
+
+
+@pytest.fixture(scope="module")
+def serial_verdicts(small_bundle, small_verdicts):
+    """Serial verdicts with both configs at top-n n, run once per n."""
+    runs = {1: small_verdicts}
+
+    def at(n):
+        if n not in runs:
+            runs[n] = sweep_at(small_bundle, n)
+        return runs[n]
+    return at
 
 
 class TestAttackBundle:
@@ -301,17 +321,20 @@ def verdict_values(verdicts, metric):
 class TestDetectionScoring:
     CFG = PerturbConfig(n=1, num_perturbations=25, seed=0)
 
-    def test_threads_give_the_serial_verdicts(self, small_bundle, small_verdicts):
-        threaded = run_fairwash_detection(small_bundle, axe_cfgs=(AxeConfig(n=1, k=5),),
-                                          perturb_cfg=self.CFG, jobs=2)
-        assert [v.to_dict() for v in threaded] == [v.to_dict() for v in small_verdicts]
+    # at n = 2 the scaffolds' perturbed copies are free in two columns
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_threads_give_the_serial_verdicts(self, small_bundle, serial_verdicts, n):
+        threaded = sweep_at(small_bundle, n, jobs=2)
+        assert [v.to_dict() for v in threaded] == [v.to_dict() for v in serial_verdicts(n)]
 
+    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("metric", ["pgi", "pgu"])
-    def test_memo_matches_one_report_per_set(self, small_bundle, small_verdicts, metric):
+    def test_memo_matches_one_report_per_set(self, small_bundle, serial_verdicts, metric, n):
         d = small_bundle.dataset
+        perturb_cfg = configs_at(n)[1]
         reference = unmemoised_values(small_bundle, lambda model, expls: (
-            sensitivity_quality_report(metric, model, d, expls, self.CFG).aggregate_q))
-        assert verdict_values(small_verdicts, metric) == reference
+            sensitivity_quality_report(metric, model, d, expls, perturb_cfg).aggregate_q))
+        assert verdict_values(serial_verdicts(n), metric) == reference
 
     def test_memo_keeps_the_sign_of_zero(self):
         # a rule on the protected column ignores PGU's columns 0 and 1: zero gaps
