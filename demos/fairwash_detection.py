@@ -16,8 +16,8 @@ from axebench import AxeConfig, PerturbConfig, bundle_from_config, run_fairwash_
 from axebench.experiments import default_attack_configs
 
 config = default_attack_configs(seed=0)[0]  # the lending stand-in, two models
-print(f"dataset: {config.dataset_name} (synthetic stand-in, {config.nu} rows)")
 bundle = bundle_from_config(config)
+print(f"dataset: {config.dataset_name} (synthetic stand-in, {bundle.dataset.nu} rows)")
 for name, model in bundle.models.items():
     print(f"  {name}: detector accuracy {model.detector.heldout_accuracy:.3f}, "
           f"agreement with biased rule {model.on_data_agreement:.3f}")

@@ -53,15 +53,14 @@ that budget.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, ExplanationSet, QualityReport, _magnitude_order, check_explanations
+from .core import (Dataset, ExplanationSet, QualityReport, _magnitude_order, check_explanations,
+                   write_csv)
 from .explainers import make_manual_explanations
 
 # Query rows per block are sized so that rows x nu x |subset| is about this many.
@@ -282,10 +281,6 @@ def write_trace(path, report: QualityReport, y_preds, explanations: ExplanationS
     subsets = _magnitude_order(explanations.importances, report.hyperparams["n"], largest=True)
     y, per_point = np.asarray(y_preds, dtype=int), report.per_point_q
     recovered = np.where(per_point == 1.0, y, 1 - y)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "chosen_features", "recovered", "target", "q"])
-        for i in range(len(per_point)):
-            writer.writerow([i, " ".join(map(str, subsets[i])),
-                             int(recovered[i]), int(y[i]), int(per_point[i])])
+    write_csv(path, ["row", "chosen_features", "recovered", "target", "q"],
+              ([i, " ".join(map(str, subsets[i])), int(recovered[i]), int(y[i]), int(per_point[i])]
+               for i in range(len(per_point))))

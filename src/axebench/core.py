@@ -9,6 +9,7 @@ concurrent workers.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -371,6 +372,15 @@ def write_json(path, payload) -> None:
             path.unlink()
             raise ValueError(f"cannot write {path.name}: {exc}") from exc
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """The header, then ``rows`` (lists of cells), in UTF-8 as ``csv.writer`` writes them."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _conforms(value, tp) -> bool:

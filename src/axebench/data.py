@@ -4,11 +4,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, record_from_dict, write_json
+from .core import Dataset, record_from_dict, write_csv, write_json
 
 GENERATOR_KINDS = ("gaussian-blobs", "threshold-rule", "correlated-foil")
 _BLOBS_SEPARATION = 2.0  # distance between the gaussian-blobs class centres
@@ -110,8 +109,12 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 
     excluded = set(schema.drop_columns) | {schema.target_column}
     feature_cols = [c for c in header if c not in excluded]
-    if schema.protected_column in schema.drop_columns:
-        raise ValueError("schema mismatch: protected column is dropped")
+    for role, col in [("protected", schema.protected_column),
+                      *(("foil", f) for f in schema.foil_columns)]:
+        if col in schema.drop_columns:
+            raise ValueError(f"schema mismatch: {role} column {col!r} is dropped")
+        if col == schema.target_column:
+            raise ValueError(f"schema mismatch: {role} column {col!r} is the target")
     col_pos = {c: i for i, c in enumerate(header)}
 
     target_enc = schema.categorical_columns.get(schema.target_column)
@@ -144,16 +147,12 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 def save_csv(d: Dataset, path) -> None:
     """Write raw feature values (plus labels) back to CSV; floats round-trip exactly."""
     raw = d.raw_features if d.raw_features is not None else d.features
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(d.feature_names) + (["label"] if d.labels is not None else [])
-        writer.writerow(header)
-        for i in range(d.nu):
-            row = [repr(float(v)) for v in raw[i]]
-            if d.labels is not None:
-                row.append(str(int(d.labels[i])))
-            writer.writerow(row)
+    rows = ([repr(float(v)) for v in row] for row in raw)
+    if d.labels is None:
+        write_csv(path, list(d.feature_names), rows)
+    else:
+        write_csv(path, [*d.feature_names, "label"],
+                  (row + [str(int(y))] for row, y in zip(rows, d.labels)))
 
 
 @dataclass
@@ -179,16 +178,14 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     metadata = {"generator_kind": spec.generator_kind, "seed": spec.seed}
     foil_indices: tuple[int, ...] = ()
 
-    if spec.generator_kind == "threshold-rule":
-        X = rng.standard_normal((nu, nf))
-        labels = (X[:, 0] > 0).astype(int)
-    elif spec.generator_kind == "gaussian-blobs":
+    if spec.generator_kind == "gaussian-blobs":
         labels = rng.integers(0, 2, size=nu)
         centers = np.where(labels[:, None] == 1, _BLOBS_SEPARATION / 2.0, -_BLOBS_SEPARATION / 2.0)
         X = centers + rng.standard_normal((nu, nf))
-    else:  # correlated-foil
+    else:  # threshold-rule and correlated-foil: the label is the sign of column 0
         X = rng.standard_normal((nu, nf))
         labels = (X[:, 0] > 0).astype(int)
+    if spec.generator_kind == "correlated-foil":
         foil = nf - 1
         if labels.min() == labels.max():
             raise ValueError(f"correlated-foil at nu={nu}, seed={spec.seed} drew labels "

@@ -124,7 +124,6 @@ class AttackConfig:
     dataset_name: str
     models: tuple[ScaffoldModelConfig, ...]
     dataset_seed: int = 0
-    nu: int = 800
 
 
 def standard_model_set(base_seed: int, sigma_lime: float, sigma_shap: float,
@@ -200,7 +199,7 @@ def build_attack_bundle(d: Dataset, model_cfgs) -> AttackBundle:
 
 
 def bundle_from_config(cfg: AttackConfig) -> AttackBundle:
-    d = benchmark_proxy(cfg.dataset_name, seed=cfg.dataset_seed, nu=cfg.nu)
+    d = benchmark_proxy(cfg.dataset_name, seed=cfg.dataset_seed)
     return build_attack_bundle(d, cfg.models)
 
 
@@ -209,7 +208,7 @@ class DetectionVerdict:
     """q-bar values for one (dataset, model, metric) row plus the ordering flag.
 
     ``passed`` is derived, never passed: the protected explanation's q-bar is
-    strictly above every foil's. A verdict file must store that same flag.
+    strictly above every foil's. A verdict file must store that flag and finite q values.
     """
 
     dataset_id: str
@@ -223,6 +222,10 @@ class DetectionVerdict:
     passed: bool = field(init=False)
 
     def __post_init__(self):
+        for name in ("q_protected", "q_foil1", "q_foil2", "q_other"):
+            q = getattr(self, name)
+            if q is not None and not np.isfinite(q):
+                raise ValueError(f"DetectionVerdict {name} must be finite, not {q}")
         object.__setattr__(self, "passed", bool(self.q_protected > self.q_foil1 and (
             self.q_foil2 is None or self.q_protected > self.q_foil2)))
 

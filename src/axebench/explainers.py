@@ -12,14 +12,14 @@ import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
 from .core import (Dataset, Explanation, ExplanationSet, Predictor, check_fields, check_type,
-                   one_row, row_seed, write_json)
+                   one_row, row_seed, write_csv, write_json)
 
 _LOADED_TAG = "loaded"  # the explainer_tag of every CSV row, and of a JSON row naming none
+_SURROGATE_RIDGE = 1.0  # the local surrogate's first ridge penalty; raised tenfold until stable
 
 
 @dataclass
@@ -29,12 +29,10 @@ class ExplainerConfig:
     kind: str = "gradient"
     samples: int = 1000
     sigma_perturb: float = 0.5
-    kernel_width: float | None = None  # default 0.75 * sqrt(N), resolved per call
     baseline: np.ndarray | None = None
     ig_steps: int = 64
     seed: int = 0
     background_size: int = 100
-    ridge: float = 1.0
 
     KINDS = ("gradient", "integrated-gradients", "local-surrogate", "kernel-shapley")
 
@@ -91,10 +89,10 @@ def explain_local_surrogate(m: Predictor, x, d: Dataset, cfg: ExplainerConfig) -
     rng = np.random.default_rng(cfg.seed)
     Z = x + rng.normal(0.0, cfg.sigma_perturb, (cfg.samples, n))
     y = m.predict_proba_batch(Z)
-    width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(n)
+    width = 0.75 * np.sqrt(n)
     w = np.exp(-np.sum((Z - x) ** 2, axis=1) / width**2)
 
-    alpha = cfg.ridge
+    alpha = _SURROGATE_RIDGE
     tag = "local-surrogate"
     for _ in range(8):
         try:
@@ -106,7 +104,7 @@ def explain_local_surrogate(m: Predictor, x, d: Dataset, cfg: ExplainerConfig) -
         alpha *= 10.0  # ridge floor escalation instead of failing
     else:
         raise RuntimeError("surrogate regression did not stabilize")
-    if alpha != cfg.ridge:
+    if alpha != _SURROGATE_RIDGE:
         tag = "local-surrogate[ridge-floor]"
     if np.max(np.abs(Z - x)) < 1e-8:
         tag = "local-surrogate[degenerate-sampling]"  # no local variation to fit
@@ -257,12 +255,9 @@ def save_explanations_csv(explanations: ExplanationSet, path, feature_names=None
     """Row index plus one importance column per feature."""
     n = explanations.importances.shape[1]
     names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(n)]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["datapoint_index"] + names)
-        for i, row in enumerate(explanations.importances.tolist()):
-            writer.writerow([i] + [repr(v) for v in row])
+    rows = explanations.importances.tolist()
+    write_csv(path, ["datapoint_index"] + names,
+              ([i] + [repr(v) for v in row] for i, row in enumerate(rows)))
 
 
 def load_explanations_csv(path) -> ExplanationSet:

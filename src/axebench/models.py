@@ -21,12 +21,11 @@ height, so blocks halve the CPU of a batch at about the same wall time. A batch
 of several blocks adds each bias from rows repeated to the block's height,
 built once per call: numpy adds (2,048, 8) + (2,048, 8) in 5 us and the
 broadcast (2,048, 8) + (8,) in 19 us, to the same bits, which pays for the
-per-block overhead. A batch of one block runs as one ``_forward``, as before,
-so small queries (a gradient row, a background set) cost what they did. A
-final remainder of one row joins the block before it, because a one-row
-product takes a different BLAS routine (matrix-vector): left as a block of its
-own, it moved the last bit of the gradient at 2,049 rows at every input width
-tested.
+per-block overhead. A batch of one block runs as one ``_forward`` with the
+broadcast biases, since repeated bias rows pay only across blocks. A final
+remainder of one row joins the block before it, because a one-row product
+takes a different BLAS routine (matrix-vector): left as a block of its own, it
+moved the last bit of the gradient at 2,049 rows at every input width tested.
 
 For the network the command line trains, hidden layer (8,), blocks give the
 same bits as scoring the whole batch at once at every row count and input
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trees import BaggedTrees
-from .core import Dataset, Predictor, check_fields, one_row, perturbed_copies, write_json
+from .core import Dataset, Predictor, check_fields, perturbed_copies, write_json
 from .explainers import _coalition_sizes
 
 
@@ -112,14 +111,14 @@ class LinearPredictor(Predictor):
         self._b0 = spec.intercept
         self.descriptor = descriptor or f"linear(d={self._beta.size})"
 
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(one_row(x))[0])
+    # Predictor's one-row scalar queries, bound here and in four other classes only
+    # because perfbench/tracing.py wraps each class's own dict entry by name.
+    predict_proba = Predictor.predict_proba
 
     def predict_proba_batch(self, X) -> np.ndarray:
         return sigmoid(self._b0 + _rows_of_width(X, self._beta.size) @ self._beta)
 
-    def gradient(self, x) -> np.ndarray:
-        return self.gradient_batch(one_row(x))[0]
+    gradient = Predictor.gradient
 
     def gradient_batch(self, X) -> np.ndarray:
         p = self.predict_proba_batch(X)
@@ -161,8 +160,7 @@ class RulePredictor(Predictor):
         op = ">" if spec.positive_above else "<="
         self.descriptor = descriptor or f"rule(x{spec.feature_index}{op}{spec.threshold:g})"
 
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(one_row(x))[0])
+    predict_proba = Predictor.predict_proba
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -289,8 +287,7 @@ class MlpPredictor(Predictor):
             acts.append(sigmoid(z) if last else _act(self.activation, z))
         return acts
 
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(one_row(x))[0])
+    predict_proba = Predictor.predict_proba
 
     def _backward(self, acts):
         """Input gradients of the probability from one ``_forward``'s activations."""
@@ -320,8 +317,7 @@ class MlpPredictor(Predictor):
     def predict_proba_batch(self, X) -> np.ndarray:
         return self._by_blocks(X, lambda acts: acts[-1][:, 0], ())
 
-    def gradient(self, x) -> np.ndarray:
-        return self.gradient_batch(one_row(x))[0]
+    gradient = Predictor.gradient
 
     def gradient_batch(self, X) -> np.ndarray:
         return self._by_blocks(X, self._backward, self.weights[0].shape[:1])
@@ -368,8 +364,7 @@ class OffManifoldFlipPredictor(Predictor):
         self._anchors = {r.tobytes() for r in np.ascontiguousarray(anchor_rows, dtype=float)}
         self.descriptor = f"offmanifold-flip({base.descriptor})"
 
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(one_row(x))[0])
+    predict_proba = Predictor.predict_proba
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=float)
@@ -522,8 +517,7 @@ class ScaffoldPredictor(Predictor):
                               dtype=np.int64, count=len(X))
         return (digests ^ (self.seed & 0xFFFFFFFF)) & 1
 
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(one_row(x))[0])
+    predict_proba = Predictor.predict_proba
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -105,6 +105,14 @@ def test_scalar_methods_are_one_row_batches(kind, x):
         assert g.shape == (N,) and _bits(g) == _bits(g_batch[0])
 
 
+@pytest.mark.parametrize("kind", list(PREDICTORS))
+def test_scalar_methods_are_the_base_methods(kind):
+    # one body per scalar query: a class may bind Predictor's, never restate it
+    cls = type(PREDICTORS[kind])
+    assert cls.predict_proba is Predictor.predict_proba
+    assert cls.gradient is Predictor.gradient
+
+
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("kind", list(PREDICTORS))
 def test_copies_are_the_batch_of_the_materialised_copies(kind, width):

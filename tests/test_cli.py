@@ -649,6 +649,20 @@ class TestReproducibility:
                          "--out", str(again), "--jobs", jobs]) == 0
             assert dir_bytes(again) == expected
 
+    @pytest.mark.parametrize("args", [
+        # 12 columns give 4,094 coalitions, more than the 1,000 samples: the masks are drawn
+        ["explain", "--synthetic", "correlated-foil", "--rows", "12", "--cols", "12",
+         "--train", "mlp", "--explainer", "kernel-shapley", "--seed", "6"],
+        ["principles", "--seed", "6"],
+    ], ids=["explain", "principles"])
+    def test_rerun_from_config(self, tmp_path, args):
+        first = tmp_path / "first"
+        assert main(args + ["--out", str(first)]) == 0
+        second = tmp_path / "second"
+        assert main([args[0], "--config", str(first / "run_config.json"),
+                     "--out", str(second)]) == 0
+        assert dir_bytes(first) == dir_bytes(second)
+
     def test_config_command_mismatch_rejected(self, tmp_path, capsys):
         first = tmp_path / "first"
         assert main(["region-grid", "--resolution", "3", "--out", str(first)]) == 0
@@ -829,13 +843,26 @@ class TestReport:
                                        "q_protected": "high", "q_foil1": 0.5,
                                        "q_foil2": None, "q_other": 0.5, "passed": True}]),
          "error [experiments]: DetectionVerdict record 'q_protected' must be float, not str"),
+        ("verdicts.json", json.dumps([{"dataset_id": "d", "model_name": "m",
+                                       "metric_name": "axe", "hyperparams": {},
+                                       "q_protected": 1.0, "q_foil1": 0.5,
+                                       "q_foil2": None, "q_other": float("nan"),
+                                       "passed": True}]),
+         "error [experiments]: DetectionVerdict q_other must be finite, not nan"),
+        ("verdicts.json", json.dumps([{"dataset_id": "d", "model_name": "m",
+                                       "metric_name": "axe", "hyperparams": {},
+                                       "q_protected": 1.0, "q_foil1": 0.5,
+                                       "q_foil2": float("-inf"), "q_other": 0.5,
+                                       "passed": True}]),
+         "error [experiments]: DetectionVerdict q_foil2 must be finite, not -inf"),
         ("report_fa.json", json.dumps({"schema_version": 1, "metric_name": "fa",
                                        "hyperparams": {}, "aggregate_q": 0.5}),
          "error [core]: quality report lacks 'per_point_q'"),
         ("report_fa.json", "[]",
          "error [core]: quality report must be dict, not list"),
     ], ids=["verdicts-not-json", "verdicts-not-list", "verdict-without-model-name",
-            "verdict-with-str-q", "report-without-per-point-q", "report-not-object"])
+            "verdict-with-str-q", "verdict-with-nan-q", "verdict-with-infinite-q-foil2",
+            "report-without-per-point-q", "report-not-object"])
     def test_malformed_run_file_exits_2(self, tmp_path, capsys, name, payload, message):
         (tmp_path / name).write_text(payload)
         assert main(["report", "--run", str(tmp_path)]) == 2

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from axebench.axe import write_trace
 from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, ExplanationSet,
                            QualityReport, bottom_n_features, perturbed_copies, rank_vector,
                            row_seed, top_n_features, write_json)
+from axebench.data import save_csv
+from axebench.explainers import save_explanations_csv
 
 from oracles import bottom_n_oracle, rank_oracle, top_n_oracle
 
@@ -219,6 +222,26 @@ def test_write_json_refuses_non_json_floats(tmp_path, value):
     with pytest.raises(ValueError, match="cannot write x.json: Out of range float values"):
         write_json(path, {"ok": 1.0, "nested": [0.5, value]})
     assert not path.exists()  # no half-written file, and not the old one either
+
+
+_RAW = np.array([[0.1 + 0.2, -0.0], [1e-300, 2.5]])  # a 17-digit repr and a signed zero
+
+
+@pytest.mark.parametrize("write, expected", [
+    (lambda path: save_csv(Dataset(_RAW, ("a", "b"), labels=np.array([1, 0])), path),
+     "a,b,label\r\n0.30000000000000004,-0.0,1\r\n1e-300,2.5,0\r\n"),
+    (lambda path: save_csv(Dataset(_RAW, ("a", "b")), path),
+     "a,b\r\n0.30000000000000004,-0.0\r\n1e-300,2.5\r\n"),
+    (lambda path: save_explanations_csv(ExplanationSet(_RAW), path, ["x,1", "y"]),
+     'datapoint_index,"x,1",y\r\n0,0.30000000000000004,-0.0\r\n1,1e-300,2.5\r\n'),
+    (lambda path: write_trace(path, QualityReport("axe", {"n": 1}, [1.0, 0.0]), [1, 1],
+                              ExplanationSet(_RAW)),
+     "row,chosen_features,recovered,target,q\r\n0,0,1,1,1\r\n1,1,0,1,0\r\n"),
+], ids=["dataset", "dataset-without-labels", "explanations", "axe-trace"])
+def test_csv_writers_pin_their_bytes(tmp_path, write, expected):
+    path = tmp_path / "sub" / "x.csv"  # a missing parent directory is made
+    write(path)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_row_seed_is_xor():

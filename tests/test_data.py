@@ -84,13 +84,19 @@ class TestLoadCsv:
         assert np.array_equal(reloaded.raw_features, d.raw_features)
         assert np.array_equal(reloaded.labels, d.labels)
 
-    def test_dropped_protected_column_rejected(self, tmp_path):
+    @pytest.mark.parametrize("roles, message", [
+        ({"protected_column": "b", "drop_columns": ["b"]}, "protected column 'b' is dropped"),
+        ({"protected_column": "a", "foil_columns": ["c"], "drop_columns": ["c"]},
+         "foil column 'c' is dropped"),
+        ({"protected_column": "y"}, "protected column 'y' is the target"),
+        ({"protected_column": "a", "foil_columns": ["b", "y"]}, "foil column 'y' is the target"),
+    ], ids=["protected-dropped", "foil-dropped", "protected-is-target", "foil-is-target"])
+    def test_dropped_protected_column_rejected(self, tmp_path, roles, message):
         path = tmp_path / "d.csv"
-        path.write_text("a,b,y\n1,0,0\n2,1,1\n")
-        schema = DatasetSchema(name="d", column_names=["a", "b", "y"],
-                               target_column="y", protected_column="b",
-                               drop_columns=["b"])
-        with pytest.raises(ValueError, match="schema mismatch"):
+        path.write_text("a,b,c,y\n1,0,5,0\n2,1,3,1\n")
+        schema = DatasetSchema(name="d", column_names=["a", "b", "c", "y"],
+                               target_column="y", **roles)
+        with pytest.raises(ValueError, match=f"schema mismatch: {message}"):
             load_csv(path, schema)
 
     @pytest.mark.skipif(not Path("/root/pkg/datasets/german_credit.csv").exists(),

@@ -358,8 +358,7 @@ def test_manual_is_not_a_dataset_explainer_kind():
 
 def test_with_seed_keeps_every_other_field():
     cfg = ExplainerConfig(kind="kernel-shapley", samples=7, sigma_perturb=0.2,
-                          kernel_width=1.5, baseline=np.ones(3), ig_steps=5, seed=1,
-                          background_size=9, ridge=0.3)
+                          baseline=np.ones(3), ig_steps=5, seed=1, background_size=9)
     local = cfg.with_seed(42)
     assert local.seed == 42
     for f in dataclasses.fields(ExplainerConfig):
