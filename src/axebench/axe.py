@@ -46,10 +46,16 @@ The last stage takes every row as a candidate, in index order, and certifies
 every query row: where an unselected row ties the cut there, every row
 strictly closer is kept and the slots left over go to the lowest-index rows
 tied at the cut. A window opens only when it spans at most a quarter of the
-rows and the search exceeds one block of a fixed element budget; smaller
-searches run as that last stage alone, because on them a stage's fixed cost
-outweighs what a window saves. Every stage takes its query rows in blocks of
-that budget.
+rows and the search holds more than a fixed budget of distance terms
+(query rows x nu x |subset|); smaller searches run as that last stage alone,
+because on them a stage's fixed cost outweighs what a window saves.
+
+Every stage takes its query rows in blocks of about a fixed number of
+candidate slots (rows x span), whatever the subset width, and of one row at
+least: a block's distances, the column term added to them, the window copied
+out of a sorted column and the comparison with the cut each hold one entry per
+slot. Blocks change no table: each query row's distances, selection and order
+come from its own row of each temporary.
 """
 from __future__ import annotations
 
@@ -63,8 +69,12 @@ from .core import (Dataset, ExplanationSet, QualityReport, _magnitude_order, che
                    write_csv)
 from .explainers import make_manual_explanations
 
-# Query rows per block are sized so that rows x nu x |subset| is about this many.
+# A search whose query rows x nu x |subset| is at most this many runs as the
+# last stage alone.
 _BLOCK_ELEMENTS = 1 << 20
+# Query rows per block are sized so that rows x span is about this many: each
+# temporary of a block holds one entry per query row and candidate.
+_QUERY_ELEMENTS = 1 << 16
 # A window spans at most 1/_WINDOW_SHARE of the rows; a row a window does not
 # certify is retried on one _WIDEN times as wide.
 _WINDOW_SHARE = 4
@@ -124,7 +134,7 @@ def _nearest_rows(d: Dataset, subset, rows: np.ndarray, max_k: int,
         else:  # a row whose key value fills the window skips it
             at = todo[tie_group[rows[todo]] < span]
             lo = np.clip(position[rows[at]] - half, 0, d.nu - span)
-        step = max(1, _BLOCK_ELEMENTS // (span * len(cols)))
+        step = max(1, _QUERY_ELEMENTS // span)
         for start in range(0, at.size, step):
             block = at[start:start + step]
             ok, head = _search(cols, ordered, order, key, rows[block], lo[start:start + step],

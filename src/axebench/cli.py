@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .axe import AxeConfig, axe_quality, write_trace
-from .core import QualityReport, check_explanations, check_type, write_json
+from .core import QualityReport, check_explanations, check_type, labels_of, write_json
 from .data import (BENCHMARK_PROXIES, DatasetSchema, GENERATOR_KINDS,
                    SyntheticSpec, benchmark_proxy, generate_synthetic, load_csv)
 from .experiments import (METRIC_STAGES, PRINCIPLES, RegionGridSpec, build_attack_bundle,
@@ -228,8 +228,9 @@ def cmd_evaluate(params: dict, out: Path) -> None:
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
     explanations = _resolve_explanations(params, d, model)
-    with _stage("models"):
-        y_preds = model.predict_batch(d.features)
+    with _stage("models"):  # one prediction on the rows: AXE's targets and the gaps' base
+        proba = model.predict_proba_batch(d.features)
+        y_preds = labels_of(proba)
 
     reports = []
     for metric in params["metric"]:
@@ -240,7 +241,8 @@ def cmd_evaluate(params: dict, out: Path) -> None:
             elif metric in ("pgi", "pgu"):
                 cfg = PerturbConfig(n=params["n"], seed=params["seed"], sigma=params["sigma"],
                                     num_perturbations=params["num_perturbations"])
-                reports.append(sensitivity_quality_report(metric, model, d, explanations, cfg))
+                reports.append(sensitivity_quality_report(metric, model, d, explanations, cfg,
+                                                          base_proba=proba))
             else:
                 reports.append(reference_quality_report(
                     metric, explanations, _reference_vector(params, model), n=params["n"],

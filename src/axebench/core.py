@@ -23,6 +23,9 @@ from pathlib import Path
 import numpy as np
 
 SCHEMA_VERSION = 1
+# The package's one batch granularity: the MLP scores batches in blocks of this many
+# rows, and a perturbation-gap report scores its copies in chunks that start on them.
+_BLOCK_ROWS = 2048
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -193,13 +196,18 @@ class Predictor:
         return int(self.predict_proba(x) >= 0.5)
 
     def predict_batch(self, X) -> np.ndarray:
-        return (self.predict_proba_batch(X) >= 0.5).astype(int)
+        return labels_of(self.predict_proba_batch(X))
 
     def predict_proba_copies(self, X, sets, draws) -> np.ndarray:
         """(rows, count) probabilities of :func:`perturbed_copies` of X. An override
         may skip materialising or scoring copies but must return the same bits."""
         rows, count = draws.shape[:2]
         return self.predict_proba_batch(perturbed_copies(X, sets, draws)).reshape(rows, count)
+
+
+def labels_of(proba: np.ndarray) -> np.ndarray:
+    """0/1 predictions from probabilities: 1 from 0.5 up."""
+    return (proba >= 0.5).astype(int)
 
 
 def perturbed_copies(X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:

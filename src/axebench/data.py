@@ -28,7 +28,11 @@ class DatasetSchema:
     notes: str = ""
 
     def __post_init__(self):
-        known = set(self.column_names)
+        known = set()
+        for col in self.column_names:
+            if col in known:
+                raise ValueError(f"schema mismatch: column {col!r} appears twice")
+            known.add(col)
         if self.target_column not in known:
             raise ValueError(f"schema mismatch: target column {self.target_column!r} missing")
         if self.protected_column is not None and self.protected_column not in known:
@@ -36,6 +40,12 @@ class DatasetSchema:
         for col in list(self.foil_columns) + list(self.drop_columns) + list(self.categorical_columns):
             if col not in known:
                 raise ValueError(f"schema mismatch: column {col!r} missing")
+        for role, col in [("protected", self.protected_column),
+                          *(("foil", f) for f in self.foil_columns)]:
+            if col in self.drop_columns:
+                raise ValueError(f"schema mismatch: {role} column {col!r} is dropped")
+            if col == self.target_column:
+                raise ValueError(f"schema mismatch: {role} column {col!r} is the target")
 
     @classmethod
     def from_json(cls, path) -> "DatasetSchema":
@@ -109,12 +119,6 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 
     excluded = set(schema.drop_columns) | {schema.target_column}
     feature_cols = [c for c in header if c not in excluded]
-    for role, col in [("protected", schema.protected_column),
-                      *(("foil", f) for f in schema.foil_columns)]:
-        if col in schema.drop_columns:
-            raise ValueError(f"schema mismatch: {role} column {col!r} is dropped")
-        if col == schema.target_column:
-            raise ValueError(f"schema mismatch: {role} column {col!r} is the target")
     col_pos = {c: i for i, c in enumerate(header)}
 
     target_enc = schema.categorical_columns.get(schema.target_column)
@@ -145,7 +149,11 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 
 
 def save_csv(d: Dataset, path) -> None:
-    """Write raw feature values (plus labels) back to CSV; floats round-trip exactly."""
+    """Write raw feature values (plus labels, as column ``label``) back to CSV; floats
+    round-trip exactly. A feature named ``label`` beside the labels is refused: the
+    file could not tell the two columns apart."""
+    if d.labels is not None and "label" in d.feature_names:
+        raise ValueError("cannot save a feature column named 'label' beside the label column")
     raw = d.raw_features if d.raw_features is not None else d.features
     rows = ([repr(float(v)) for v in row] for row in raw)
     if d.labels is None:

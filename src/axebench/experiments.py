@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .axe import AxeConfig, axe_quality, axe_quality_many
-from .core import (Dataset, ExplanationSet, check_type, component_seed, ordered_parallel_map,
-                   record_from_dict, write_json)
+from .core import (Dataset, ExplanationSet, check_type, component_seed, labels_of,
+                   ordered_parallel_map, record_from_dict, write_json)
 from .data import SyntheticSpec, benchmark_proxy, generate_synthetic
 from .explainers import make_manual_explanations
 from .metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
@@ -258,7 +258,9 @@ def run_fairwash_detection(bundle: AttackBundle,
     d = bundle.dataset
     verdicts: list[DetectionVerdict] = []
     manual = {f: make_manual_explanations(d, f) for f in range(d.n_features)}
-    y_preds = [model.predict_batch(d.features) for model in bundle.models.values()]
+    # one base prediction per model: AXE's targets and every gap report read it
+    probas = [model.predict_proba_batch(d.features) for model in bundle.models.values()]
+    y_preds = [labels_of(p) for p in probas]
     # one call per feature: all models and k values vote on shared neighbour tables
     axe_q = {f: axe_quality_many(d, y_preds, manual[f], axe_cfgs) for f in manual}
 
@@ -286,7 +288,8 @@ def run_fairwash_detection(bundle: AttackBundle,
 
         def gap(job: tuple[str, int]) -> float:
             metric, f = job
-            return sensitivity_quality_report(metric, model, d, manual[f], gap_cfg).aggregate_q
+            return sensitivity_quality_report(metric, model, d, manual[f], gap_cfg,
+                                              base_proba=probas[t]).aggregate_q
 
         memo = dict(zip(representative,
                         ordered_parallel_map(gap, representative.values(), jobs=jobs)))

@@ -5,6 +5,24 @@ Perturbed points are fed to the model raw, off-manifold by design — that
 exposure is exactly what the detection experiment probes. The perturbation law
 is Gaussian with configurable scale; every knob lives in :class:`PerturbConfig`
 because the metric's verdicts depend on it.
+
+A report scores its perturbed copies in chunks of consecutive rows, about
+``_CHUNK_COPIES`` copies each, and reduces each chunk to its rows' mean gaps at
+once, so its memory does not grow with rows x perturbations (the whole batch of
+3,000 rows x 100 copies held 19 MB). Each chunk holds a multiple of
+``_BLOCK_ROWS / gcd(count, _BLOCK_ROWS)`` rows, so every chunk starts on a
+boundary of the MLP's ``_BLOCK_ROWS``-copy blocks, and of the unrolled row
+groups of a matrix-vector product: each copy meets the same BLAS kernel as in
+one whole-batch call, and gets the same bits. A final remainder of one row
+joins the chunk before it, because a one-copy product would take BLAS's
+matrix-vector routine (see :mod:`axebench.models`). Each row's mean adds its own
+gaps in one order, whatever chunk holds it. One dependence stays as it was:
+OpenBLAS shares a matrix-vector product among its threads by height, so with
+more than one thread a row can move in the last bit with the batch's height,
+chunked or not. On 2 threads (2-core Xeon, OpenBLAS 0.3.31), a linear model's
+70,001 rows of one copy each moved one gap at 16 and at 40 inputs when chunked,
+and one row of the whole batch moved between 1 and 2 threads at 24 inputs. On
+one thread the chunked and whole-batch gaps were equal.
 """
 from __future__ import annotations
 
@@ -14,8 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (Dataset, ExplanationSet, Predictor, QualityReport, _magnitude_order,
-                   check_explanations, importances_of, one_row, row_seed)
+from .core import (Dataset, ExplanationSet, Predictor, QualityReport, _BLOCK_ROWS,
+                   _magnitude_order, check_explanations, importances_of, one_row, row_seed)
+
+# Perturbed copies a gap report scores per chunk, about; see the module docstring.
+_CHUNK_COPIES = 1 << 16
 
 
 @dataclass
@@ -47,24 +68,46 @@ def _row_draws(seed: int, rows: int, num_perturbations: int, sigma: float,
     row i from seed ``row_seed(seed, i)``. Reports on one dataset under one config share
     them, whatever their index sets. An infinite draw is refused: a model that only
     compares would score an infinite feature as if it were finite."""
-    draws = np.stack([np.random.default_rng(row_seed(seed, i)).normal(
-        0.0, sigma, (num_perturbations, size)) for i in range(rows)])
+    draws = np.empty((rows, num_perturbations, size))
+    for i in range(rows):
+        draws[i] = np.random.default_rng(row_seed(seed, i)).normal(
+            0.0, sigma, (num_perturbations, size))
     if not np.isfinite(draws).all():
         raise ValueError(f"sigma is too large: {sigma!r} draws infinite perturbations")
     draws.flags.writeable = False
     return draws
 
 
-def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Per-row mean |proba change| when each draw of draws[i] is added to features sets[i]."""
-    base = m.predict_proba_batch(X)
-    try:  # finite copies that overflow the model give noise, not its sensitivity
-        with np.errstate(over="raise", invalid="raise"):
-            copies = m.predict_proba_copies(X, sets, draws)
-    except FloatingPointError as exc:
-        raise ValueError("sigma is too large: the model overflows on the perturbed "
-                         f"copies ({exc})") from exc
-    return np.abs(copies - base[:, None]).mean(axis=1)
+def _chunk_rows(count: int) -> int:
+    """Rows per chunk of a report with ``count`` copies per row: a multiple of
+    ``_BLOCK_ROWS / gcd(count, _BLOCK_ROWS)``, so that each chunk's copies fill
+    whole MLP blocks, holding about ``_CHUNK_COPIES`` copies."""
+    unit = _BLOCK_ROWS // math.gcd(count, _BLOCK_ROWS)
+    return unit * max(1, _CHUNK_COPIES // (count * unit))
+
+
+def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray,
+          base: np.ndarray | None = None) -> np.ndarray:
+    """Per-row mean |proba change| when each draw of draws[i] is added to features
+    sets[i], from ``base``, the model's probabilities on X (predicted if None).
+    The copies are scored chunk by chunk, to the bits of one whole-batch call."""
+    rows, count = draws.shape[:2]
+    if base is None:
+        base = m.predict_proba_batch(X)
+    step = _chunk_rows(count)
+    ends = [*range(step, rows - 1, step), rows]  # a final one-row remainder joins the last chunk
+    gaps, out = np.empty((min(step + 1, rows), count)), np.empty(rows)
+    for start, end in zip([0, *ends], ends):
+        try:  # finite copies that overflow the model give noise, not its sensitivity
+            with np.errstate(over="raise", invalid="raise"):
+                copies = m.predict_proba_copies(X[start:end], sets[start:end],
+                                                draws[start:end])
+        except FloatingPointError as exc:
+            raise ValueError("sigma is too large: the model overflows on the perturbed "
+                             f"copies ({exc})") from exc
+        gap = np.subtract(copies, base[start:end, None], out=gaps[:end - start])
+        out[start:end] = np.abs(gap, out=gap).mean(axis=1)
+    return out
 
 
 def _point_score(metric_name: str, m: Predictor, x, e, cfg: PerturbConfig) -> float:
@@ -101,10 +144,13 @@ def perturbed_index_sets(metric_name: str, explanations: ExplanationSet, n: int)
 
 
 def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
-                               explanations: ExplanationSet, cfg: PerturbConfig) -> QualityReport:
+                               explanations: ExplanationSet, cfg: PerturbConfig, *,
+                               base_proba: np.ndarray | None = None) -> QualityReport:
     """Dataset-level report; per-row seeds are cfg.seed XOR row index.
 
-    All rows' perturbed copies go through one batched model call. The
+    The rows' perturbed copies go through one batched model call per chunk of
+    rows. ``base_proba``, if given, must be ``m.predict_proba_batch(d.features)``:
+    a caller scoring several reports on one model predicts the rows once. The
     single-point :func:`pgi` and :func:`pgu` are one-row reports.
     """
     check_explanations(d, explanations)
@@ -112,7 +158,7 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
     per_point = np.zeros(d.nu)
     if cfg.n:
         draws = _row_draws(cfg.seed, d.nu, cfg.num_perturbations, cfg.sigma, cfg.n)
-        per_point = _gaps(m, d.features, sets, draws)
+        per_point = _gaps(m, d.features, sets, draws, base_proba)
 
     return QualityReport(
         metric_name=metric_name,

@@ -7,8 +7,8 @@ Every predictor kind serializes to JSON via :func:`save_predictor` /
 :func:`load_predictor`, which checks every field's type and an MLP's layer
 chain, so a malformed file raises a ValueError naming the field or layer.
 
-The MLP scores a batch in blocks of ``_BLOCK_ROWS`` = 2,048 consecutive rows
-(blocks start at multiples of 2,048) and writes each block into one output
+The MLP scores a batch in blocks of ``core._BLOCK_ROWS`` = 2,048 consecutive
+rows (blocks start at multiples of 2,048) and writes each block into one output
 array. A kernel-Shapley row is one 25,400-row batch (254 coalitions x 100
 background rows), and numpy's OpenBLAS runs a product that tall on every core.
 On a 2-core Xeon (OpenBLAS 0.3.31) the first-layer product
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trees import BaggedTrees
-from .core import Dataset, Predictor, check_fields, perturbed_copies, write_json
+from .core import Dataset, Predictor, _BLOCK_ROWS, check_fields, perturbed_copies, write_json
 from .explainers import _coalition_sizes
 
 
@@ -229,7 +229,6 @@ def _act_grad(name, a):
     return 1.0 - a * a if name == "tanh" else a * (1.0 - a)
 
 
-_BLOCK_ROWS = 2048
 _LOGISTIC_L2, _LOGISTIC_EPOCHS, _LOGISTIC_LEARNING_RATE = 0.0, 400, 0.5
 _MLP_L2, _MLP_LEARNING_RATE = 0.0, 0.1
 _DETECTOR_HOLDOUT_FRACTION, _DETECTOR_FULL_NOISE_FRACTION = 0.25, 0.25

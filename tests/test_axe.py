@@ -245,7 +245,8 @@ class TestFastPathAndOracle:
         cfg = AxeConfig(n=2, k=4)
         whole = axe_quality(d, d.labels, expls, cfg)
         whole_onehot = one_hot_axe_aggregates(d, 1, d.labels, [1, 4])
-        monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 7 * d.nu)  # 3 rows per block at n=2
+        monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 7 * d.nu)
+        monkeypatch.setattr(axe, "_QUERY_ELEMENTS", 3 * d.nu)  # 3 rows per block in the stage over every row
         assert np.array_equal(axe_quality(d, d.labels, expls, cfg).per_point_q,
                               whole.per_point_q)
         assert one_hot_axe_aggregates(d, 1, d.labels, [1, 4]) == whole_onehot
@@ -324,6 +325,7 @@ class TestNeighbourTable:
     def test_three_row_blocks(self, include_self, monkeypatch):
         features = np.round(np.random.default_rng(4).normal(size=(50, 3)), 1)
         monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 3 * 50 * 2)
+        monkeypatch.setattr(axe, "_QUERY_ELEMENTS", 3 * 50)
         assert_table_matches_oracle(features, (2, 1), 7, include_self)
 
     @pytest.mark.parametrize("include_self", [False, True])
@@ -393,6 +395,7 @@ def test_table_matches_full_sort_property(instance):
     d = Dataset(features=features, feature_names=tuple(f"f{j}" for j in range(features.shape[1])))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(axe, "_BLOCK_ELEMENTS", block_elements)
+        mp.setattr(axe, "_QUERY_ELEMENTS", block_elements)
         table = axe._nearest_rows(d, subset, rows, k, include_self)
     expected = table_by_sort(ordered_distances(features, subset, rows), rows, k, include_self)
     assert np.array_equal(table, expected)
@@ -435,6 +438,7 @@ class TestStagedSearch:
         d = Dataset(features=features, feature_names=("a", "b", "c"))
         tied = set(np.flatnonzero(features[:, 1] == 0.0).tolist())
         monkeypatch.setattr(axe, "_BLOCK_ELEMENTS", 4096)
+        monkeypatch.setattr(axe, "_QUERY_ELEMENTS", 1024)  # blocks of 8 rows and up
         monkeypatch.setattr(axe, "_WINDOW_SHARE", 1)
         monkeypatch.setattr(axe, "_WIDEN", 2)
         stages = record_stages(monkeypatch)
@@ -491,6 +495,7 @@ def test_staged_table_matches_full_sort_property(instance):
         mp.setattr(axe, "_WINDOW_SHARE", share)
         mp.setattr(axe, "_WIDEN", widen)
         mp.setattr(axe, "_BLOCK_ELEMENTS", block_elements)
+        mp.setattr(axe, "_QUERY_ELEMENTS", block_elements)
         table = axe._nearest_rows(d, subset, rows, k, include_self)
     expected = table_by_sort(ordered_distances(features, subset, rows), rows, k, include_self)
     assert np.array_equal(table, expected)

@@ -564,6 +564,25 @@ class TestRefusedRunWritesNothing:
         assert capsys.readouterr().err == message + "\n"
         assert list(out.iterdir()) == []
 
+    def test_overflow_in_a_later_chunk_leaves_out_empty(self, tmp_path, capsys):
+        # at 100 copies a chunk is 512 rows: rows from 1,024 on perturb the feature
+        # whose coefficient overflows, the rows before it a dead feature
+        model = {"kind": "linear", "coefficients": [1e307, 0.0, 0.0], "intercept": 0.0}
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        rows = ["datapoint_index,f0,f1,f2"] + [
+            f"{i},{float(i >= 1024)},{float(i < 1024)},0.0" for i in range(1100)]
+        (tmp_path / "e.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "run"
+        out.mkdir()
+        code = main(["evaluate", "--synthetic", "threshold-rule", "--rows", "1100",
+                     "--cols", "3", "--model", str(tmp_path / "m.json"),
+                     "--explanations", str(tmp_path / "e.csv"), "--metric", "axe",
+                     "--metric", "pgi", "--sigma", "10", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error [metrics_sensitivity]: sigma is too large: the model overflows")
+        assert list(out.iterdir()) == []
+
 
 class TestSchemaFile:
     @pytest.mark.parametrize("command", ["evaluate", "attack"])
@@ -578,8 +597,12 @@ class TestSchemaFile:
          "DatasetSchema record 'column_names' must be list[str], not int"),
         (lambda s: {**s, "drop_columns": "c5"},
          "DatasetSchema record 'drop_columns' must be list[str], not str"),
+        (lambda s: {**s, "column_names": ["c0", *s["column_names"]]},
+         "schema mismatch: column 'c0' appears twice"),
+        (lambda s: {**s, "protected_column": "y"},
+         "schema mismatch: protected column 'y' is the target"),
     ], ids=["payload-not-object", "missing-name", "empty-object", "misspelt-key",
-            "int-column-names", "str-drop-columns"])
+            "int-column-names", "str-drop-columns", "duplicate-column", "protected-is-target"])
     def test_malformed_schema_exits_2(self, tmp_path, capsys, command, mangle, message):
         csv_path, schema_path = write_attack_csv(tmp_path)
         schema_path.write_text(json.dumps(mangle(read_json(schema_path))))

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from axebench.core import Dataset
 from axebench.data import (BENCHMARK_PROXIES, DatasetSchema, SyntheticSpec,
                            benchmark_proxy, generate_synthetic, load_csv, save_csv)
 
@@ -84,6 +86,15 @@ class TestLoadCsv:
         assert np.array_equal(reloaded.raw_features, d.raw_features)
         assert np.array_equal(reloaded.labels, d.labels)
 
+    def test_feature_named_like_the_label_column_is_not_saved(self, tmp_path):
+        # its header would read label,b,label, and a reload would drop the feature
+        d = Dataset(features=[[1.0, 2.0], [3.0, 5.0]], feature_names=("label", "b"), labels=[0, 1])
+        with pytest.raises(ValueError, match="feature column named 'label'"):
+            save_csv(d, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+        save_csv(Dataset(features=d.features, feature_names=d.feature_names), tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text().splitlines()[0] == "label,b"
+
     @pytest.mark.parametrize("roles, message", [
         ({"protected_column": "b", "drop_columns": ["b"]}, "protected column 'b' is dropped"),
         ({"protected_column": "a", "foil_columns": ["c"], "drop_columns": ["c"]},
@@ -92,12 +103,13 @@ class TestLoadCsv:
         ({"protected_column": "a", "foil_columns": ["b", "y"]}, "foil column 'y' is the target"),
     ], ids=["protected-dropped", "foil-dropped", "protected-is-target", "foil-is-target"])
     def test_dropped_protected_column_rejected(self, tmp_path, roles, message):
-        path = tmp_path / "d.csv"
-        path.write_text("a,b,c,y\n1,0,5,0\n2,1,3,1\n")
-        schema = DatasetSchema(name="d", column_names=["a", "b", "c", "y"],
-                               target_column="y", **roles)
+        # the schema itself is refused, before any CSV is read, and so is its file
+        fields = dict(name="d", column_names=["a", "b", "c", "y"], target_column="y", **roles)
         with pytest.raises(ValueError, match=f"schema mismatch: {message}"):
-            load_csv(path, schema)
+            DatasetSchema(**fields)
+        (tmp_path / "s.json").write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=f"schema mismatch: {message}"):
+            DatasetSchema.from_json(tmp_path / "s.json")
 
     @pytest.mark.skipif(not Path("/root/pkg/datasets/german_credit.csv").exists(),
                         reason="published lending CSV not available offline")
@@ -124,6 +136,10 @@ class TestShippedSchemas:
         with pytest.raises(ValueError, match="missing"):
             DatasetSchema(name="x", column_names=["a", "y"], target_column="y",
                           foil_columns=["ghost"])
+
+    def test_duplicate_column_names_rejected(self):
+        with pytest.raises(ValueError, match="schema mismatch: column 'label' appears twice"):
+            DatasetSchema(name="x", column_names=["label", "b", "label"], target_column="label")
 
     def test_schema_json_roundtrip(self, tmp_path):
         schema = DatasetSchema.from_json(SCHEMA_DIR / "compas.json")

@@ -352,16 +352,28 @@ class TestDetectionScoring:
     def test_each_distinct_index_set_is_scored_once(self, small_bundle, monkeypatch, jobs):
         calls = []
 
-        def counting(metric_name, m, d, explanations, cfg):
+        def counting(metric_name, m, d, explanations, cfg, **kwargs):
             sets = perturbed_index_sets(metric_name, explanations, cfg.n)
             calls.append((id(m), sets.tobytes()))
-            return sensitivity_quality_report(metric_name, m, d, explanations, cfg)
+            return sensitivity_quality_report(metric_name, m, d, explanations, cfg, **kwargs)
 
         monkeypatch.setattr(experiments, "sensitivity_quality_report", counting)
         run_fairwash_detection(small_bundle, perturb_cfg=self.CFG, jobs=jobs)
         # per model: six one-hot PGI sets; PGU's bottom feature is 0, or 1 for the set
         # on 0, and those are the PGI sets of features 0 and 1
         assert len(calls) == len(set(calls)) == 4 * 6
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_base_prediction_per_model(self, small_bundle, monkeypatch, jobs):
+        # AXE's targets and every gap report read each model's one prediction on the rows
+        d, calls = small_bundle.dataset, []
+        for name, model in small_bundle.models.items():
+            def counting(X, name=name, score=model.predict_proba_batch):
+                calls.append(name if X is d.features else None)
+                return score(X)
+            monkeypatch.setattr(model, "predict_proba_batch", counting)
+        run_fairwash_detection(small_bundle, perturb_cfg=self.CFG, jobs=jobs)
+        assert sorted(c for c in calls if c is not None) == sorted(small_bundle.models)
 
     def test_axe_other_column_uses_top_n_subsets(self, small_bundle):
         """At n=2 a one-hot explanation's top-2 adds the lowest-index zero feature;

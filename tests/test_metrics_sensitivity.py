@@ -5,13 +5,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from axebench.core import ExplanationSet, row_seed
+from axebench import metrics_sensitivity
+from axebench.core import _BLOCK_ROWS, ExplanationSet, perturbed_copies, row_seed
 from axebench.data import SyntheticSpec, generate_synthetic
 from axebench.explainers import make_manual_explanations
 from axebench.metrics_sensitivity import (PerturbConfig, pgi, pgu,
                                           sensitivity_quality_report)
-from axebench.models import (LinearModelSpec, RuleModelSpec,
-                             make_linear_predictor, make_rule_predictor)
+from axebench.models import (LinearModelSpec, MlpPredictor, RuleModelSpec, ScaffoldSpec,
+                             build_scaffold, make_linear_predictor, make_rule_predictor,
+                             train_logistic)
 
 from conftest import AdditiveProbaPredictor, ConstantPredictor
 from oracles import pgi_oracle, pgu_oracle
@@ -243,6 +245,98 @@ class TestHugeSigma:
         with pytest.raises(ValueError, match="^sigma is too large: the model overflows"):
             sensitivity_quality_report("pgi", m, d, make_manual_explanations(d, 0),
                                        PerturbConfig(n=1))
+
+
+def whole_batch_gaps(m, X, sets, draws):
+    """The reference: every copy in one model call, then each row's mean |gap|."""
+    rows, count = draws.shape[:2]
+    copies = m.predict_proba_batch(perturbed_copies(X, sets, draws)).reshape(rows, count)
+    return np.abs(copies - m.predict_proba_batch(X)[:, None]).mean(axis=1)
+
+
+def gap_model(kind: str, width: int):
+    rng = np.random.default_rng(width)
+    if kind == "linear":
+        return make_linear_predictor(LinearModelSpec(tuple(rng.normal(size=width)), 0.3))
+    if kind == "logistic":
+        return train_logistic(generate_synthetic(SyntheticSpec(nu=200, n_features=width,
+                                                               seed=width)))
+    if kind.startswith("mlp"):
+        hidden = int(kind[3:])
+        return MlpPredictor([rng.normal(0, 1 / math.sqrt(width), (width, hidden)),
+                             rng.normal(0, 1 / math.sqrt(hidden), (hidden, 1))],
+                            [rng.normal(0, 0.1, hidden), [0.1]], "tanh", kind)
+    d = generate_synthetic(SyntheticSpec(nu=200, n_features=width, seed=width))
+    return build_scaffold(d, ScaffoldSpec(biased=RuleModelSpec(0), foils=(
+        RuleModelSpec(1), RuleModelSpec(2)), seed=width, detector_trees=4, detector_depth=6))
+
+
+def counted_chunks(m, monkeypatch) -> list[int]:
+    """The rows of each ``m.predict_proba_copies`` call, appended as it is made."""
+    calls, score = [], m.predict_proba_copies
+
+    def counting(X, sets, draws):
+        calls.append(len(X))
+        return score(X, sets, draws)
+
+    monkeypatch.setattr(m, "predict_proba_copies", counting)
+    return calls
+
+
+# (copies per row, rows, feature width, set width): every case scores at least three
+# chunks of the smallest block-aligned size; 1 and 100 copies end on a one-row remainder
+CHUNK_CASES = [(1, 3 * 2048 + 1, 40, 1), (7, 2 * 2048 + 2, 16, 2),
+               (33, 2 * 2048 + 2, 3, 2), (100, 3 * 512 + 1, 8, 3)]
+
+
+class TestChunkedGaps:
+    """A report scores its copies in row chunks that start on the MLP's block
+    boundaries; its gaps are the bits of one whole-batch call."""
+
+    def test_chunks_fill_whole_blocks(self):
+        for count in range(1, 300):
+            rows = metrics_sensitivity._chunk_rows(count)
+            assert rows * count % _BLOCK_ROWS == 0
+            assert rows * count <= max(metrics_sensitivity._CHUNK_COPIES,
+                                       _BLOCK_ROWS * count // math.gcd(count, _BLOCK_ROWS))
+        assert [metrics_sensitivity._chunk_rows(c) for c in (1, 7, 33, 100, 4096)] == [
+            65536, 8192, 2048, 512, 16]
+
+    @staticmethod
+    def chunked(m, count, rows, width, set_width, monkeypatch):
+        rng = np.random.default_rng(count)
+        X = rng.normal(size=(rows, width))
+        sets = np.sort(np.argsort(rng.random((rows, width)), axis=1)[:, :set_width], axis=1)
+        draws = rng.normal(0.0, 0.5, (rows, count, set_width))
+        calls = counted_chunks(m, monkeypatch)
+        with monkeypatch.context() as mp:
+            mp.setattr(metrics_sensitivity, "_CHUNK_COPIES", 1)  # the smallest chunks
+            got = metrics_sensitivity._gaps(m, X, sets, draws)
+        assert len(calls) >= 3 and sum(calls) == rows
+        assert calls[-1] != 1  # a one-row remainder joins the chunk before it
+        return got, whole_batch_gaps(m, X, sets, draws)
+
+    # a scaffold scores one free column by its leaf-cell override, more by the base protocol
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "mlp8", "mlp3", "mlp32", "scaffold"])
+    @pytest.mark.parametrize("count, rows, width, set_width", CHUNK_CASES)
+    def test_chunks_give_the_whole_batch_bits(self, kind, count, rows, width, set_width,
+                                              monkeypatch):
+        got, expected = self.chunked(gap_model(kind, width), count, rows, width, set_width,
+                                     monkeypatch)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_a_later_chunk_is_refused(self, monkeypatch):
+        # rows from 1,024 on, the third 512-row chunk at 100 copies, perturb the
+        # feature whose coefficient overflows; the rows before perturb a dead one
+        d = generate_synthetic(SyntheticSpec(nu=1100, n_features=3, seed=0))
+        m = make_linear_predictor(LinearModelSpec((1e307, 0.0, 0.0)))
+        marked = np.where(np.arange(d.nu)[:, None] < 1024, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        calls = counted_chunks(m, monkeypatch)
+        with pytest.raises(ValueError, match="^sigma is too large: the model overflows"):
+            sensitivity_quality_report("pgi", m, d, ExplanationSet(marked),
+                                       PerturbConfig(n=1, sigma=10.0))
+        assert calls == [512, 512, 76]
 
 
 def test_config_validation():
