@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class ExplainerConfig:
             raise ValueError("samples must be >= 1")
         if self.ig_steps < 1:
             raise ValueError("ig_steps must be >= 1")
+        if self.background_size < 1:
+            raise ValueError("background_size must be >= 1")
+        if not (isfinite(self.sigma_perturb) and self.sigma_perturb >= 0):  # 0 is degenerate
+            raise ValueError(f"sigma_perturb must be finite and >= 0, not {self.sigma_perturb!r}")
 
     def with_seed(self, seed: int) -> "ExplainerConfig":
         return replace(self, seed=seed)
@@ -134,6 +138,18 @@ def _all_coalitions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, weights
 
 
+@lru_cache(maxsize=None)
+def _enumerated_design(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The enumeration's weighted design matrix and root weights, read-only;
+    built once per n from ``_all_coalitions``."""
+    masks, weights = _all_coalitions(n)
+    sw = np.sqrt(weights)
+    design = (masks[:, :-1] - masks[:, -1:]) * sw[:, None]
+    design.flags.writeable = False
+    sw.flags.writeable = False
+    return design, sw
+
+
 def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Masks (rows of 0/1) and their regression weights.
 
@@ -151,6 +167,35 @@ def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return masks, np.ones(budget)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-empty 2-D array in lexicographic order, and
+    the index of each row among them. A sort, not np.unique: on floats it
+    imports numpy.ma under numpy 2.4."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _fill_enumerated(composite: np.ndarray, background: np.ndarray, x: np.ndarray) -> None:
+    """composite[r] = the background with x_j in every column j of bit j of
+    mask r + 1, for all 2**n - 2 rows, by doubling: rows 0 .. 2**j - 2 hold
+    masks 1 .. 2**j - 1, so masks 2**j .. 2**(j+1) - 1 are the background and
+    a copy of those rows, with x_j down column j."""
+    rows = composite.shape[0]
+    for j in range(x.size):
+        first = 2**j - 1  # the row of mask 2**j
+        if first >= rows:
+            break
+        end = min(2 * first + 1, rows)  # the full mask is not a coalition
+        composite[first] = background
+        composite[first + 1:end] = composite[:end - first - 1]
+        composite[first:end, :, j] = x[j]
+
+
 def _buffer(workspace: dict, shape: tuple[int, ...]) -> np.ndarray:
     """The workspace's float array of this shape, made on first use; contents are stale."""
     if shape not in workspace:
@@ -165,10 +210,21 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
     Masked features are replaced by values from seeded background rows of the
     dataset; coalition values average over that background.
 
-    The (coalitions, background, N) composite the model scores is written in
-    full on every call, into an array held by ``workspace``: the caller owns
-    that dict and may pass the same one to every row it explains, one thread
-    at a time. Without one, the call makes its own array. The output does not
+    The model scores each distinct coalition's (background, N) composite once.
+    An enumeration is filled by doubling in its binary order
+    (``_fill_enumerated``); every row is a copy of a background row or of an
+    earlier row with x copied over some columns, so it holds the bits a fill
+    column by column writes. Sampled masks repeat, so only the distinct ones
+    are scored, and each mask takes its distinct mask's value through the
+    inverse index. That changes the batch's height and nothing else: rules,
+    trees and the MLP the command line trains score a row to the same bits at
+    any height (``models.py`` names the loaded MLP shapes whose last bit can
+    move), so the values, and the least squares over every mask, keep theirs.
+
+    The composite is written into an array held by ``workspace``: the caller
+    owns that dict and may pass the same one to every row it explains, one
+    thread at a time. Sampled masks fill a prefix of the array sized for every
+    mask, so one array serves every row. Without one, the call makes its own array. The output does not
     depend on which it is. Sharing pays from N = 42 at the default settings:
     the composite then exceeds glibc's 32 MiB ceiling on its mmap threshold, so
     a fresh one per row faults its pages in anew (README "Explain cost").
@@ -186,21 +242,25 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
     delta = v_full - v_empty
 
     masks, weights = _coalition_masks(n, cfg.samples, rng)
-    n_masks = masks.shape[0]
+    buffer = _buffer({} if workspace is None else workspace, (masks.shape[0], bg_count, n))
     # composite[c, b, j] = x_j when feature j is in coalition c, else background row b
-    composite = _buffer({} if workspace is None else workspace, (n_masks, bg_count, n))
-    composite[...] = background
-    keep = masks.astype(bool)
-    for j in range(n):
-        composite[keep[:, j], :, j] = x[j]
-    values = m.predict_proba_batch(composite.reshape(-1, n)).reshape(n_masks, bg_count).mean(axis=1)
+    if 2**n - 2 <= cfg.samples:
+        _fill_enumerated(buffer, background, x)
+        composite, inverse = buffer, slice(None)  # every coalition is distinct
+        design, sw = _enumerated_design(n)
+    else:
+        distinct, inverse = _distinct_rows(masks)
+        composite = buffer[:len(distinct)]
+        composite[...] = background
+        keep = distinct.astype(bool)
+        for j in range(n):
+            composite[keep[:, j], :, j] = x[j]
+        design, sw = masks[:, :-1] - masks[:, -1:], weights  # unit weights are their roots
+    values = m.predict_proba_batch(composite.reshape(-1, n)).reshape(-1, bg_count).mean(axis=1)
 
     # substitute the efficiency constraint: phi_n = delta - sum(phi_1..phi_{n-1})
-    z_last = masks[:, -1]
-    design = masks[:, :-1] - z_last[:, None]
-    target = values - v_empty - z_last * delta
-    sw = np.sqrt(weights)
-    phi_head, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
+    target = values[inverse] - v_empty - masks[:, -1] * delta
+    phi_head, *_ = np.linalg.lstsq(design, target * sw, rcond=None)
     phi = np.append(phi_head, delta - phi_head.sum())
     return Explanation(importances=phi, explainer_tag="kernel-shapley")
 

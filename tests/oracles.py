@@ -298,3 +298,47 @@ def region_tsv_oracle(axis, metric, grid):
         for b, q in zip(axis, row):
             lines.append(f"{a!r}\t{b!r}\t{metric}\t{q!r}\n")
     return "".join(lines).encode("utf-8")
+
+
+def kernel_shapley_oracle(proba_batch, x, features, samples, background_size, seed):
+    """Kernel-Shapley values with one model call per coalition mask, repeated
+    masks included. Re-derives the documented draws: the background rows, then
+    every coalition in binary order (bit j = feature j) with its kernel weight
+    when 2**n - 2 <= samples, else ``samples`` masks, each a size drawn with
+    chance (n-1) / (s(n-s)) and that many features of a permutation, weight 1.
+    The least squares substitutes phi_n = delta - sum of the others."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    rng = np.random.default_rng(seed)
+    count = min(background_size, len(features))
+    background = np.asarray(features, dtype=float)[rng.choice(len(features), size=count,
+                                                              replace=False)]
+    v_empty = float(proba_batch(background).mean())
+    delta = float(proba_batch(x[None])[0]) - v_empty
+    if 2**n - 2 <= samples:
+        masks = [[(bits >> j) & 1 for j in range(n)] for bits in range(1, 2**n - 1)]
+        weights = [(n - 1) / (math.comb(n, sum(m)) * sum(m) * (n - sum(m))) for m in masks]
+    else:
+        sizes = np.arange(1, n)
+        p = (n - 1) / (sizes * (n - sizes))
+        masks = []
+        for s in rng.choice(sizes, size=samples, p=p / p.sum()):
+            mask = [0] * n
+            for j in rng.permutation(n)[:s]:
+                mask[j] = 1
+            masks.append(mask)
+        weights = [1.0] * samples
+    values = []
+    for mask in masks:
+        rows = background.copy()
+        for j in range(n):
+            if mask[j]:
+                rows[:, j] = x[j]
+        values.append(float(proba_batch(rows).mean()))
+    masks = np.array(masks, dtype=float).reshape(-1, n)
+    sw = np.sqrt(np.array(weights))
+    z_last = masks[:, -1]
+    design = (masks[:, :-1] - z_last[:, None]) * sw[:, None]
+    target = (np.array(values) - v_empty - z_last * delta) * sw
+    head = np.linalg.lstsq(design, target, rcond=None)[0]
+    return np.append(head, delta - head.sum())

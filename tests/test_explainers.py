@@ -4,10 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axebench import explainers
 from axebench.axe import AxeConfig, axe_quality
-from axebench.core import row_seed, top_n_features
+from axebench.core import Dataset, row_seed, top_n_features
 from axebench.data import SyntheticSpec, generate_synthetic
 from axebench.explainers import (ExplainerConfig, explain_dataset,
                                  explain_gradient, explain_integrated_gradients,
@@ -19,7 +21,7 @@ from axebench.models import (LinearModelSpec, MlpSpec, RuleModelSpec,
                              make_linear_predictor, make_rule_predictor, train_mlp)
 
 from conftest import AdditiveProbaPredictor, AffineProbaPredictor, ConstantPredictor
-from oracles import shapley_exhaustive
+from oracles import kernel_shapley_oracle, shapley_exhaustive
 
 
 class TestGradient:
@@ -356,6 +358,23 @@ def test_manual_is_not_a_dataset_explainer_kind():
         ExplainerConfig(kind="manual")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("background_size", 0), ("background_size", -3), ("sigma_perturb", -1.0),
+    ("sigma_perturb", float("nan")), ("sigma_perturb", float("inf")),
+])
+def test_config_refuses_outside_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExplainerConfig(kind="kernel-shapley", **{field: value})
+
+
+def test_zero_sigma_is_degenerate_sampling():
+    d = generate_synthetic(SyntheticSpec(nu=20, n_features=3, seed=5))
+    m = make_linear_predictor(LinearModelSpec((0.5, -0.2, 0.1)))
+    cfg = ExplainerConfig(kind="local-surrogate", samples=20, sigma_perturb=0.0, seed=1)
+    e = explain_local_surrogate(m, d.features[0], d, cfg)
+    assert e.explainer_tag == "local-surrogate[degenerate-sampling]"
+
+
 def test_with_seed_keeps_every_other_field():
     cfg = ExplainerConfig(kind="kernel-shapley", samples=7, sigma_perturb=0.2,
                           baseline=np.ones(3), ig_steps=5, seed=1, background_size=9)
@@ -415,6 +434,13 @@ class TestKernelShapleyWorkspace:
         assert all(b is seen[d.nu] for b in seen[d.nu:]) and seen[d.nu] is not seen[0]
         explain_kernel_shapley(model, d.features[0], d, cfg)
         assert seen[-1] is not seen[0] and seen[-1] is not seen[d.nu]
+        # sampled masks: the distinct ones fill a prefix of the same one array per call
+        wide = correlated_foil(20, 10, seed=2)
+        model = train_mlp(wide, MlpSpec(hidden_sizes=(4,), epochs=20, seed=0))
+        seen.clear()
+        explain_dataset(model, wide, cfg)
+        assert len(seen) == wide.nu and all(b is seen[0] for b in seen)
+        assert seen[0].shape == (100, 10, 10)
 
     def test_back_to_back_calls_of_different_width(self):
         runs = []
@@ -448,3 +474,102 @@ class TestKernelShapleyWorkspace:
             sys.setswitchinterval(interval)
         for got, want in zip(concurrent, sequential * 2):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# values that collide: rounded, duplicated, signed zeros, and x equal to the background
+_TIED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.25, -3.0, 1e-300])
+
+
+@st.composite
+def enumeration_case(draw):
+    n = draw(st.integers(1, 10))
+    pool = draw(st.lists(st.lists(_TIED, min_size=n, max_size=n), min_size=1, max_size=4))
+    background = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+    x = np.array(draw(st.one_of(st.sampled_from(pool), st.lists(_TIED, min_size=n,
+                                                                max_size=n))))
+    return x, background
+
+
+class TestKernelShapleyComposite:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(enumeration_case())
+    def test_doubling_fill_is_the_column_fill(self, case):
+        x, background = case
+        n, bg = x.size, len(background)
+        masks = explainers._all_coalitions(n)[0]
+        want = np.empty((masks.shape[0], bg, n))
+        want[...] = background
+        for j in range(n):
+            want[masks[:, j] == 1, :, j] = x[j]
+        got = np.full(want.shape, np.nan)  # stale contents must all be overwritten
+        explainers._fill_enumerated(got, background, x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_enumerated_design_is_built_once_read_only(self):
+        design, sw = explainers._enumerated_design(5)
+        assert explainers._enumerated_design(5)[0] is design
+        assert design.shape == (30, 4) and sw.shape == (30,)
+        assert not design.flags.writeable and not sw.flags.writeable
+
+    def test_one_feature_has_no_coalitions(self):
+        d = Dataset(features=np.random.default_rng(3).normal(size=(30, 1)), feature_names=("a",))
+        m = AffineProbaPredictor([0.1])
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=10, seed=4, background_size=12)
+        phi = explain_kernel_shapley(m, d.features[0], d, cfg).importances
+        oracle = kernel_shapley_oracle(m.predict_proba_batch, d.features[0], d.features,
+                                       10, 12, 4)
+        assert phi.shape == (1,) and phi.tobytes() == oracle.tobytes()
+        every = dataclasses.replace(cfg, seed=5, background_size=d.nu)  # every row
+        phi = explain_kernel_shapley(m, d.features[0], d, every).importances[0]
+        v_empty = m.predict_proba_batch(d.features).mean()
+        assert phi == pytest.approx(m.predict_proba(d.features[0]) - v_empty, abs=1e-15)
+
+    def test_two_features(self, shapley_background):
+        d = Dataset(features=shapley_background.features[:, :2], feature_names=("a", "b"))
+        m = make_rule_predictor(RuleModelSpec(1, 0.0, True))
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=4, seed=6, background_size=d.nu)
+        x = d.features[3]
+        phi = explain_kernel_shapley(m, x, d, cfg).importances
+        oracle = kernel_shapley_oracle(m.predict_proba_batch, x, d.features, 4, d.nu, 6)
+        assert phi.tobytes() == oracle.tobytes()
+
+        def value(coalition):
+            comp = d.features.copy()
+            for f in coalition:
+                comp[:, f] = x[f]
+            return float(m.predict_proba_batch(comp).mean())
+
+        assert np.allclose(phi, shapley_exhaustive(value, 2), atol=1e-12)
+
+    @pytest.mark.parametrize("samples", [30, 1000])
+    def test_models_bit_equal_to_one_call_per_mask(self, samples):
+        d = correlated_foil(40, 12, seed=7)
+        models = [train_mlp(d, MlpSpec(hidden_sizes=(8,), epochs=30, seed=1)),
+                  make_linear_predictor(LinearModelSpec(tuple(np.linspace(-0.5, 0.5, 12))))]
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=samples, seed=3)
+        for m in models:
+            for i in (0, 17):
+                local = cfg.with_seed(row_seed(3, i))
+                got = explain_kernel_shapley(m, d.features[i], d, local).importances
+                want = kernel_shapley_oracle(m.predict_proba_batch, d.features[i], d.features,
+                                             samples, 100, local.seed)
+                assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(10, 12), samples=st.integers(30, 1000),
+           background_size=st.integers(5, 20), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_masks_bit_equal_to_one_call_per_mask(self, n, samples, background_size,
+                                                          seed):
+        rng = np.random.default_rng(seed)
+        pool = np.round(rng.normal(size=(8, n)), 1)  # duplicated, rounded rows
+        features = pool[rng.integers(0, 8, 30)]
+        d = Dataset(features=features, feature_names=tuple(f"f{j}" for j in range(n)))
+        slopes = np.round(rng.normal(0, 0.05, n), 3)
+        m = AdditiveProbaPredictor([lambda v, a=a: a * np.tanh(v) for a in slopes])
+        cfg = ExplainerConfig(kind="kernel-shapley", samples=samples, seed=seed,
+                              background_size=background_size)
+        x = features[rng.integers(0, 30)]
+        got = explain_kernel_shapley(m, x, d, cfg).importances
+        want = kernel_shapley_oracle(m.predict_proba_batch, x, features, samples,
+                                     background_size, seed)
+        assert got.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axebench import explainers
 from axebench._trees import BaggedTrees
 from axebench.core import Dataset, ExplanationSet, perturbed_copies, write_json
 from axebench.data import SyntheticSpec, generate_synthetic
@@ -662,6 +663,16 @@ class TestBlockedBatches:
         explain_kernel_shapley(cli_shaped_mlp(8), d.features[0], d,
                                ExplainerConfig(kind="kernel-shapley"))
         assert calls == [100, 1, 25_400]  # background, the row, 254 coalitions x 100
+        # 12 columns: 4,094 coalitions exceed 1,000 samples, and each distinct mask is scored once
+        calls.clear()
+        wide = generate_synthetic(SyntheticSpec(nu=150, n_features=12, seed=0))
+        cfg = ExplainerConfig(kind="kernel-shapley", seed=5)
+        explain_kernel_shapley(cli_shaped_mlp(12), wide.features[0], wide, cfg)
+        rng = np.random.default_rng(5)
+        rng.choice(wide.nu, size=100, replace=False)  # the background draw comes first
+        masks = explainers._coalition_masks(12, 1000, rng)[0]
+        distinct = len({tuple(row) for row in masks.tolist()})
+        assert distinct < 1000 and calls == [100, 1, distinct * 100]
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 8)], ids=["one-d", "three-d"])
     def test_batch_of_wrong_rank_rejected(self, shape):
