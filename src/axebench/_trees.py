@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_fields
+from .core import check_fields, labels_of, spans
 
 
 def _ranges(starts, lengths):
@@ -352,9 +352,7 @@ class BaggedTrees:
         flat = X.ravel()
         n_trees = table.roots.size
         votes = np.zeros(n_points)
-        rows = max(1, _BLOCK_PATHS // n_trees)
-        for start in range(0, n_points, rows):
-            stop = min(start + rows, n_points)
+        for start, stop in spans(n_points, max(1, _BLOCK_PATHS // n_trees)):
             offsets = np.arange(start * width, stop * width, width)[:, None]
             cur = np.repeat(table.roots[None, :], stop - start, axis=0)
             for _ in range(table.levels):
@@ -367,7 +365,7 @@ class BaggedTrees:
         return votes / n_trees
 
     def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)
+        return labels_of(self.predict_proba(X))
 
     def predict_proba_copies(self, rows, free, which, values) -> np.ndarray:
         """``predict_proba`` of copies that each differ from a row in one column, bit for bit.

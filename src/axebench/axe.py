@@ -66,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (Dataset, ExplanationSet, QualityReport, _magnitude_order, check_explanations,
-                   write_csv)
+                   distinct_rows, spans, write_csv)
 from .explainers import make_manual_explanations
 
 # A search whose query rows x nu x |subset| is at most this many runs as the
@@ -135,9 +135,9 @@ def _nearest_rows(d: Dataset, subset, rows: np.ndarray, max_k: int,
             at = todo[tie_group[rows[todo]] < span]
             lo = np.clip(position[rows[at]] - half, 0, d.nu - span)
         step = max(1, _QUERY_ELEMENTS // span)
-        for start in range(0, at.size, step):
-            block = at[start:start + step]
-            ok, head = _search(cols, ordered, order, key, rows[block], lo[start:start + step],
+        for start, end in spans(at.size, step):
+            block = at[start:end]
+            ok, head = _search(cols, ordered, order, key, rows[block], lo[start:end],
                                span, width, include_self)
             out[block[ok]] = head
             pending[block[ok]] = False
@@ -244,14 +244,14 @@ def axe_quality_many(d: Dataset, targets, explanations: ExplanationSet, cfgs,
     recovered = np.empty((len(cfgs), *ys.shape), dtype=int)
     for n in dict.fromkeys(cfg.n for cfg in cfgs):
         subsets = _magnitude_order(explanations.importances, n, largest=True)
-        distinct, group = np.unique(subsets, axis=0, return_inverse=True)
+        distinct, group = distinct_rows(subsets)
         for include_self in (False, True):
             at = [c for c, cfg in enumerate(cfgs) if (cfg.n, cfg.include_self) == (n, include_self)]
             if not at:
                 continue
             max_k = max(cfgs[c].k for c in at)
             for g, subset in enumerate(distinct):
-                rows = np.flatnonzero(group.ravel() == g)
+                rows = np.flatnonzero(group == g)
                 table = _nearest_rows(d, subset, rows, max_k, include_self)
                 for c in at:
                     recovered[c][:, rows] = _recovered(ys, table, cfgs[c].k)

@@ -1,4 +1,4 @@
-"""Core domain types and ranking primitives shared by every other module.
+"""Core domain types, ranking primitives and batch rules shared by every other module.
 
 Five small objects carry all state: an immutable tabular :class:`Dataset`,
 signed importances for one datapoint (:class:`Explanation`) or for every row
@@ -6,6 +6,10 @@ signed importances for one datapoint (:class:`Explanation`) or for every row
 deterministic binary classifiers, and a per-datapoint :class:`QualityReport`.
 Everything here is immutable after construction and safe to share across
 concurrent workers.
+
+The batch rules live here too, each once: :func:`labels_of` is the one 0.5
+threshold, :func:`spans` cuts every block loop, and :func:`distinct_rows`
+groups equal rows.
 """
 from __future__ import annotations
 
@@ -193,7 +197,7 @@ class Predictor:
         return None if g is None else g[0]
 
     def predict(self, x) -> int:
-        return int(self.predict_proba(x) >= 0.5)
+        return int(labels_of(self.predict_proba(x)))
 
     def predict_batch(self, X) -> np.ndarray:
         return labels_of(self.predict_proba_batch(X))
@@ -205,9 +209,45 @@ class Predictor:
         return self.predict_proba_batch(perturbed_copies(X, sets, draws)).reshape(rows, count)
 
 
-def labels_of(proba: np.ndarray) -> np.ndarray:
-    """0/1 predictions from probabilities: 1 from 0.5 up."""
-    return (proba >= 0.5).astype(int)
+def labels_of(proba) -> np.ndarray:
+    """0/1 predictions from probabilities, or from one probability: 1 from 0.5 up."""
+    return (np.asarray(proba) >= 0.5).astype(int)
+
+
+def spans(n: int, step: int) -> list[tuple[int, int]]:
+    """The (start, end) spans that cut ``n`` rows into blocks of ``step``, in
+    order: every span starts at a multiple of ``step``, and ``n == 0`` gives none.
+
+    A final remainder of one row joins the span before it, so no span holds
+    more than ``step + 1`` rows. A one-row matrix product takes a different
+    BLAS routine (matrix-vector) from a taller one: left as a block of its own,
+    a last row moved the last bit of the MLP's gradient at 2,049 rows at every
+    input width tested. The MLP's blocks and a gap report's chunks of copies
+    both cut by this rule, so a chunk meets the blocks of one whole-batch call."""
+    ends = [*range(step, n - 1, step), n] if n else []
+    return list(zip([0, *ends], ends))
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-empty 2-D array in lexicographic order, and
+    the index of each row among them: the rows and the inverse of
+    ``np.unique(rows, axis=0, return_inverse=True)``. A sort, not np.unique:
+    on floats that imports numpy.ma under numpy 2.4."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _coalition_sizes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes 1..n-1 and their chance: (n-1) / (s(n-s)), the kernel-Shapley weight
+    summed over the coalitions of each size, normalised."""
+    sizes = np.arange(1, n)
+    p = (n - 1) / (sizes * (n - sizes))
+    return sizes, p / p.sum()
 
 
 def perturbed_copies(X: np.ndarray, sets: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -338,8 +378,9 @@ class QualityReport:
                                            "per_point_q": list[float | None],
                                            "aggregate_q": float | None,
                                            "undefined_count": int,
+                                           "schema_version": int | None,
                                            **dict.fromkeys(tags, str)},
-                     optional=(*tags, "undefined_count"))
+                     optional=(*tags, "undefined_count", "schema_version"))
         version = d.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"report schema_version {version!r} is not supported; "
@@ -370,16 +411,17 @@ def write_json(path, payload) -> None:
     """Deterministic JSON dump: sorted keys, fixed layout, trailing newline.
 
     The one guard against non-JSON output: a NaN or infinity anywhere in
-    ``payload`` raises ``ValueError`` and leaves no file behind."""
+    ``payload`` raises ``ValueError``. The payload is encoded before any
+    directory is made, and a refused one leaves no file at ``path``, not even
+    one an earlier write left there, so a stale file never reads as its output."""
     path = Path(path)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        path.unlink(missing_ok=True)
+        raise ValueError(f"cannot write {path.name}: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        try:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        except ValueError as exc:
-            path.unlink()
-            raise ValueError(f"cannot write {path.name}: {exc}") from exc
-        fh.write("\n")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_csv(path, header, rows) -> None:

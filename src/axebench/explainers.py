@@ -15,8 +15,9 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .core import (Dataset, Explanation, ExplanationSet, Predictor, check_fields, check_type,
-                   one_row, row_seed, write_csv, write_json)
+from .core import (Dataset, Explanation, ExplanationSet, Predictor, _coalition_sizes,
+                   check_fields, check_type, distinct_rows, one_row, row_seed, write_csv,
+                   write_json)
 
 _LOADED_TAG = "loaded"  # the explainer_tag of every CSV row, and of a JSON row naming none
 _SURROGATE_RIDGE = 1.0  # the local surrogate's first ridge penalty; raised tenfold until stable
@@ -119,14 +120,6 @@ def _kernel_weight(n: int, s: int) -> float:
     return (n - 1) / (comb(n, s) * s * (n - s))
 
 
-def _coalition_sizes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes 1..n-1 and their chance: (n-1) / (s(n-s)), the kernel weight summed
-    over the coalitions of each size, normalised."""
-    sizes = np.arange(1, n)
-    p = (n - 1) / (sizes * (n - sizes))
-    return sizes, p / p.sum()
-
-
 @lru_cache(maxsize=None)
 def _all_coalitions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every non-trivial coalition of n features as read-only 0/1 mask rows,
@@ -165,19 +158,6 @@ def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     for i, s in enumerate(drawn):
         masks[i, rng.permutation(n)[:s]] = 1.0
     return masks, np.ones(budget)
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-empty 2-D array in lexicographic order, and
-    the index of each row among them. A sort, not np.unique: on floats it
-    imports numpy.ma under numpy 2.4."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
 
 
 def _fill_enumerated(composite: np.ndarray, background: np.ndarray, x: np.ndarray) -> None:
@@ -249,7 +229,7 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
         composite, inverse = buffer, slice(None)  # every coalition is distinct
         design, sw = _enumerated_design(n)
     else:
-        distinct, inverse = _distinct_rows(masks)
+        distinct, inverse = distinct_rows(masks)
         composite = buffer[:len(distinct)]
         composite[...] = background
         keep = distinct.astype(bool)

@@ -13,9 +13,9 @@ once, so its memory does not grow with rows x perturbations (the whole batch of
 ``_BLOCK_ROWS / gcd(count, _BLOCK_ROWS)`` rows, so every chunk starts on a
 boundary of the MLP's ``_BLOCK_ROWS``-copy blocks, and of the unrolled row
 groups of a matrix-vector product: each copy meets the same BLAS kernel as in
-one whole-batch call, and gets the same bits. A final remainder of one row
-joins the chunk before it, because a one-copy product would take BLAS's
-matrix-vector routine (see :mod:`axebench.models`). Each row's mean adds its own
+one whole-batch call, and gets the same bits. The chunks are :func:`core.spans`
+of the rows, as the MLP's blocks are of its batch; that docstring says why a
+final one-row remainder joins the chunk before it. Each row's mean adds its own
 gaps in one order, whatever chunk holds it. One dependence stays as it was:
 OpenBLAS shares a matrix-vector product among its threads by height, so with
 more than one thread a row can move in the last bit with the batch's height,
@@ -33,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (Dataset, ExplanationSet, Predictor, QualityReport, _BLOCK_ROWS,
-                   _magnitude_order, check_explanations, importances_of, one_row, row_seed)
+                   _magnitude_order, check_explanations, importances_of, one_row, row_seed,
+                   spans)
 
 # Perturbed copies a gap report scores per chunk, about; see the module docstring.
 _CHUNK_COPIES = 1 << 16
@@ -95,9 +96,8 @@ def _gaps(m: Predictor, X: np.ndarray, sets: np.ndarray, draws: np.ndarray,
     if base is None:
         base = m.predict_proba_batch(X)
     step = _chunk_rows(count)
-    ends = [*range(step, rows - 1, step), rows]  # a final one-row remainder joins the last chunk
     gaps, out = np.empty((min(step + 1, rows), count)), np.empty(rows)
-    for start, end in zip([0, *ends], ends):
+    for start, end in spans(rows, step):
         try:  # finite copies that overflow the model give noise, not its sensitivity
             with np.errstate(over="raise", invalid="raise"):
                 copies = m.predict_proba_copies(X[start:end], sets[start:end],
@@ -154,6 +154,9 @@ def sensitivity_quality_report(metric_name: str, m: Predictor, d: Dataset,
     single-point :func:`pgi` and :func:`pgu` are one-row reports.
     """
     check_explanations(d, explanations)
+    if base_proba is not None and np.shape(base_proba) != (d.nu,):
+        raise ValueError(f"base_proba must have shape ({d.nu},), one probability per row, "
+                         f"not {np.shape(base_proba)}")
     sets = perturbed_index_sets(metric_name, explanations, cfg.n)
     per_point = np.zeros(d.nu)
     if cfg.n:

@@ -22,10 +22,9 @@ of several blocks adds each bias from rows repeated to the block's height,
 built once per call: numpy adds (2,048, 8) + (2,048, 8) in 5 us and the
 broadcast (2,048, 8) + (8,) in 19 us, to the same bits, which pays for the
 per-block overhead. A batch of one block runs as one ``_forward`` with the
-broadcast biases, since repeated bias rows pay only across blocks. A final
-remainder of one row joins the block before it, because a one-row product
-takes a different BLAS routine (matrix-vector): left as a block of its own, it
-moved the last bit of the gradient at 2,049 rows at every input width tested.
+broadcast biases, since repeated bias rows pay only across blocks. The blocks
+are :func:`core.spans` of the batch, which says why a final one-row remainder
+joins the block before it.
 
 For the network the command line trains, hidden layer (8,), blocks give the
 same bits as scoring the whole batch at once at every row count and input
@@ -45,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trees import BaggedTrees
-from .core import Dataset, Predictor, _BLOCK_ROWS, check_fields, perturbed_copies, write_json
-from .explainers import _coalition_sizes
+from .core import (Dataset, Predictor, _BLOCK_ROWS, _coalition_sizes, check_fields, labels_of,
+                   perturbed_copies, spans, write_json)
 
 
 def _rows_of_width(X, width: int) -> np.ndarray:
@@ -297,18 +296,16 @@ class MlpPredictor(Predictor):
 
     def _by_blocks(self, X, score, row_shape: tuple) -> np.ndarray:
         """``score`` of the ``_forward`` activations of each block of X's rows,
-        written into one array of ``row_shape`` per row. Blocks start at
-        multiples of ``_BLOCK_ROWS``, and a final one-row remainder joins the
-        block before it. One block skips the loop, to the same bits: 3,000
-        one-row gradients took 96 ms that way and 170 ms through it (2-core Xeon)."""
+        written into one array of ``row_shape`` per row; the blocks are
+        ``spans(len(X), _BLOCK_ROWS)``. One block skips the loop, to the same bits:
+        3,000 one-row gradients took 96 ms that way and 170 ms through it (2-core Xeon)."""
         X = _rows_of_width(X, self.weights[0].shape[0])
-        n = len(X)
-        if n <= _BLOCK_ROWS + 1:  # one block: no bias rows to share
+        blocks = spans(len(X), _BLOCK_ROWS)
+        if len(blocks) < 2:  # one block: no bias rows to share
             return score(self._forward(X))
         bias_rows = [np.repeat(b[None], _BLOCK_ROWS + 1, axis=0) for b in self.biases]
-        ends = [*range(_BLOCK_ROWS, n - 1, _BLOCK_ROWS), n]
-        out = np.empty((n, *row_shape))
-        for start, end in zip([0, *ends], ends):
+        out = np.empty((len(X), *row_shape))
+        for start, end in blocks:
             biases = [b[:end - start] for b in bias_rows]
             out[start:end] = score(self._forward(X[start:end], biases))
         return out
@@ -387,7 +384,7 @@ class OodDetector:
 
     def flags_copies(self, rows, free, which, values) -> np.ndarray:
         """``flags_batch`` of one-column copies of rows; see ``BaggedTrees.predict_proba_copies``."""
-        return self.model.predict_proba_copies(rows, free, which, values) >= 0.5
+        return labels_of(self.model.predict_proba_copies(rows, free, which, values)).astype(bool)
 
     def to_dict(self) -> dict:
         return {"model": self.model.to_dict(), "sigma_ood": self.sigma_ood,

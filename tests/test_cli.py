@@ -883,9 +883,12 @@ class TestReport:
          "error [core]: quality report lacks 'per_point_q'"),
         ("report_fa.json", "[]",
          "error [core]: quality report must be dict, not list"),
+        ("report_fa.json", json.dumps({**QualityReport("fa", {}, [1.0]).to_dict(),
+                                       "schema_version": True}),
+         "error [core]: quality report 'schema_version' must be int | None, not bool"),
     ], ids=["verdicts-not-json", "verdicts-not-list", "verdict-without-model-name",
             "verdict-with-str-q", "verdict-with-nan-q", "verdict-with-infinite-q-foil2",
-            "report-without-per-point-q", "report-not-object"])
+            "report-without-per-point-q", "report-not-object", "report-with-bool-version"])
     def test_malformed_run_file_exits_2(self, tmp_path, capsys, name, payload, message):
         (tmp_path / name).write_text(payload)
         assert main(["report", "--run", str(tmp_path)]) == 2

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from axebench.axe import write_trace
-from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, ExplanationSet,
-                           QualityReport, bottom_n_features, perturbed_copies, rank_vector,
-                           row_seed, top_n_features, write_json)
+from axebench.core import (SCHEMA_VERSION, Dataset, Explanation, ExplanationSet, Predictor,
+                           QualityReport, bottom_n_features, distinct_rows, labels_of,
+                           perturbed_copies, rank_vector, row_seed, spans, top_n_features,
+                           write_json)
 from axebench.data import save_csv
 from axebench.explainers import save_explanations_csv
 
@@ -222,6 +226,10 @@ def test_write_json_refuses_non_json_floats(tmp_path, value):
     with pytest.raises(ValueError, match="cannot write x.json: Out of range float values"):
         write_json(path, {"ok": 1.0, "nested": [0.5, value]})
     assert not path.exists()  # no half-written file, and not the old one either
+    fresh = tmp_path / "new" / "y.json"
+    with pytest.raises(ValueError, match="cannot write y.json"):
+        write_json(fresh, [value])
+    assert not fresh.parent.exists()  # refused before any directory is made
 
 
 _RAW = np.array([[0.1 + 0.2, -0.0], [1e-300, 2.5]])  # a 17-digit repr and a signed zero
@@ -265,3 +273,52 @@ def test_perturbed_copies_match_a_loop_over_copies(sets):
                 copy[f] = X[i, f] + draws[i, j, c]
             expected.append(copy)
     assert perturbed_copies(X, sets, draws).tobytes() == np.array(expected).tobytes()
+
+
+class TestBatchRules:
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 200), step=st.integers(1, 50))
+    def test_spans_cover_the_rows_in_order(self, n, step):
+        cut = spans(n, step)
+        assert [i for start, end in cut for i in range(start, end)] == list(range(n))
+        assert all(start % step == 0 and end - start <= step + 1 for start, end in cut)
+        if n >= 2:
+            assert cut[-1][1] - cut[-1][0] >= 2  # a one-row remainder joins the span before it
+        assert (cut == []) == (n == 0)
+
+    def test_spans_of_the_block_size(self):
+        assert spans(2049, 2048) == [(0, 2049)]
+        assert spans(4097, 2048) == [(0, 2048), (2048, 4097)]
+        assert spans(4098, 2048) == [(0, 2048), (2048, 4096), (4096, 4098)]
+        assert spans(1, 2048) == [(0, 1)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5).flatmap(lambda width: arrays(
+        np.int64, st.tuples(st.integers(1, 60), st.just(width)),
+        elements=st.integers(-2, 2))))
+    def test_distinct_rows_match_np_unique(self, rows):
+        distinct, inverse = distinct_rows(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert distinct.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.ravel().tolist()
+        assert (distinct[inverse] == rows).all()
+
+    @pytest.mark.parametrize("rows", [[[3, 1, 2]], [[2], [0], [2], [1], [0]]],
+                             ids=["one-row", "one-column"])
+    def test_distinct_rows_of_one_row_and_one_column(self, rows):
+        rows = np.array(rows)
+        distinct, inverse = distinct_rows(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert distinct.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.ravel().tolist()
+
+    def test_labels_of_is_the_one_threshold(self):
+        assert labels_of(np.array([0.0, np.nextafter(0.5, 0), 0.5, 1.0])).tolist() == [0, 0, 1, 1]
+        assert int(labels_of(0.5)) == 1 and int(labels_of(0.49)) == 0
+
+        class Half(Predictor):
+            def predict_proba_batch(self, X):
+                return np.full(len(X), 0.5)
+        assert Half().predict(np.zeros(2)) == 1
+        assert Half().predict_batch(np.zeros((3, 2))).tolist() == [1, 1, 1]

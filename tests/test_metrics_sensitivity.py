@@ -121,6 +121,13 @@ class TestReport:
             sensitivity_quality_report("pgi", m, d, ExplanationSet(np.ones((d.nu - 1, 3))),
                                        PerturbConfig(n=1))
 
+    @pytest.mark.parametrize("shape", [(80,), (39,), (40, 1)], ids=["longer", "shorter", "2-D"])
+    def test_base_proba_must_hold_one_probability_per_row(self, setup, shape):
+        d, m = setup
+        with pytest.raises(ValueError, match=r"base_proba must have shape \(40,\)"):
+            sensitivity_quality_report("pgi", m, d, make_manual_explanations(d, 0),
+                                       PerturbConfig(n=1), base_proba=np.full(shape, 0.5))
+
     def test_explanation_width_must_match_feature_count(self, setup):
         d, m = setup
         for width in (d.n_features - 1, d.n_features + 2):
