@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -297,21 +297,14 @@ class TestBatchRules:
     @given(st.integers(1, 5).flatmap(lambda width: arrays(
         np.int64, st.tuples(st.integers(1, 60), st.just(width)),
         elements=st.integers(-2, 2))))
+    @example(np.array([[3, 1, 2]]))  # one row
+    @example(np.array([[2], [0], [2], [1], [0]]))  # one column
     def test_distinct_rows_match_np_unique(self, rows):
         distinct, inverse = distinct_rows(rows)
         expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
         assert distinct.tolist() == expected.tolist()
         assert inverse.tolist() == expected_inverse.ravel().tolist()
         assert (distinct[inverse] == rows).all()
-
-    @pytest.mark.parametrize("rows", [[[3, 1, 2]], [[2], [0], [2], [1], [0]]],
-                             ids=["one-row", "one-column"])
-    def test_distinct_rows_of_one_row_and_one_column(self, rows):
-        rows = np.array(rows)
-        distinct, inverse = distinct_rows(rows)
-        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
-        assert distinct.tolist() == expected.tolist()
-        assert inverse.tolist() == expected_inverse.ravel().tolist()
 
     def test_labels_of_is_the_one_threshold(self):
         assert labels_of(np.array([0.0, np.nextafter(0.5, 0), 0.5, 1.0])).tolist() == [0, 0, 1, 1]
