@@ -143,12 +143,24 @@ def _load_config_file(args: argparse.Namespace):
         return json.load(fh)
 
 
+def _check_sources(params: dict, defaults: dict) -> None:
+    """Refuse two sources of one input, and --dataset or --schema alone. A value
+    other than the command's default is given: attack's --proxy all is not."""
+    given = [key for key in defaults if params[key] != defaults[key]]
+    for module, keys in (("data", ("dataset", "proxy", "synthetic")),
+                         ("models", ("model", "train")),
+                         ("explainers", ("explanations", "manual_index", "explainer"))):
+        clash = ["--" + key.replace("_", "-") for key in keys if key in given]
+        if len(clash) > 1:
+            raise CliError(module, f"{' and '.join(clash)} give one input: use one of them")
+    if ("dataset" in given) != ("schema" in given):
+        raise CliError("data", "--dataset and --schema go together: the schema describes the CSV")
+
+
 def _resolve_dataset(params: dict):
     """The run's dataset; each warning its loading recorded goes to stderr, never to --out."""
     with _stage("data"):
         if params.get("dataset"):
-            if not params.get("schema"):
-                raise CliError("data", "--schema is required with --dataset")
             d = load_csv(params["dataset"], DatasetSchema.from_json(params["schema"]))
         elif params.get("proxy"):
             d = benchmark_proxy(params["proxy"], seed=params["seed"])
@@ -180,7 +192,7 @@ def _resolve_explanations(params: dict, d, model):
         if params.get("explanations"):
             path = params["explanations"]
             loaded = (load_explanations_json(path) if str(path).endswith(".json")
-                      else load_explanations_csv(path))
+                      else load_explanations_csv(path, d.feature_names))
             check_explanations(d, loaded)
             return loaded
         if params.get("manual_index") is not None:
@@ -188,8 +200,8 @@ def _resolve_explanations(params: dict, d, model):
         if params.get("explainer"):
             cfg = ExplainerConfig(kind=params["explainer"], seed=params["seed"])
             return explain_dataset(model, d, cfg)
-    raise CliError("explainers",
-                   "no explanations given: use --explanations, --explainer, or --manual-index")
+    raise CliError("explainers", "no explanations given: use --explainer or --manual-index "
+                                 "(evaluate also takes --explanations)")
 
 
 def _parse_e_star(text: str) -> tuple[float, ...]:
@@ -259,8 +271,6 @@ def cmd_explain(params: dict, out: Path) -> None:
     """Generate and save explanations."""
     d = _resolve_dataset(params)
     model = _resolve_model(params, d)
-    if not params.get("explainer") and params.get("manual_index") is None:
-        raise CliError("explainers", "no explainer given: use --explainer or --manual-index")
     explanations = _resolve_explanations(params, d, model)
     with _stage("explainers"):
         save_explanations_csv(explanations, out / "explanations.csv", d.feature_names)
@@ -392,6 +402,7 @@ def main(argv=None) -> int:
     try:
         with _stage("cli"):
             params = _resolve(args, _load_config_file(args), defaults)
+        _check_sources(params, defaults)
         if args.command == "report":  # reads a finished run and writes nothing
             handler(params)
             return 0

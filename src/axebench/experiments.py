@@ -22,8 +22,8 @@ from .metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
                                 reference_quality_report)
 from .metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
                                   sensitivity_quality_report, signed_gap)
-from .models import (OffManifoldFlipPredictor, RuleModelSpec, RulePredictor,
-                     ScaffoldSpec, build_scaffold, make_rule_predictor)
+from .models import (OffManifoldFlipPredictor, RuleModelSpec, ScaffoldSpec, build_scaffold,
+                     make_rule_predictor)
 
 # ---------------------------------------------------------------------------
 # Region grids: explanation quality as a function of a candidate (i1, i2).
@@ -247,9 +247,9 @@ def run_fairwash_detection(bundle: AttackBundle,
     averages the one-hot explanation of every feature that is neither protected
     nor a foil of the model at hand, scored exactly as the other columns are.
 
-    A perturbation gap depends on the explanations only through the index
-    sets they perturb, so each model's gaps are computed once per distinct
-    per-row index sets, whichever metric asks: with n=1 every PGU one-hot set
+    A perturbation gap depends on the explanations only through the index sets
+    they perturb, keyed once per dataset, so each model's gaps are computed once per
+    distinct per-row index sets, whichever metric asks: with n=1 every PGU one-hot set
     is {0}, or {1} for the set that marks feature 0, which are the PGI sets of
     features 0 and 1. The memo holds unsigned gaps, which ``signed_gap`` signs after
     the mean: bit-equal to each metric's own report, as negation commutes with it.
@@ -263,6 +263,10 @@ def run_fairwash_detection(bundle: AttackBundle,
     y_preds = [labels_of(p) for p in probas]
     # one call per feature: all models and k values vote on shared neighbour tables
     axe_q = {f: axe_quality_many(d, y_preds, manual[f], axe_cfgs) for f in manual}
+    # the per-row index sets of each (metric, feature), which no model changes
+    key_of = {(metric, f): perturbed_index_sets(metric, manual[f], perturb_cfg.n).tobytes()
+              for metric in ("pgi", "pgu") for f in manual}
+    representative = {key: job for job, key in reversed(key_of.items())}  # each key's first
 
     for t, (model_name, model) in enumerate(bundle.models.items()):
         foils = bundle.model_foils[model_name]
@@ -278,21 +282,13 @@ def run_fairwash_detection(bundle: AttackBundle,
             q = {f: axe_q[f][t][c].aggregate_q for f in scored}
             verdicts.append(_verdict(d, model_name, "axe", asdict(cfg), q, sets, others))
 
-        # first (metric, feature) of each distinct per-row index sets
-        key_of, representative = {}, {}
-        for metric in ("pgi", "pgu"):
-            for f in scored:
-                key = perturbed_index_sets(metric, manual[f], perturb_cfg.n).tobytes()
-                key_of[metric, f] = key
-                representative.setdefault(key, (metric, f))
-
-        def gap(job: tuple[str, int]) -> float:
-            metric, f = job
+        def gap(key: bytes) -> float:
+            metric, f = representative[key]
             return sensitivity_quality_report(metric, model, d, manual[f], gap_cfg,
                                               base_proba=probas[t]).aggregate_q
 
-        memo = dict(zip(representative,
-                        ordered_parallel_map(gap, representative.values(), jobs=jobs)))
+        keys = dict.fromkeys(key_of[metric, f] for metric in ("pgi", "pgu") for f in scored)
+        memo = dict(zip(keys, ordered_parallel_map(gap, keys, jobs=jobs)))
         for metric in ("pgi", "pgu"):
             q = {f: signed_gap(metric, perturb_cfg, memo[key_of[metric, f]]) for f in scored}
             verdicts.append(_verdict(d, model_name, metric, asdict(perturb_cfg),
@@ -323,8 +319,8 @@ def load_verdicts(path):
 
 
 # ---------------------------------------------------------------------------
-# Principle audits. Each check constructs seeded fixtures and records a
-# concrete witness for its pass/fail call.
+# Principle audits. Each check reads one metric's scores on the seeded
+# fixtures and records a concrete witness for its pass/fail call.
 
 PRINCIPLES = ("local_contextualization", "model_relativism", "on_manifold_evaluation")
 
@@ -335,14 +331,13 @@ METRIC_STAGES = {"axe": "axe", "pgi": "metrics_sensitivity", "pgu": "metrics_sen
 
 @dataclass
 class _PrincipleFixtures:
+    """A seeded dataset, candidate explanations and the (model, labels,
+    reference vector) variants that score them: ``a`` the rule, ``b`` a shifted
+    rule with a second reference vector, ``twin`` the rule changed off the data."""
+
     d: Dataset
-    model_a: RulePredictor
-    model_b: RulePredictor
-    y_a: np.ndarray
-    y_b: np.ndarray
     candidates: dict[str, np.ndarray]
-    e_star: np.ndarray
-    e_star_alt: np.ndarray
+    variants: dict[str, tuple[object, np.ndarray, np.ndarray]]
 
 
 def _fixtures(seed: int) -> _PrincipleFixtures:
@@ -352,14 +347,18 @@ def _fixtures(seed: int) -> _PrincipleFixtures:
     model_a = make_rule_predictor(RuleModelSpec(0, 0.0, True), d.n_features)
     # same mechanism, slightly shifted boundary: agrees with model_a on most rows
     model_b = make_rule_predictor(RuleModelSpec(0, 0.25, True), d.n_features)
+    twin = OffManifoldFlipPredictor(model_a, d.features)
+    y_a, y_twin = model_a.predict_batch(d.features), twin.predict_batch(d.features)
+    if not np.array_equal(y_twin, y_a):
+        raise RuntimeError("twin must agree with the base model on every dataset row")
+    e_star = np.array([0.8, 0.4, -0.2, 0.05])
+    e_star_alt = np.array([0.6, 0.45, -0.35, 0.02])
     return _PrincipleFixtures(
-        d=d, model_a=model_a, model_b=model_b,
-        y_a=model_a.predict_batch(d.features),
-        y_b=model_b.predict_batch(d.features),
-        candidates={"rule-feature-first": np.array([0.9, 0.5, -0.3, 0.1]),
-                    "noise-feature-first": np.array([0.1, 0.2, 0.3, 0.9])},
-        e_star=np.array([0.8, 0.4, -0.2, 0.05]),
-        e_star_alt=np.array([0.6, 0.45, -0.35, 0.02]))
+        d, candidates={"rule-feature-first": np.array([0.9, 0.5, -0.3, 0.1]),
+                       "noise-feature-first": np.array([0.1, 0.2, 0.3, 0.9])},
+        variants={"a": (model_a, y_a, e_star),
+                  "b": (model_b, model_b.predict_batch(d.features), e_star_alt),
+                  "twin": (twin, y_twin, e_star)})
 
 
 def _per_point(metric: str, fx: _PrincipleFixtures, e: np.ndarray, model, y_preds,
@@ -374,10 +373,10 @@ def _per_point(metric: str, fx: _PrincipleFixtures, e: np.ndarray, model, y_pred
                                       PerturbConfig(n=1, num_perturbations=40)).per_point_q
 
 
-def _check_local_contextualization(metric: str, fx: _PrincipleFixtures) -> dict:
+def _check_local_contextualization(scores: dict, fx: _PrincipleFixtures) -> dict:
     """Pass iff some fixture makes per-point quality differ across rows."""
-    for name, e in fx.candidates.items():
-        q = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star)
+    for name in fx.candidates:
+        q = scores[name, "a"]
         finite = q[np.isfinite(q)]
         if finite.size and np.ptp(finite) > 0:
             lo, hi = int(np.argmin(q)), int(np.argmax(q))
@@ -390,39 +389,31 @@ def _check_local_contextualization(metric: str, fx: _PrincipleFixtures) -> dict:
                         "fixtures": sorted(fx.candidates)}}
 
 
-def _check_model_relativism(metric: str, fx: _PrincipleFixtures) -> dict:
-    """Pass iff swapping in the boundary-shifted twin changes the metric output."""
-    reference = METRIC_STAGES[metric] == "metrics_reference"
-    for name, e in fx.candidates.items():
-        q_a = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star)
-        if reference:
-            # reference vectors play the role of the two models' coefficient targets
-            q_b = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star_alt)
-        else:
-            q_b = _per_point(metric, fx, e, fx.model_b, fx.y_b, fx.e_star)
+def _check_model_relativism(metric: str, scores: dict, fx: _PrincipleFixtures) -> dict:
+    """Pass iff variant b changes the metric output: the shifted rule, or for a
+    reference metric the second reference vector, standing for its coefficients."""
+    (_, y_a, e_star), (_, y_b, e_star_alt) = fx.variants["a"], fx.variants["b"]
+    agreement = float((y_a == y_b).mean())
+    for name in fx.candidates:
+        q_a, q_b = scores[name, "a"], scores[name, "b"]
         if not np.array_equal(q_a, q_b, equal_nan=True):
             row = int(np.flatnonzero(~np.isclose(q_a, q_b, equal_nan=True))[0])
             return {"verdict": "pass",
                     "witness": {"fixture": name, "row": row,
                                 "q_model_a": float(q_a[row]), "q_model_b": float(q_b[row]),
-                                "prediction_agreement": float((fx.y_a == fx.y_b).mean())}}
+                                "prediction_agreement": agreement}}
     return {"verdict": "fail",
             "witness": {"detail": "output identical for both members of the "
                                   "prediction-equivalent model pair",
-                        "reference_vectors": [fx.e_star.tolist(), fx.e_star_alt.tolist()]
-                        if reference else None,
-                        "prediction_agreement": float((fx.y_a == fx.y_b).mean())}}
+                        "reference_vectors": [e_star.tolist(), e_star_alt.tolist()]
+                        if METRIC_STAGES[metric] == "metrics_reference" else None,
+                        "prediction_agreement": agreement}}
 
 
-def _check_on_manifold(metric: str, fx: _PrincipleFixtures) -> dict:
+def _check_on_manifold(scores: dict, fx: _PrincipleFixtures) -> dict:
     """Pass iff an off-manifold-only change in the model leaves the metric unchanged."""
-    twin = OffManifoldFlipPredictor(fx.model_a, fx.d.features)
-    y_twin = twin.predict_batch(fx.d.features)
-    if not np.array_equal(y_twin, fx.y_a):
-        raise RuntimeError("twin must agree with the base model on every dataset row")
-    for name, e in fx.candidates.items():
-        q_base = _per_point(metric, fx, e, fx.model_a, fx.y_a, fx.e_star)
-        q_twin = _per_point(metric, fx, e, twin, y_twin, fx.e_star)
+    for name in fx.candidates:
+        q_base, q_twin = scores[name, "a"], scores[name, "twin"]
         if not np.array_equal(q_base, q_twin, equal_nan=True):
             row = int(np.flatnonzero(~np.isclose(q_base, q_twin, equal_nan=True))[0])
             return {"verdict": "fail",
@@ -438,15 +429,22 @@ def _check_on_manifold(metric: str, fx: _PrincipleFixtures) -> dict:
 
 def run_principle_suite(metric: str, seed: int = 0) -> dict:
     """Audit one metric against the three principles with stored witnesses."""
-    if metric not in METRIC_STAGES:
-        raise ValueError(f"unknown metric {metric!r}")
-    fx = _fixtures(seed)
-    return {"metric": metric,
-            "local_contextualization": _check_local_contextualization(metric, fx),
-            "model_relativism": _check_model_relativism(metric, fx),
-            "on_manifold_evaluation": _check_on_manifold(metric, fx)}
+    return principle_matrix([metric], seed=seed)[metric]
 
 
 def principle_matrix(metrics=None, seed: int = 0) -> dict:
+    """Audit each metric on one fixture: the three checks read a table of
+    per-point scores keyed by (candidate, variant), each scored once."""
     metrics = list(metrics) if metrics is not None else sorted(METRIC_STAGES)
-    return {m: run_principle_suite(m, seed=seed) for m in metrics}
+    fx = _fixtures(seed)
+    matrix = {}
+    for metric in metrics:
+        if metric not in METRIC_STAGES:
+            raise ValueError(f"unknown metric {metric!r}")
+        scores = {(name, v): _per_point(metric, fx, e, *variant)
+                  for name, e in fx.candidates.items() for v, variant in fx.variants.items()}
+        matrix[metric] = {"metric": metric,
+                          "local_contextualization": _check_local_contextualization(scores, fx),
+                          "model_relativism": _check_model_relativism(metric, scores, fx),
+                          "on_manifold_evaluation": _check_on_manifold(scores, fx)}
+    return matrix

@@ -121,30 +121,20 @@ def _kernel_weight(n: int, s: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _all_coalitions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every non-trivial coalition of n features as read-only 0/1 mask rows,
-    with their kernel weights; built once per n and shared by every row."""
+def _all_coalitions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every non-trivial coalition of n features as 0/1 mask rows in binary
+    order, with the weighted design and the root kernel weights of the least
+    squares; read-only, built once per n and shared by every row."""
     masks = ((np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1).astype(float)
-    weights = np.array([_kernel_weight(n, int(s)) for s in masks.sum(axis=1)])
-    masks.flags.writeable = False
-    weights.flags.writeable = False
-    return masks, weights
-
-
-@lru_cache(maxsize=None)
-def _enumerated_design(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The enumeration's weighted design matrix and root weights, read-only;
-    built once per n from ``_all_coalitions``."""
-    masks, weights = _all_coalitions(n)
-    sw = np.sqrt(weights)
+    sw = np.sqrt([_kernel_weight(n, int(s)) for s in masks.sum(axis=1)])
     design = (masks[:, :-1] - masks[:, -1:]) * sw[:, None]
-    design.flags.writeable = False
-    sw.flags.writeable = False
-    return design, sw
+    for a in (masks, design, sw):
+        a.flags.writeable = False
+    return masks, design, sw
 
 
-def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (rows of 0/1) and their regression weights.
+def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks (rows of 0/1), their weighted design and root regression weights.
 
     Enumerates every non-trivial coalition when the budget allows; otherwise
     samples coalition sizes proportionally to the Shapley kernel (which makes
@@ -157,22 +147,18 @@ def _coalition_masks(n: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     drawn = rng.choice(sizes, size=budget, p=p)
     for i, s in enumerate(drawn):
         masks[i, rng.permutation(n)[:s]] = 1.0
-    return masks, np.ones(budget)
+    return masks, masks[:, :-1] - masks[:, -1:], np.ones(budget)
 
 
 def _fill_enumerated(composite: np.ndarray, background: np.ndarray, x: np.ndarray) -> None:
     """composite[r] = the background with x_j in every column j of bit j of
-    mask r + 1, for all 2**n - 2 rows, by doubling: rows 0 .. 2**j - 2 hold
-    masks 1 .. 2**j - 1, so masks 2**j .. 2**(j+1) - 1 are the background and
-    a copy of those rows, with x_j down column j."""
-    rows = composite.shape[0]
+    mask r, by doubling: row 0 is the background (the empty coalition), and
+    rows 2**j .. 2**(j+1) - 1 copy rows 0 .. 2**j - 1, with x_j down column j."""
+    composite[0] = background
     for j in range(x.size):
-        first = 2**j - 1  # the row of mask 2**j
-        if first >= rows:
-            break
-        end = min(2 * first + 1, rows)  # the full mask is not a coalition
-        composite[first] = background
-        composite[first + 1:end] = composite[:end - first - 1]
+        first = 2**j
+        end = min(2 * first, composite.shape[0])  # the full mask is not a coalition
+        composite[first:end] = composite[:end - first]
         composite[first:end, :, j] = x[j]
 
 
@@ -203,11 +189,14 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
 
     The composite is written into an array held by ``workspace``: the caller
     owns that dict and may pass the same one to every row it explains, one
-    thread at a time. Sampled masks fill a prefix of the array sized for every
-    mask, so one array serves every row. Without one, the call makes its own array. The output does not
-    depend on which it is. Sharing pays from N = 42 at the default settings:
-    the composite then exceeds glibc's 32 MiB ceiling on its mmap threshold, so
-    a fresh one per row faults its pages in anew (README "Explain cost").
+    thread at a time. Its row 0 holds the empty coalition, where the doubling
+    starts, and is not scored: ``v_empty`` stays its own call (README "Explain
+    cost"). Sampled masks fill the rows after it, a prefix of the array sized
+    for every mask, so one array serves every row. Without one, the call makes
+    its own array. The output does not depend on which it is. Sharing pays from
+    N = 42 at the default settings: the composite then exceeds glibc's 32 MiB
+    ceiling on its mmap threshold, so a fresh one per row faults its pages in
+    anew (README "Explain cost").
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -221,21 +210,19 @@ def explain_kernel_shapley(m: Predictor, x, d: Dataset, cfg: ExplainerConfig,
     v_full = float(m.predict_proba_batch(one_row(x))[0])
     delta = v_full - v_empty
 
-    masks, weights = _coalition_masks(n, cfg.samples, rng)
-    buffer = _buffer({} if workspace is None else workspace, (masks.shape[0], bg_count, n))
-    # composite[c, b, j] = x_j when feature j is in coalition c, else background row b
+    masks, design, sw = _coalition_masks(n, cfg.samples, rng)
+    buffer = _buffer({} if workspace is None else workspace, (masks.shape[0] + 1, bg_count, n))
+    # buffer[1 + c, b, j] = x_j when feature j is in coalition c, else background row b
     if 2**n - 2 <= cfg.samples:
         _fill_enumerated(buffer, background, x)
-        composite, inverse = buffer, slice(None)  # every coalition is distinct
-        design, sw = _enumerated_design(n)
+        composite, inverse = buffer[1:], slice(None)  # every coalition is distinct
     else:
         distinct, inverse = distinct_rows(masks)
-        composite = buffer[:len(distinct)]
+        composite = buffer[1:len(distinct) + 1]
         composite[...] = background
         keep = distinct.astype(bool)
         for j in range(n):
             composite[keep[:, j], :, j] = x[j]
-        design, sw = masks[:, :-1] - masks[:, -1:], weights  # unit weights are their roots
     values = m.predict_proba_batch(composite.reshape(-1, n)).reshape(-1, bg_count).mean(axis=1)
 
     # substitute the efficiency constraint: phi_n = delta - sum(phi_1..phi_{n-1})
@@ -300,14 +287,17 @@ def save_explanations_csv(explanations: ExplanationSet, path, feature_names=None
               ([i] + [repr(v) for v in row] for i, row in enumerate(rows)))
 
 
-def load_explanations_csv(path) -> ExplanationSet:
+def load_explanations_csv(path, feature_names) -> ExplanationSet:
     with open(path, newline="", encoding="utf-8") as fh:
-        body = list(csv.reader(fh))[1:]
+        header, *body = list(csv.reader(fh)) or [[]]
     try:
         indices = [int(row[0]) for row in body]
     except IndexError:  # only a blank line has no first cell
         blank = next(i for i, row in enumerate(body) if not row)
         raise ValueError(f"explanations CSV line {blank + 2} is blank") from None
+    if header != ["datapoint_index", *feature_names]:  # the columns are read by position
+        raise ValueError(f"explanations CSV header {header} must be "
+                         f"{['datapoint_index', *feature_names]}, the features in order")
     return _stack(indices, [[float(v) for v in row[1:]] for row in body], [_LOADED_TAG])
 
 

@@ -584,6 +584,69 @@ class TestRefusedRunWritesNothing:
         assert list(out.iterdir()) == []
 
 
+class TestOneSourcePerInput:
+    """Each input takes one source, after the config file and the flags are
+    merged: two are refused before anything is scored, and --out stays empty."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["evaluate", "--proxy", "compas", "--synthetic", "threshold-rule", "--rows", "50",
+          "--cols", "3", "--train", "logistic", "--manual-index", "0", "--metric", "axe"], None,
+         "error [data]: --proxy and --synthetic give one input: use one of them"),
+        (["evaluate", "--synthetic", "threshold-rule", "--cols", "3", "--metric", "axe",
+          "--manual-index", "0", "--train", "logistic", "--model", "{csv}"], None,
+         "error [models]: --model and --train give one input: use one of them"),
+        (["evaluate", "--synthetic", "threshold-rule", "--cols", "3", "--train", "logistic",
+          "--explanations", "{csv}", "--manual-index", "0", "--explainer", "gradient"], None,
+         "error [explainers]: --explanations and --manual-index and --explainer give one "
+         "input: use one of them"),
+        (["explain", "--synthetic", "threshold-rule", "--cols", "3", "--train", "logistic",
+          "--explainer", "gradient", "--manual-index", "0"], None,
+         "error [explainers]: --manual-index and --explainer give one input: use one of them"),
+        (["attack", "--dataset", "{csv}", "--schema", "{schema}", "--proxy", "compas"], None,
+         "error [data]: --dataset and --proxy give one input: use one of them"),
+        (["evaluate", "--proxy", "compas", "--train", "logistic", "--manual-index", "0"],
+         '{"synthetic": "threshold-rule"}',
+         "error [data]: --proxy and --synthetic give one input: use one of them"),
+        (["attack", "--proxy", "compas", "--schema", "{schema}"], None,
+         "error [data]: --dataset and --schema go together: the schema describes the CSV"),
+        (["evaluate", "--dataset", "{csv}", "--train", "logistic", "--manual-index", "0"], None,
+         "error [data]: --dataset and --schema go together: the schema describes the CSV"),
+    ], ids=["proxy-and-synthetic", "model-and-train", "three-explanation-sources",
+            "explain-two-explainers", "attack-dataset-and-proxy", "config-and-flag",
+            "schema-without-dataset", "dataset-without-schema"])
+    def test_two_sources_exit_2_and_leave_out_empty(self, tmp_path, capsys, argv, config,
+                                                    message):
+        csv_path, schema_path = write_attack_csv(tmp_path, nu=120)
+        argv = [a.format(csv=csv_path, schema=schema_path) for a in argv]
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert list(out.iterdir()) == []
+
+    def test_attack_takes_a_dataset_beside_its_default_proxy(self):
+        defaults = cli._COMMANDS["attack"][1]
+        cli._check_sources({**defaults, "dataset": "d.csv", "schema": "s.json"}, defaults)
+
+    def test_permuted_csv_header_exits_2_and_leaves_out_empty(self, tmp_path, capsys):
+        # read by position, these columns would give f0's importance to f2
+        expl_path = tmp_path / "permuted.csv"
+        expl_path.write_text("datapoint_index,f2,f1,f0\n"
+                             + "".join(f"{i},1.0,0.5,0.0\n" for i in range(60)))
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["evaluate", "--synthetic", "threshold-rule", "--rows", "60", "--cols", "3",
+                     "--train", "logistic", "--explanations", str(expl_path),
+                     "--metric", "axe", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error [explainers]: explanations CSV header ['datapoint_index', 'f2', 'f1', 'f0'] "
+            "must be ['datapoint_index', 'f0', 'f1', 'f2'], the features in order\n")
+        assert list(out.iterdir()) == []
+
+
 class TestSchemaFile:
     @pytest.mark.parametrize("command", ["evaluate", "attack"])
     @pytest.mark.parametrize("mangle, message", [

@@ -363,6 +363,23 @@ class TestDetectionScoring:
         # on 0, and those are the PGI sets of features 0 and 1
         assert len(calls) == len(set(calls)) == 4 * 6
 
+    def test_index_sets_are_keyed_once_per_dataset(self, small_bundle, monkeypatch):
+        # the keys depend on the one-hot explanations only: 2 metrics x N features
+        calls = []
+
+        def counting(metric_name, explanations, n):
+            calls.append(metric_name)
+            return perturbed_index_sets(metric_name, explanations, n)
+
+        monkeypatch.setattr(experiments, "perturbed_index_sets", counting)
+        one = AttackBundle(dataset=small_bundle.dataset,
+                           models={"m_L1": small_bundle.models["m_L1"]},
+                           model_foils={"m_L1": small_bundle.model_foils["m_L1"]})
+        for bundle in (small_bundle, one):
+            calls.clear()
+            run_fairwash_detection(bundle, perturb_cfg=self.CFG)
+            assert len(calls) == 2 * bundle.dataset.n_features
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_base_prediction_per_model(self, small_bundle, monkeypatch, jobs):
         # AXE's targets and every gap report read each model's one prediction on the rows
@@ -446,3 +463,30 @@ class TestPrinciples:
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
             run_principle_suite("dice")
+
+    def test_matrix_builds_one_fixture_and_scores_each_variant_once(self, monkeypatch):
+        fixtures, scored = [], []
+        build, score = experiments._fixtures, experiments._per_point
+
+        def counting_fixtures(seed):
+            fixtures.append(seed)
+            return build(seed)
+
+        def counting_per_point(metric, *args):
+            scored.append(metric)
+            return score(metric, *args)
+
+        monkeypatch.setattr(experiments, "_fixtures", counting_fixtures)
+        monkeypatch.setattr(experiments, "_per_point", counting_per_point)
+        matrix = experiments.principle_matrix(seed=0)
+        assert fixtures == [0]
+        assert sorted(matrix) == sorted(EXPECTED_MATRIX)
+        assert set(scored) == set(EXPECTED_MATRIX)
+        # two candidates under three model variants
+        assert all(scored.count(m) <= 6 for m in EXPECTED_MATRIX)
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_matrix_rows_equal_the_one_metric_suite(self, seed):
+        matrix = experiments.principle_matrix(seed=seed)
+        for metric in EXPECTED_MATRIX:
+            assert matrix[metric] == run_principle_suite(metric, seed=seed)

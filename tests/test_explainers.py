@@ -241,11 +241,14 @@ class TestKernelShapley:
 
     def test_enumerated_coalitions_are_built_once_read_only(self, shapley_background,
                                                            monkeypatch):
-        masks, weights = explainers._coalition_masks(6, 1000, rng=None)
-        assert explainers._coalition_masks(6, 62, rng=None)[0] is masks
-        assert not masks.flags.writeable and not weights.flags.writeable
-        with pytest.raises(ValueError):
-            masks[0, 0] = 1.0
+        triple = explainers._coalition_masks(6, 1000, rng=None)
+        assert all(a is b for a, b in zip(explainers._coalition_masks(6, 62, rng=None), triple))
+        masks, design, sw = triple
+        assert masks.shape == (62, 6) and design.shape == (62, 5) and sw.shape == (62,)
+        for array in triple:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
         m = AffineProbaPredictor([0.05, -0.04, 0.03, 0.02, -0.01, 0.01])
         cfg = ExplainerConfig(kind="kernel-shapley", samples=200, seed=22,
                               background_size=20)
@@ -255,8 +258,8 @@ class TestKernelShapley:
         def per_row(n):  # a fresh enumeration for every call
             masks = np.array([[(bits >> j) & 1 for j in range(n)] for bits in range(1, 2**n - 1)],
                              dtype=float)
-            return masks, np.array([explainers._kernel_weight(n, int(s))
-                                    for s in masks.sum(axis=1)])
+            sw = np.sqrt([explainers._kernel_weight(n, int(s)) for s in masks.sum(axis=1)])
+            return masks, (masks[:, :-1] - masks[:, -1:]) * sw[:, None], sw
 
         monkeypatch.setattr(explainers, "_all_coalitions", per_row)
         fresh = explain_kernel_shapley(m, x, shapley_background, cfg).importances
@@ -313,7 +316,7 @@ class TestDatasetExplanationsAndIO:
         expls = make_manual_explanations(small_threshold_data, 1)
         path = tmp_path / "e.csv"
         save_explanations_csv(expls, path, small_threshold_data.feature_names)
-        back = load_explanations_csv(path)
+        back = load_explanations_csv(path, small_threshold_data.feature_names)
         assert len(back) == len(expls)
         assert np.array_equal(back.importances, expls.importances)
 
@@ -333,7 +336,8 @@ class TestDatasetExplanationsAndIO:
         expls = explain_dataset(m, small_threshold_data, cfg)
         first, second = tmp_path / "first", tmp_path / "second"
         save(expls, first)
-        back = load(first)
+        names = small_threshold_data.feature_names  # f0..f3, the header a CSV save writes
+        back = load(first, names) if load is load_explanations_csv else load(first)
         assert np.array_equal(back.importances, expls.importances)
         save(back, second)
         assert first.read_bytes() == second.read_bytes()
@@ -429,6 +433,7 @@ class TestKernelShapleyWorkspace:
         explain_dataset(model, d, cfg)
         explain_dataset(model, d, cfg)
         assert len(seen) == 2 * d.nu
+        assert seen[0].shape == (63, 10, 6)  # the empty coalition, then 62 coalitions
         # one array for every row of a call, and a new one for the next call
         assert all(b is seen[0] for b in seen[: d.nu])
         assert all(b is seen[d.nu] for b in seen[d.nu:]) and seen[d.nu] is not seen[0]
@@ -440,7 +445,7 @@ class TestKernelShapleyWorkspace:
         seen.clear()
         explain_dataset(model, wide, cfg)
         assert len(seen) == wide.nu and all(b is seen[0] for b in seen)
-        assert seen[0].shape == (100, 10, 10)
+        assert seen[0].shape == (101, 10, 10)
 
     def test_back_to_back_calls_of_different_width(self):
         runs = []
@@ -496,7 +501,9 @@ class TestKernelShapleyComposite:
     def test_doubling_fill_is_the_column_fill(self, case):
         x, background = case
         n, bg = x.size, len(background)
-        masks = explainers._all_coalitions(n)[0]
+        # row r holds mask r: the empty coalition, then every non-trivial one
+        masks = np.vstack([np.zeros(n), explainers._all_coalitions(n)[0]])
+        assert np.array_equal(masks, (np.arange(2**n - 1)[:, None] >> np.arange(n)) & 1)
         want = np.empty((masks.shape[0], bg, n))
         want[...] = background
         for j in range(n):
@@ -504,12 +511,6 @@ class TestKernelShapleyComposite:
         got = np.full(want.shape, np.nan)  # stale contents must all be overwritten
         explainers._fill_enumerated(got, background, x)
         assert got.tobytes() == want.tobytes()
-
-    def test_enumerated_design_is_built_once_read_only(self):
-        design, sw = explainers._enumerated_design(5)
-        assert explainers._enumerated_design(5)[0] is design
-        assert design.shape == (30, 4) and sw.shape == (30,)
-        assert not design.flags.writeable and not sw.flags.writeable
 
     def test_one_feature_has_no_coalitions(self):
         d = Dataset(features=np.random.default_rng(3).normal(size=(30, 1)), feature_names=("a",))
