@@ -12,7 +12,6 @@ persisted config. Defaults come from (lowest to highest precedence) built-ins,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .axe import AxeConfig, axe_quality, write_trace
-from .core import QualityReport, check_explanations, check_type, labels_of, write_json
+from .core import QualityReport, check_explanations, check_type, labels_of, read_json, write_json
 from .data import (BENCHMARK_PROXIES, DatasetSchema, GENERATOR_KINDS,
                    SyntheticSpec, benchmark_proxy, generate_synthetic, load_csv)
 from .experiments import (METRIC_STAGES, PRINCIPLES, RegionGridSpec, build_attack_bundle,
@@ -94,8 +93,8 @@ def _stage(module: str):
 
 def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
     """Merge defaults < environment < config file < explicit flags, checking each
-    environment and config value against its key's entry in ``_FLAGS``, every
-    merged value of a float key for finiteness, and the merged seed for sign."""
+    environment and config value against its key's entry in ``_FLAGS``, every merged
+    value of a float key for finiteness, the seed for sign and jobs for being >= 1."""
     merged = dict(defaults)
     for key in _ENV_KEYS:
         raw = os.environ.get(ENV_PREFIX + key.upper())
@@ -130,6 +129,8 @@ def _resolve(args: argparse.Namespace, config, defaults: dict) -> dict:
             raise ValueError(f"{key} must be a finite number, not {merged[key]!r}")
         if key == "seed" and merged[key] < 0:
             raise ValueError(f"seed must be a non-negative integer, not {merged[key]!r}")
+        if key == "jobs" and merged[key] < 1:
+            raise ValueError(f"jobs must be a positive integer, not {merged[key]!r}")
     return merged
 
 
@@ -137,10 +138,7 @@ def _load_config_file(args: argparse.Namespace):
     if "config" not in args:  # report reads no config, from a flag or the environment
         return {}
     path = args.config if args.config is not None else os.environ.get(ENV_PREFIX + "CONFIG")
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return {} if path is None else read_json(path)
 
 
 def _check_sources(params: dict, defaults: dict) -> None:
@@ -160,11 +158,11 @@ def _check_sources(params: dict, defaults: dict) -> None:
 def _resolve_dataset(params: dict):
     """The run's dataset; each warning its loading recorded goes to stderr, never to --out."""
     with _stage("data"):
-        if params.get("dataset"):
+        if params["dataset"] is not None:
             d = load_csv(params["dataset"], DatasetSchema.from_json(params["schema"]))
-        elif params.get("proxy"):
+        elif params["proxy"] is not None:
             d = benchmark_proxy(params["proxy"], seed=params["seed"])
-        elif params.get("synthetic"):
+        elif params["synthetic"] is not None:
             spec = SyntheticSpec(nu=params["rows"], n_features=params["cols"],
                                  seed=params["seed"], generator_kind=params["synthetic"])
             d = generate_synthetic(spec)
@@ -178,26 +176,26 @@ def _resolve_dataset(params: dict):
 
 def _resolve_model(params: dict, d):
     with _stage("models"):
-        if params.get("model"):
+        if params["model"] is not None:
             return load_predictor(params["model"])
-        if params.get("train") == "logistic":
+        if params["train"] == "logistic":
             return train_logistic(d, seed=params["seed"])
-        if params.get("train") == "mlp":
+        if params["train"] == "mlp":
             return train_mlp(d, MlpSpec(hidden_sizes=(8,), seed=params["seed"]))
     raise CliError("models", "no model given: use --model FILE or --train logistic|mlp")
 
 
 def _resolve_explanations(params: dict, d, model):
     with _stage("explainers"):
-        if params.get("explanations"):
+        if params.get("explanations") is not None:
             path = params["explanations"]
             loaded = (load_explanations_json(path) if str(path).endswith(".json")
                       else load_explanations_csv(path, d.feature_names))
             check_explanations(d, loaded)
             return loaded
-        if params.get("manual_index") is not None:
+        if params["manual_index"] is not None:
             return make_manual_explanations(d, params["manual_index"])
-        if params.get("explainer"):
+        if params["explainer"] is not None:
             cfg = ExplainerConfig(kind=params["explainer"], seed=params["seed"])
             return explain_dataset(model, d, cfg)
     raise CliError("explainers", "no explanations given: use --explainer or --manual-index "
@@ -286,7 +284,7 @@ _ATTACK_DEFAULTS = {
 
 def cmd_attack(params: dict, out: Path) -> None:
     """Run the fairwash-detection experiment."""
-    d = _resolve_dataset(params) if params.get("dataset") else None
+    d = _resolve_dataset(params) if params["dataset"] is not None else None
     with _stage("experiments"):
         axe_cfg = AxeConfig(n=params["n"], k=params["k"], include_self=params["include_self"])
         perturb = PerturbConfig(n=params["n"], seed=params["seed"],
@@ -305,7 +303,7 @@ def cmd_attack(params: dict, out: Path) -> None:
                     raise CliError("experiments", f"unknown benchmark proxy {name!r}")
                 bundles[name] = bundle_from_config(configs[name])
         verdicts = [v for bundle in bundles.values() for v in run_fairwash_detection(
-            bundle, axe_cfgs=(axe_cfg,), perturb_cfg=perturb, jobs=params.get("jobs") or 1)]
+            bundle, axe_cfgs=(axe_cfg,), perturb_cfg=perturb, jobs=params["jobs"])]
         # every bundle is scored before the first file is opened: a refused run writes nothing
         for name, bundle in bundles.items():
             for model_name, model in bundle.models.items():

@@ -279,9 +279,7 @@ def _magnitude_order(imp: np.ndarray, n, largest: bool) -> np.ndarray:
     if n > imp.shape[-1]:
         raise ValueError("n exceeds feature count")
     mag = np.abs(imp)
-    cols = np.arange(mag.shape[-1])
-    if mag.ndim > 1:  # lexsort keys must share one shape
-        cols = np.broadcast_to(cols, mag.shape)
+    cols = np.broadcast_to(np.arange(mag.shape[-1]), mag.shape)  # lexsort keys share a shape
     return np.lexsort((cols, -mag if largest else mag), axis=-1)[..., :n]
 
 
@@ -403,8 +401,7 @@ class QualityReport:
 
     @classmethod
     def from_json(cls, path) -> "QualityReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def write_json(path, payload) -> None:
@@ -422,6 +419,18 @@ def write_json(path, payload) -> None:
         raise ValueError(f"cannot write {path.name}: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file at ``path``; :func:`write_json` writes such files."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_csv(path) -> list[list[str]]:
+    """Every row of the UTF-8 CSV file at ``path``, as ``csv.reader`` reads them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
 
 
 def write_csv(path, header, rows) -> None:

@@ -1,13 +1,11 @@
 """Dataset ingestion from CSV and deterministic synthetic generators."""
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Dataset, record_from_dict, write_csv, write_json
+from .core import Dataset, read_csv, read_json, record_from_dict, write_csv, write_json
 
 GENERATOR_KINDS = ("gaussian-blobs", "threshold-rule", "correlated-foil")
 _BLOBS_SEPARATION = 2.0  # distance between the gaussian-blobs class centres
@@ -49,8 +47,7 @@ class DatasetSchema:
 
     @classmethod
     def from_json(cls, path) -> "DatasetSchema":
-        with open(path, encoding="utf-8") as fh:
-            return record_from_dict(cls, json.load(fh))
+        return record_from_dict(cls, read_json(path))
 
     def to_json(self, path) -> None:
         write_json(path, asdict(self))
@@ -107,8 +104,7 @@ def _standardized_dataset(raw, names, labels, *, protected_name=None, foil_names
 
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Load an RFC-4180 CSV per the schema: encode categoricals, z-score, mark roles."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path)
     if not rows:
         raise ValueError("schema mismatch: file is empty")
     header, data = rows[0], rows[1:]

@@ -7,7 +7,6 @@ dataclasses that serialize to JSON/TSV for downstream tooling.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .axe import AxeConfig, axe_quality, axe_quality_many
 from .core import (Dataset, ExplanationSet, check_type, component_seed, labels_of,
-                   ordered_parallel_map, record_from_dict, write_json)
+                   ordered_parallel_map, read_json, record_from_dict, write_json)
 from .data import SyntheticSpec, benchmark_proxy, generate_synthetic
 from .explainers import make_manual_explanations
 from .metrics_reference import (REFERENCE_METRICS, GroundTruthPair,
@@ -312,8 +311,7 @@ def write_verdicts(verdicts: list[DetectionVerdict], path) -> None:
 
 
 def load_verdicts(path):
-    with open(path, encoding="utf-8") as fh:
-        rows = json.load(fh)
+    rows = read_json(path)
     check_type("verdict file", rows, list)
     return [DetectionVerdict.from_dict(v) for v in rows]
 

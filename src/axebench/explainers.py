@@ -7,8 +7,6 @@ config, so a fixed seed fully determines the output. Explanations target
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, isfinite
@@ -16,8 +14,8 @@ from math import comb, isfinite
 import numpy as np
 
 from .core import (Dataset, Explanation, ExplanationSet, Predictor, _coalition_sizes,
-                   check_fields, check_type, distinct_rows, one_row, row_seed, write_csv,
-                   write_json)
+                   check_fields, check_type, distinct_rows, one_row, read_csv, read_json,
+                   row_seed, write_csv, write_json)
 
 _LOADED_TAG = "loaded"  # the explainer_tag of every CSV row, and of a JSON row naming none
 _SURROGATE_RIDGE = 1.0  # the local surrogate's first ridge penalty; raised tenfold until stable
@@ -288,8 +286,7 @@ def save_explanations_csv(explanations: ExplanationSet, path, feature_names=None
 
 
 def load_explanations_csv(path, feature_names) -> ExplanationSet:
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *body = list(csv.reader(fh)) or [[]]
+    header, *body = read_csv(path) or [[]]
     try:
         indices = [int(row[0]) for row in body]
     except IndexError:  # only a blank line has no first cell
@@ -308,8 +305,7 @@ def save_explanations_json(explanations: ExplanationSet, path) -> None:
 
 
 def load_explanations_json(path) -> ExplanationSet:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     check_type("explanations JSON", payload, list)
     for pos, item in enumerate(payload):
         check_fields(f"explanations JSON row {pos}", item,

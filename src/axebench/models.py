@@ -37,7 +37,6 @@ trained weights do not depend on the block size.
 """
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from ._trees import BaggedTrees
 from .core import (Dataset, Predictor, _BLOCK_ROWS, _coalition_sizes, check_fields, labels_of,
-                   perturbed_copies, spans, write_json)
+                   perturbed_copies, read_json, spans, write_json)
 
 
 def _rows_of_width(X, width: int) -> np.ndarray:
@@ -394,8 +393,6 @@ class OodDetector:
     def from_dict(cls, d: dict) -> "OodDetector":
         check_fields("scaffold detector", d, {"model": dict, "sigma_ood": float, "seed": int,
                                               "heldout_accuracy": float})
-        if not 0.0 < d["sigma_ood"] < np.inf:
-            raise ValueError("scaffold detector sigma_ood must be finite and positive")
         if not 0.0 <= d["heldout_accuracy"] <= 1.0:
             raise ValueError("scaffold detector heldout_accuracy must lie in [0, 1]")
         return cls(model=BaggedTrees.from_dict(d["model"]), sigma_ood=d["sigma_ood"],
@@ -455,7 +452,7 @@ def train_ood_detector(d: Dataset, sigma_ood: float, seed: int,
 
 @dataclass(frozen=True)
 class ScaffoldSpec:
-    """Recipe for an adversarial scaffold: one biased rule plus 1-2 foil rules."""
+    """Recipe for an adversarial scaffold, built or loaded: one biased rule plus 1-2 foil rules."""
 
     biased: RuleModelSpec
     foils: tuple[RuleModelSpec, ...]
@@ -472,8 +469,9 @@ class ScaffoldSpec:
             raise ValueError("at most two foils supported")
         indices = [self.biased.feature_index] + [f.feature_index for f in foils]
         if len(set(indices)) != len(indices):
-            raise ValueError("foil feature indices must differ from the protected index")
-        if not 0.0 < self.sigma_ood < np.inf:  # as a scaffold file must hold it
+            raise ValueError("foil feature indices must differ from each other and "
+                             "from the protected index")
+        if not 0.0 < self.sigma_ood < np.inf:
             raise ValueError("sigma_ood must be finite and positive")
         object.__setattr__(self, "foils", foils)
 
@@ -594,9 +592,12 @@ def _scaffold_from_dict(d: dict, label: str) -> ScaffoldPredictor:
     agreement = d.get("on_data_agreement")
     if agreement is not None and not 0.0 <= agreement <= 1.0:
         raise ValueError(f"{label} on_data_agreement must be null or lie in [0, 1]")
+    biased = _rule_from_dict(d["biased"], f"{label} biased rule")
     foils = [_rule_from_dict(f, f"{label} foil {i}") for i, f in enumerate(d["foils"])]
-    scaffold = ScaffoldPredictor(_rule_from_dict(d["biased"], f"{label} biased rule"), foils,
-                                 OodDetector.from_dict(d["detector"]), d["seed"])
+    detector = OodDetector.from_dict(d["detector"])
+    # a file passes the rules a built scaffold passes: one or two foils, each on its own column
+    ScaffoldSpec(biased.spec, tuple(f.spec for f in foils), detector.sigma_ood, d["seed"])
+    scaffold = ScaffoldPredictor(biased, foils, detector, d["seed"])
     scaffold.on_data_agreement = agreement
     scaffold.descriptor = d.get("descriptor") or scaffold.descriptor  # as linear and rule do
     return scaffold
@@ -615,8 +616,7 @@ def save_predictor(pred: Predictor, path) -> None:
 
 def load_predictor(path) -> Predictor:
     """Rebuild a predictor from its JSON file; a malformed file raises a ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = read_json(path)
     check_fields("predictor file", d, {"kind": str})
     kind = d["kind"]
     if kind not in _LOADERS:

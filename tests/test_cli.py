@@ -10,7 +10,7 @@ from axebench import cli
 from axebench.cli import main
 from axebench.core import QualityReport
 from axebench.data import SyntheticSpec, generate_synthetic
-from axebench.models import RuleModelSpec, ScaffoldSpec, build_scaffold
+from axebench.models import RuleModelSpec, ScaffoldSpec, build_scaffold, load_predictor
 
 
 def read_json(path):
@@ -318,7 +318,7 @@ class TestEvaluate:
          "dimension mismatch: rule reads feature 10, data has shape (50, 3)"),
         # numbers out of range
         (lambda p: p["detector"].__setitem__("sigma_ood", 0.0),
-         "scaffold detector sigma_ood must be finite and positive"),
+         "sigma_ood must be finite and positive"),
         (lambda p: p["detector"].__setitem__("heldout_accuracy", 1.5),
          "scaffold detector heldout_accuracy must lie in [0, 1]"),
         (lambda p: p.__setitem__("on_data_agreement", -0.25),
@@ -346,6 +346,31 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error [models]: {message}")
         assert "error [internal]" not in err
+
+    @pytest.mark.parametrize("foils, message", [
+        ([], "at least one foil required"),
+        ([1, 2, 3], "at most two foils supported"),
+        ([1, 1], "foil feature indices must differ from each other and from the protected index"),
+        ([0], "foil feature indices must differ from each other and from the protected index"),
+    ], ids=["no-foils", "three-foils", "equal-foils", "foil-on-biased-column"])
+    def test_scaffold_file_outside_scaffold_spec_exits_2(self, tmp_path, capsys, foils, message):
+        # routing serves two foils at most, and a foil on the biased column never answers
+        d = generate_synthetic(SyntheticSpec(nu=60, n_features=4, seed=0))
+        payload = build_scaffold(d, ScaffoldSpec(biased=RuleModelSpec(0),
+                                                 foils=(RuleModelSpec(1), RuleModelSpec(2)),
+                                                 detector_trees=2, detector_depth=4)).to_dict()
+        payload["foils"] = [{**payload["foils"][0], "feature_index": i} for i in foils]
+        model_path = tmp_path / "scaffold.json"
+        model_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_predictor(model_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["evaluate", "--synthetic", "threshold-rule", "--rows", "50", "--cols", "4",
+                     "--model", str(model_path), "--manual-index", "0", "--metric", "axe",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error [models]: {message}\n"
+        assert list(out.iterdir()) == []
 
     def test_missing_output_dir_exits_2(self, capsys):
         code = main(["evaluate", "--synthetic", "threshold-rule", "--train", "logistic",
@@ -627,6 +652,23 @@ class TestOneSourcePerInput:
         assert capsys.readouterr().err == message + "\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, argv", [
+        ("attack", ["--num-perturbations", "5"]),
+        ("evaluate", ["--train", "logistic", "--manual-index", "0", "--metric", "axe"]),
+    ])
+    def test_empty_dataset_path_is_given_and_fails_to_load(self, tmp_path, capsys, monkeypatch,
+                                                           command, argv):
+        # "" differs from the default None: a source the run reads, not one it skips
+        monkeypatch.setattr(cli, "bundle_from_config",
+                            lambda config: pytest.fail(f"proxy {config.dataset_name} scored"))
+        _, schema_path = write_attack_csv(tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main([command, "--dataset", "", "--schema", str(schema_path), *argv,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error [data]: [Errno 2] No such file or directory: ''\n"
+        assert list(out.iterdir()) == []
+
     def test_attack_takes_a_dataset_beside_its_default_proxy(self):
         defaults = cli._COMMANDS["attack"][1]
         cli._check_sources({**defaults, "dataset": "d.csv", "schema": "s.json"}, defaults)
@@ -835,6 +877,25 @@ class TestOutsideValues:
         assert main(argv) == 2
         assert (capsys.readouterr().err
                 == "error [cli]: seed must be a non-negative integer, not -1\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("command", ["evaluate", "explain", "attack", "region-grid",
+                                         "principles"])
+    def test_jobs_below_one_exits_2_before_the_command_runs(
+            self, tmp_path, capsys, monkeypatch, command, source, jobs):
+        argv = [command, "--out", str(tmp_path / "run")]
+        if source == "flag":
+            argv += ["--jobs", str(jobs)]
+        elif source == "env":
+            monkeypatch.setenv("AXEBENCH_JOBS", str(jobs))
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"jobs": jobs}))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 2
+        assert (capsys.readouterr().err
+                == f"error [cli]: jobs must be a positive integer, not {jobs}\n")
         assert not (tmp_path / "run").exists()
 
 

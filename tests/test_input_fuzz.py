@@ -268,7 +268,7 @@ def _rows(**changes):
     ({"scaffold.json": _edited(SCAFFOLD, ("detector", "model", "feature_fraction"), math.nan)},
      WITH_MODEL, "error [models]: detector feature_fraction must lie in (0, 1]"),
     ({"scaffold.json": _edited(SCAFFOLD, ("detector", "sigma_ood"), math.nan)},
-     WITH_MODEL, "error [models]: scaffold detector sigma_ood must be finite and positive"),
+     WITH_MODEL, "error [models]: sigma_ood must be finite and positive"),
     ({"scaffold.json": _edited(SCAFFOLD, ("detector", "heldout_accuracy"), math.nan)},
      WITH_MODEL, "error [models]: scaffold detector heldout_accuracy must lie in [0, 1]"),
     ({"scaffold.json": _edited(SCAFFOLD, ("on_data_agreement",), math.nan)}, WITH_MODEL,
