@@ -24,10 +24,10 @@ from .axe import AxeConfig, axe_quality, write_trace
 from .core import QualityReport, check_explanations, check_type, labels_of, read_json, write_json
 from .data import (BENCHMARK_PROXIES, DatasetSchema, GENERATOR_KINDS,
                    SyntheticSpec, benchmark_proxy, generate_synthetic, load_csv)
-from .experiments import (METRIC_STAGES, PRINCIPLES, RegionGridSpec, build_attack_bundle,
-                          bundle_from_config, default_attack_configs, load_verdicts,
-                          principle_matrix, run_fairwash_detection, run_region_grid,
-                          standard_model_set, write_region_grid, write_verdicts)
+from .experiments import (METRIC_STAGES, PRINCIPLES, AttackConfig, RegionGridSpec,
+                          build_attack_bundle, bundle_from_config, default_attack_configs,
+                          load_verdicts, principle_matrix, run_fairwash_detection,
+                          run_region_grid, write_region_grid, write_verdicts)
 from .explainers import (ExplainerConfig, explain_dataset,
                          load_explanations_csv, load_explanations_json,
                          make_manual_explanations, save_explanations_csv,
@@ -291,9 +291,8 @@ def cmd_attack(params: dict, out: Path) -> None:
                                 num_perturbations=params["num_perturbations"],
                                 sigma=params["sigma"])
         if d is not None:
-            models = standard_model_set(params["seed"], 1.0, 0.8,
-                                        two_foils=len(d.foil_indices) >= 2)
-            bundles = {d.dataset_id: build_attack_bundle(d, models)}
+            cfg = AttackConfig(d.dataset_id, params["seed"], two_foils=len(d.foil_indices) >= 2)
+            bundles = {d.dataset_id: build_attack_bundle(d, cfg)}
         else:
             wanted = BENCHMARK_PROXIES if params["proxy"] == "all" else (params["proxy"],)
             configs = {c.dataset_name: c for c in default_attack_configs(params["seed"])}
@@ -343,17 +342,26 @@ def cmd_principles(params: dict, out: Path) -> None:
 
 def cmd_report(params: dict) -> None:
     """Verify and summarize a finished run."""
+    if not params["run"]:  # Path("") would be the working directory
+        raise CliError("cli", "--run must name a run directory, not an empty path")
     run_dir = Path(params["run"])
     if not run_dir.is_dir():
         raise CliError("cli", f"run directory {run_dir} does not exist")
     verdict_file = run_dir / "verdicts.json"
-    if verdict_file.exists():
-        with _stage("experiments"):
-            verdicts = load_verdicts(verdict_file)
+    with _stage("experiments"):
+        verdicts = load_verdicts(verdict_file) if verdict_file.exists() else None
+    with _stage("core"):
+        reports = [QualityReport.from_json(f) for f in sorted(run_dir.glob("report_*.json"))]
+    config_file = run_dir / "run_config.json"  # every other command writes it last
+    with _stage("cli"):
+        config = read_json(config_file) if config_file.is_file() else None
+    writers = [command for command in _COMMANDS if command != "report"]
+    if not isinstance(config, dict) or config.get("command") not in writers:
+        raise CliError("cli", f"run directory {run_dir} holds no finished run: its "
+                              f"run_config.json must name one of {', '.join(writers)}")
+    if verdicts is not None:
         _print_verdicts(verdicts)
-    for report_file in sorted(run_dir.glob("report_*.json")):
-        with _stage("core"):
-            report = QualityReport.from_json(report_file)
+    for report in reports:
         agg = "undefined" if report.aggregate_q != report.aggregate_q else f"{report.aggregate_q:.6f}"
         print(f"{report.metric_name}: aggregate={agg} rows={report.per_point_q.size} "
               f"dataset={report.dataset_id}")

@@ -278,9 +278,8 @@ def _magnitude_order(imp: np.ndarray, n, largest: bool) -> np.ndarray:
         raise ValueError("n must be non-negative")
     if n > imp.shape[-1]:
         raise ValueError("n exceeds feature count")
-    mag = np.abs(imp)
-    cols = np.broadcast_to(np.arange(mag.shape[-1]), mag.shape)  # lexsort keys share a shape
-    return np.lexsort((cols, -mag if largest else mag), axis=-1)[..., :n]
+    mag = np.abs(imp)  # a stable sort keeps tied magnitudes in index order
+    return np.argsort(-mag if largest else mag, axis=-1, kind="stable")[..., :n]
 
 
 def top_n_features(e, n: int) -> list[int]:

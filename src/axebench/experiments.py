@@ -109,32 +109,23 @@ def write_region_grid(result: RegionGridResult, out_dir) -> list[Path]:
 
 
 @dataclass(frozen=True)
-class ScaffoldModelConfig:
-    name: str
-    n_foils: int
-    sigma_ood: float
+class AttackConfig:
+    """One dataset's scaffold attack (after Slack et al., "Fooling LIME and SHAP").
+
+    m_L1 and m_S1 wrap the first foil column, and with ``two_foils`` m_L2 and
+    m_S2 wrap the first two. An m_L model's detector learns ``sigma_lime``
+    noise, an m_S model's ``sigma_shap``, and model i (from 1, in that order)
+    gets seed ``seed + i``.
+    """
+
+    dataset_name: str
     seed: int
+    sigma_lime: float = 1.0
+    sigma_shap: float = 0.8
+    two_foils: bool = False
     detector_trees: int = 12
     detector_depth: int = 12
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    dataset_name: str
-    models: tuple[ScaffoldModelConfig, ...]
     dataset_seed: int = 0
-
-
-def standard_model_set(base_seed: int, sigma_lime: float, sigma_shap: float,
-                       two_foils: bool, trees: int = 12, depth: int = 12) -> tuple[ScaffoldModelConfig, ...]:
-    models = [
-        ScaffoldModelConfig("m_L1", 1, sigma_lime, base_seed + 1, trees, depth),
-        ScaffoldModelConfig("m_S1", 1, sigma_shap, base_seed + 2, trees, depth),
-    ]
-    if two_foils:
-        models.append(ScaffoldModelConfig("m_L2", 2, sigma_lime, base_seed + 3, trees, depth))
-        models.append(ScaffoldModelConfig("m_S2", 2, sigma_shap, base_seed + 4, trees, depth))
-    return tuple(models)
 
 
 def default_attack_configs(seed: int = 0) -> list[AttackConfig]:
@@ -145,15 +136,12 @@ def default_attack_configs(seed: int = 0) -> list[AttackConfig]:
     accuracy floor.
     """
     return [
-        AttackConfig("german_credit",
-                     standard_model_set(component_seed(seed, "german"), 1.0, 0.8, False),
+        AttackConfig("german_credit", component_seed(seed, "german"),
                      dataset_seed=component_seed(seed, "german-data")),
-        AttackConfig("compas",
-                     standard_model_set(component_seed(seed, "compas"), 1.0, 0.8, True),
+        AttackConfig("compas", component_seed(seed, "compas"), two_foils=True,
                      dataset_seed=component_seed(seed, "compas-data")),
-        AttackConfig("communities_and_crime",
-                     standard_model_set(component_seed(seed, "candc"), 3.0, 3.0, True,
-                                        trees=16, depth=20),
+        AttackConfig("communities_and_crime", component_seed(seed, "candc"), 3.0, 3.0,
+                     two_foils=True, detector_trees=16, detector_depth=20,
                      dataset_seed=component_seed(seed, "candc-data")),
     ]
 
@@ -171,12 +159,11 @@ class AttackBundle:
         return [i for i in range(self.dataset.n_features) if i not in used]
 
 
-def build_attack_bundle(d: Dataset, model_cfgs) -> AttackBundle:
-    """Train one scaffold per model config around the dataset's biased rule."""
+def build_attack_bundle(d: Dataset, cfg: AttackConfig) -> AttackBundle:
+    """Train the config's scaffolds around the dataset's biased rule."""
     if d.protected_index is None:
         raise ValueError("dataset lacks a protected column")
-    model_cfgs = list(model_cfgs)
-    needed = max(cfg.n_foils for cfg in model_cfgs)
+    needed = 2 if cfg.two_foils else 1
     if len(d.foil_indices) < needed:
         raise ValueError(f"dataset provides {len(d.foil_indices)} foil columns, "
                          f"but a model needs {needed}")
@@ -184,22 +171,23 @@ def build_attack_bundle(d: Dataset, model_cfgs) -> AttackBundle:
         raise ValueError(f"dataset has {d.n_features} features, but a model with {needed} "
                          "foils needs one that is neither protected nor a foil")
     biased_spec = RuleModelSpec(d.protected_index, 0.0, True)
+    roster = [("m_L1", 1, cfg.sigma_lime), ("m_S1", 1, cfg.sigma_shap),
+              ("m_L2", 2, cfg.sigma_lime), ("m_S2", 2, cfg.sigma_shap)][:2 * needed]
     models, model_foils = {}, {}
-    for cfg in model_cfgs:
-        foils = d.foil_indices[:cfg.n_foils]
+    for i, (name, n_foils, sigma_ood) in enumerate(roster, 1):
+        foils = d.foil_indices[:n_foils]
         spec = ScaffoldSpec(
             biased=biased_spec,
             foils=tuple(RuleModelSpec(f, 0.0, True) for f in foils),
-            sigma_ood=cfg.sigma_ood, seed=cfg.seed,
+            sigma_ood=sigma_ood, seed=cfg.seed + i,
             detector_trees=cfg.detector_trees, detector_depth=cfg.detector_depth)
-        models[cfg.name] = build_scaffold(d, spec)
-        model_foils[cfg.name] = foils
+        models[name] = build_scaffold(d, spec)
+        model_foils[name] = foils
     return AttackBundle(dataset=d, models=models, model_foils=model_foils)
 
 
 def bundle_from_config(cfg: AttackConfig) -> AttackBundle:
-    d = benchmark_proxy(cfg.dataset_name, seed=cfg.dataset_seed)
-    return build_attack_bundle(d, cfg.models)
+    return build_attack_bundle(benchmark_proxy(cfg.dataset_name, seed=cfg.dataset_seed), cfg)
 
 
 @dataclass(frozen=True)

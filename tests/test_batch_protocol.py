@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from axebench import models
 from axebench.axe import AxeConfig
 from axebench.core import Dataset, ExplanationSet, Predictor, perturbed_copies
-from axebench.experiments import (build_attack_bundle, principle_matrix,
-                                  run_fairwash_detection, standard_model_set)
+from axebench.experiments import (AttackConfig, build_attack_bundle, principle_matrix,
+                                  run_fairwash_detection)
 from axebench.explainers import ExplainerConfig, explain_dataset
 from axebench.metrics_sensitivity import PerturbConfig, pgi, pgu, sensitivity_quality_report
 from axebench.models import (LinearModelSpec, MlpPredictor, OffManifoldFlipPredictor,
@@ -187,7 +187,7 @@ def test_package_code_makes_no_scalar_query(no_scalar_queries):
         pgi(m, d.features[0], expls.importances[0], cfg)
         pgu(m, d.features[0], expls.importances[0], cfg)
     bundle = build_attack_bundle(_small_attack_dataset(),
-                                 standard_model_set(7, 1.0, 0.8, two_foils=True))
+                                 AttackConfig("small-attack", 7, two_foils=True))
     verdicts = run_fairwash_detection(bundle, axe_cfgs=(AxeConfig(n=1, k=5),),
                                       perturb_cfg=PerturbConfig(n=1, num_perturbations=5))
     assert verdicts

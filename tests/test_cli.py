@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axebench import cli
+from axebench import cli, experiments
 from axebench.cli import main
-from axebench.core import QualityReport
+from axebench.core import QualityReport, component_seed
 from axebench.data import SyntheticSpec, generate_synthetic
 from axebench.models import RuleModelSpec, ScaffoldSpec, build_scaffold, load_predictor
 
@@ -552,6 +552,53 @@ class TestAttack:
         assert capsys.readouterr().err == message + "\n"
 
 
+def roster_of(bundle):
+    """(model, foil columns, sigma_ood, seed, detector trees, detector depth) per model, in
+    build order, for a bundle whose models are the ScaffoldSpecs they were built from."""
+    return [(name, tuple(f.feature_index for f in spec.foils), spec.sigma_ood, spec.seed,
+             spec.detector_trees, spec.detector_depth) for name, spec in bundle.models.items()]
+
+
+class TestAttackRoster:
+    """The scaffolds each attack builds, read off the specs handed to build_scaffold: no
+    detector is trained."""
+
+    # dataset -> (seed label, trees, depth, [(model, foils used, sigma_ood, seed offset)])
+    DEFAULTS = {
+        "german_credit": ("german", 12, 12, [("m_L1", 1, 1.0, 1), ("m_S1", 1, 0.8, 2)]),
+        "compas": ("compas", 12, 12, [("m_L1", 1, 1.0, 1), ("m_S1", 1, 0.8, 2),
+                                      ("m_L2", 2, 1.0, 3), ("m_S2", 2, 0.8, 4)]),
+        "communities_and_crime": ("candc", 16, 20, [("m_L1", 1, 3.0, 1), ("m_S1", 1, 3.0, 2),
+                                                    ("m_L2", 2, 3.0, 3), ("m_S2", 2, 3.0, 4)]),
+    }
+
+    def test_default_configs(self, monkeypatch):
+        monkeypatch.setattr(experiments, "build_scaffold", lambda d, spec: spec)
+        configs = experiments.default_attack_configs(0)
+        assert [cfg.dataset_name for cfg in configs] == list(self.DEFAULTS)
+        for cfg in configs:
+            label, trees, depth, models = self.DEFAULTS[cfg.dataset_name]
+            bundle = experiments.bundle_from_config(cfg)
+            foils = bundle.dataset.foil_indices
+            assert roster_of(bundle) == [
+                (name, foils[:n_foils], sigma, component_seed(0, label) + offset, trees, depth)
+                for name, n_foils, sigma, offset in models]
+
+    def test_csv_attack(self, tmp_path, monkeypatch, capsys):
+        bundles = []
+        monkeypatch.setattr(experiments, "build_scaffold", lambda d, spec: spec)
+        monkeypatch.setattr(cli, "run_fairwash_detection",
+                            lambda bundle, **kwargs: bundles.append(bundle) or [])
+        monkeypatch.setattr(cli, "save_predictor", lambda model, path: None)
+        csv_path, schema_path = write_attack_csv(tmp_path)
+        assert main(["attack", "--dataset", str(csv_path), "--schema", str(schema_path),
+                     "--seed", "5", "--out", str(tmp_path / "run")]) == 0
+        [bundle] = bundles
+        assert roster_of(bundle) == [("m_L1", (3,), 1.0, 6, 12, 12), ("m_S1", (3,), 0.8, 7, 12, 12),
+                                     ("m_L2", (3, 4), 1.0, 8, 12, 12),
+                                     ("m_S2", (3, 4), 0.8, 9, 12, 12)]
+
+
 _THRESHOLD_RUN = ["evaluate", "--synthetic", "threshold-rule", "--rows", "60", "--cols", "3",
                   "--train", "logistic", "--manual-index", "0"]
 
@@ -951,6 +998,10 @@ class TestPrinciplesCommand:
         assert "axe" in capsys.readouterr().out
 
 
+NO_RUN = ("error [cli]: run directory run holds no finished run: its run_config.json must "
+          "name one of evaluate, explain, attack, region-grid, principles\n")
+
+
 class TestReport:
     def test_detects_tampered_pass_flag(self, tmp_path, capsys):
         csv_path, schema_path = write_attack_csv(tmp_path, nu=120)
@@ -1022,6 +1073,41 @@ class TestReport:
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 2
+
+    @pytest.mark.parametrize("run, files, message", [
+        ("", {}, "error [cli]: --run must name a run directory, not an empty path\n"),
+        ("run", {}, NO_RUN),
+        ("run", {"report_fa.json": json.dumps(QualityReport("fa", {"n": 2}, [1.0]).to_dict())},
+         NO_RUN),
+        ("run", {"run_config.json": "not json"}, "error [cli]: Expecting value"),
+        ("run", {"run_config.json": "[]"}, NO_RUN),
+        ("run", {"run_config.json": json.dumps({"seed": 0})}, NO_RUN),
+        ("run", {"run_config.json": json.dumps({"command": "report"})}, NO_RUN),
+        ("run", {"run_config.json": json.dumps({"command": ["attack"]})}, NO_RUN),
+    ], ids=["empty-path", "empty-dir", "report-without-config", "config-not-json",
+            "config-not-object", "config-without-command", "config-of-report",
+            "config-with-list-command"])
+    def test_no_finished_run_exits_2(self, tmp_path, monkeypatch, capsys, run, files, message):
+        # the working directory holds a finished run, which an empty --run must not report
+        monkeypatch.chdir(tmp_path)
+        assert main(["region-grid", "--resolution", "3", "--out", "."]) == 0
+        (tmp_path / "run").mkdir()
+        for name, text in files.items():
+            (tmp_path / "run" / name).write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--run", run]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err[:len(message)]) == ("", message)
+
+    @pytest.mark.parametrize("argv", [
+        ["principles"],
+        ["explain", "--synthetic", "threshold-rule", "--rows", "60", "--cols", "3",
+         "--train", "logistic", "--explainer", "gradient"],
+        [*_THRESHOLD_RUN, "--metric", "axe"],
+    ], ids=["principles", "explain", "evaluate"])
+    def test_every_writing_command_reports(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+        assert main(["report", "--run", str(tmp_path / "run")]) == 0
 
     def test_ignores_config_environment(self, tmp_path, monkeypatch):
         run = tmp_path / "grid"

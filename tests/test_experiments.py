@@ -9,11 +9,10 @@ from axebench import axe
 from axebench.axe import AxeConfig, axe_quality
 from axebench.core import Dataset
 from axebench.data import DatasetSchema
-from axebench.experiments import (AttackBundle, DetectionVerdict, RegionGridSpec,
-                                  build_attack_bundle, load_verdicts,
+from axebench.experiments import (AttackBundle, AttackConfig, DetectionVerdict,
+                                  RegionGridSpec, build_attack_bundle, load_verdicts,
                                   run_fairwash_detection, run_principle_suite,
-                                  run_region_grid, standard_model_set,
-                                  write_region_grid, write_verdicts)
+                                  run_region_grid, write_region_grid, write_verdicts)
 from axebench.explainers import make_manual_explanations
 from axebench.metrics_reference import REFERENCE_METRICS
 from axebench.metrics_sensitivity import (PerturbConfig, perturbed_index_sets,
@@ -157,7 +156,7 @@ def small_attack_dataset(nu=240, seed=0):
 @pytest.fixture(scope="module")
 def small_bundle():
     return build_attack_bundle(small_attack_dataset(),
-                               standard_model_set(100, 1.0, 0.8, two_foils=True))
+                               AttackConfig("small-attack", 100, two_foils=True))
 
 
 def configs_at(n):
@@ -202,7 +201,7 @@ class TestAttackBundle:
         bare = Dataset(features=d.features, feature_names=d.feature_names,
                        labels=d.labels, dataset_id="bare")
         with pytest.raises(ValueError, match="protected"):
-            build_attack_bundle(bare, standard_model_set(1, 1.0, 0.8, False))
+            build_attack_bundle(bare, AttackConfig("bare", 1))
 
     def test_insufficient_foils_rejected(self):
         d = small_attack_dataset()
@@ -210,7 +209,7 @@ class TestAttackBundle:
                            labels=d.labels, protected_index=2, foil_indices=(3,),
                            dataset_id="one-foil")
         with pytest.raises(ValueError, match="foil"):
-            build_attack_bundle(one_foil, standard_model_set(1, 1.0, 0.8, True))
+            build_attack_bundle(one_foil, AttackConfig("one-foil", 1, two_foils=True))
 
 
 class TestDetection:
@@ -286,7 +285,7 @@ class TestDetection:
     def test_seed_sweep_shifts_values_keeps_ordering(self, small_verdicts):
         # fresh detectors from another seed: q values move, detection holds
         other = build_attack_bundle(small_attack_dataset(),
-                                    standard_model_set(4242, 1.0, 0.8, two_foils=True))
+                                    AttackConfig("small-attack", 4242, two_foils=True))
         verdicts = run_fairwash_detection(
             other, axe_cfgs=(AxeConfig(n=1, k=5),),
             perturb_cfg=PerturbConfig(n=1, num_perturbations=25, seed=0))
